@@ -70,10 +70,11 @@ func lifecycleServer(t *testing.T, cfg serverConfig) (*httptest.Server, *engine.
 	srv := newServer(eng, cfg)
 	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(func() {
-		// Unblock any straggling SLOW runs so goroutines exit before the
-		// engine's store tempdir is removed.
+		// Unblock any straggling SLOW runs and wait for every job to
+		// exit, so none writes into the store tempdir as it is removed.
 		srv.cancelJobs()
 		ts.Close()
+		eng.WaitJobs(context.Background())
 	})
 	return ts, eng, srv, gate
 }
@@ -169,7 +170,7 @@ func TestClientDisconnectCancelsSweep(t *testing.T) {
 	parallel.SetLimit(4)
 	defer parallel.SetLimit(oldLimit)
 
-	ts, eng, _, _ := lifecycleServer(t, defaultServerConfig())
+	ts, eng, srv, _ := lifecycleServer(t, defaultServerConfig())
 
 	reqCtx, hangUp := context.WithCancel(context.Background())
 	defer hangUp()
@@ -197,8 +198,12 @@ func TestClientDisconnectCancelsSweep(t *testing.T) {
 		t.Fatal("request did not return after client disconnect")
 	}
 
-	// Every parked cell's context must have fired (the request returned,
-	// which requires the pool to unwind), and no further cells may start.
+	// The client returns as soon as it hangs up; the server notices the
+	// disconnect a moment later. The sweep holds its admission slot until
+	// RunGrid returns, which requires every parked cell's context to have
+	// fired and the pool to unwind — from then on no cell may start.
+	waitFor(t, 5*time.Second, func() bool { return srv.queue.Depth() == 0 },
+		"sweep handler never returned after client disconnect")
 	after := eng.CellExecutions()
 	if after >= 256 {
 		t.Fatalf("engine executed %d cells despite cancellation with 4 workers", after)

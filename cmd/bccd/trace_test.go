@@ -38,6 +38,7 @@ func tracedServer(t *testing.T) (*httptest.Server, *server, *syncBuffer) {
 	t.Cleanup(func() {
 		srv.cancelJobs()
 		ts.Close()
+		srv.eng.WaitJobs(context.Background())
 	})
 	return ts, srv, buf
 }
@@ -250,8 +251,19 @@ func TestJobTraceID(t *testing.T) {
 		var spans []struct {
 			Name string `json:"name"`
 		}
-		code := getJSON(t, ts.URL+"/v1/traces/"+job.ID, &spans)
-		if code == http.StatusOK && spans[0].Name == "job" {
+		// Until the first span ends the trace is a 404 error object, so
+		// only a 200 body decodes as a span list.
+		resp, err := http.Get(ts.URL + "/v1/traces/" + job.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&spans); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resp.Body.Close()
+		if len(spans) > 0 && spans[0].Name == "job" {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -311,6 +323,7 @@ func TestRejectionLogging(t *testing.T) {
 	t.Cleanup(func() {
 		srv.cancelJobs()
 		ts.Close()
+		srv.eng.WaitJobs(context.Background())
 	})
 
 	// Hold the only admission slot so the next heavy request is shed.

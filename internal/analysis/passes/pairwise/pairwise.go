@@ -12,9 +12,11 @@
 //     unreported probe starves the rolling error window, and in the
 //     half-open state it wedges the breaker: the lone trial slot never
 //     reports, so the breaker can never close again;
-//   - a bcc pool acquisition (getRunBuffers/getBitBuffers/takeInts)
-//     must flow back through its put/recycle or escape into an owner
-//     that recycles later.
+//   - a bcc pool acquisition (acquireVector/acquirePlane for the round
+//     loop's two media, acquireShardGroup, takeInts) must flow back
+//     through its release/recycle or escape into an owner that
+//     releases later — a leaked medium or group is a pool that never
+//     warms, and the round loop allocates per run again.
 //
 // The check is a structured walk of the acquiring function: on every
 // path from the acquisition to a return (or the function's end) the
@@ -34,7 +36,7 @@ import (
 // Analyzer is the bccvet entry point.
 var Analyzer = &analysis.Analyzer{
 	Name: "pairwise",
-	Doc:  "paired resources (obs spans, queue slots, bcc pool buffers) must be released on every path",
+	Doc:  "paired resources (obs spans, queue slots, bcc pooled scratch) must be released on every path",
 	Run:  run,
 }
 
@@ -71,8 +73,9 @@ var pairs = []pairSpec{
 	{pkg: "obs", recv: "Span", fn: "Child", result: 0, resource: "child span", methods: []string{"End", "EndErr"}},
 	{pkg: "serving", recv: "Queue", fn: "Acquire", result: 0, resource: "queue slot", selfCall: true},
 	{pkg: "results", recv: "Health", fn: "Allow", result: 0, resource: "breaker probe", methods: []string{"Done"}},
-	{pkg: "bcc", fn: "getRunBuffers", result: 0, resource: "pooled run buffers", funcs: []string{"putRunBuffers"}},
-	{pkg: "bcc", fn: "getBitBuffers", result: 0, resource: "pooled bit-plane buffers", funcs: []string{"putBitBuffers"}},
+	{pkg: "bcc", fn: "acquireVector", result: 0, resource: "pooled Message vector", methods: []string{"release"}},
+	{pkg: "bcc", fn: "acquirePlane", result: 0, resource: "pooled bit plane", methods: []string{"release"}},
+	{pkg: "bcc", fn: "acquireShardGroup", result: 0, resource: "pooled shard group", methods: []string{"release"}},
 	{pkg: "bcc", fn: "takeInts", result: 0, resource: "pooled []int", funcs: []string{"recycleInts"}},
 }
 
@@ -370,9 +373,10 @@ func (t *tracker) scanStmt(stmt ast.Stmt) bool {
 			}
 			// Non-release method calls on the resource (span.SetStr)
 			// are neutral; the resource as an *argument* to another
-			// call transfers ownership.
+			// call transfers ownership, unless the argument only copies
+			// a basic-typed field out of it.
 			for _, arg := range n.Args {
-				if t.mentionsExpr(arg) {
+				if t.mentionsExpr(arg) && !t.readsField(arg) {
 					t.escaped = true
 				}
 			}
@@ -442,6 +446,21 @@ func (t *tracker) usesRelease(call *ast.CallExpr) bool {
 		}
 	}
 	return false
+}
+
+// readsField reports whether e is a basic-typed field of the tracked
+// resource (sg.numShards): a copied value, not the resource itself.
+func (t *tracker) readsField(e ast.Expr) bool {
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok || !t.isObj(sel.X) {
+		return false
+	}
+	tv, ok := t.pass.TypesInfo.Types[e]
+	if !ok {
+		return false
+	}
+	_, basic := tv.Type.Underlying().(*types.Basic)
+	return basic
 }
 
 // isObj reports whether e is exactly the tracked identifier.

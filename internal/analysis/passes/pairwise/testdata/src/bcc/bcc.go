@@ -1,27 +1,63 @@
 // Package bcc mirrors the pool surface of bcclique/internal/bcc: the
-// get/put pairs are package-private there, so the fixture carries both
-// the pair and its callers in one package.
+// acquire/release pairs are package-private there, so the fixture
+// carries both the pairs and their callers in one package.
 package bcc
 
-type runBuffers struct{ sends []int }
+type messageVector struct{ sends []int }
 
-var pool []*runBuffers
+func (*messageVector) release() {}
 
-func getRunBuffers(n int) *runBuffers { return &runBuffers{sends: make([]int, n)} }
+type bitPlane struct{ value []uint64 }
 
-func putRunBuffers(buf *runBuffers) { pool = append(pool, buf) }
+func (*bitPlane) release() {}
+
+func (*bitPlane) bind() bool { return true }
+
+type shardGroup struct{ workers int }
+
+func (*shardGroup) release() {}
+
+func acquireVector(n int) *messageVector { return &messageVector{sends: make([]int, n)} }
+
+func acquirePlane(n int) *bitPlane { return &bitPlane{value: make([]uint64, n)} }
+
+func acquireShardGroup(n int) *shardGroup { return &shardGroup{workers: n} }
 
 func takeInts(n int) []int { return make([]int, n) }
 
 func recycleInts(s []int) {}
 
-// leak acquires and never recycles: the pool starves.
+// leak acquires and never releases: the pool starves.
 func leak(n int) {
-	buf := getRunBuffers(n) // want `pooled run buffers from getRunBuffers does not reach putRunBuffers on every path`
-	if buf == nil {
+	mv := acquireVector(n) // want `pooled Message vector from acquireVector does not reach release on every path`
+	if mv == nil {
 		return
 	}
 }
+
+// planeLeak releases only when the binding fails.
+func planeLeak(n int) {
+	p := acquirePlane(n) // want `pooled bit plane from acquirePlane does not reach release on every path`
+	if !p.bind() {
+		p.release()
+	}
+}
+
+// groupLeak releases on the sharded arm only.
+func groupLeak(n int, sharded bool) {
+	sg := acquireShardGroup(n) // want `pooled shard group from acquireShardGroup does not reach release on every path`
+	if sharded {
+		sg.release()
+	}
+}
+
+// fieldLeak copies a field out of the group, which hands nothing off.
+func fieldLeak(n int) {
+	sg := acquireShardGroup(n) // want `pooled shard group from acquireShardGroup does not reach release on every path`
+	report(sg.workers)
+}
+
+func report(int) {}
 
 // branchLeak recycles on one arm only.
 func branchLeak(n int, keep bool) {
@@ -33,11 +69,11 @@ func branchLeak(n int, keep bool) {
 	}
 }
 
-// deferred recycles on every exit: clean.
+// deferred releases on every exit: clean.
 func deferred(n int) int {
-	buf := getRunBuffers(n)
-	defer putRunBuffers(buf)
-	return len(buf.sends)
+	sg := acquireShardGroup(n)
+	defer sg.release()
+	return sg.workers
 }
 
 // straightLine releases before the only exit: clean.
@@ -46,11 +82,15 @@ func straightLine(n int) {
 	recycleInts(s)
 }
 
-// handoff transfers ownership to the caller: clean (the caller is now
-// accountable).
-func handoff(n int) *runBuffers {
-	buf := getRunBuffers(n)
-	return buf
+// handoff transfers ownership to the caller on success and releases on
+// failure: clean (the caller is now accountable).
+func handoff(n int) *bitPlane {
+	p := acquirePlane(n)
+	if p.bind() {
+		return p
+	}
+	p.release()
+	return nil
 }
 
 // stored transfers ownership into a structure: clean.

@@ -6,7 +6,7 @@ import (
 	"sync"
 )
 
-// The bit plane is the runner's word-packed fast path for the model's
+// The bit plane is the runner's word-packed medium for the model's
 // native regime, BCC(1): every round is one trit per vertex ({0, 1, ⊥}),
 // so a whole round fits in two n-bit bitsets —
 //
@@ -16,22 +16,24 @@ import (
 // Delivery is aliasing: a broadcast is the same for every listener, so
 // all n receivers read the *same* two word arrays instead of n
 // permuted (n−1)-slot Message inboxes. Self-exclusion, which the
-// generic path implements by omitting the receiver from its inbox,
+// Message vector implements by omitting the receiver from its inbox,
 // becomes a rank check inside the node. The per-round cost RoundBits[t]
 // is a popcount over the spoke mask, and transcript mode packs the
 // round's trits as 2-bit codes into one flat arena from which
 // TritString / TranscriptKey are derived directly.
 //
-// The generic Message path remains authoritative: it serves every
-// multi-bit algorithm, every WithReceivedTranscripts run, and acts as
-// the equivalence oracle the bit plane is pinned against byte for byte
-// (see bitplane_test.go and the protocol-level equivalence suite).
+// The plane is one of the two media RunContext's single round loop
+// drives (see medium in runner.go); it has no loop of its own. The
+// Message vector remains authoritative: it serves every multi-bit
+// algorithm, every WithReceivedTranscripts run, and acts as the
+// equivalence oracle the bit plane is pinned against byte for byte (see
+// bitplane_test.go and the protocol-level equivalence suite).
 
 // BitAlgorithm is implemented by algorithms whose nodes can run on the
 // bit plane. The runner takes the fast path only when BitPlane()
 // reports true, the declared bandwidth is 1, no received transcripts
 // were requested, and every node accepts its plane binding; otherwise
-// the run falls back to the generic path with identical results.
+// the run falls back to the Message vector with identical results.
 type BitAlgorithm interface {
 	Algorithm
 	// BitPlane reports whether this configuration of the algorithm is
@@ -53,7 +55,7 @@ type BitNode interface {
 	// ranks. The slice aliases runner-owned wiring; treat it as
 	// read-only. Returning false declines the binding (e.g. a
 	// rank-space node handed a non-canonical plane) and sends the whole
-	// run down the generic path.
+	// run down the Message vector.
 	BindPlane(self int, portTarget []int) bool
 	// SendBit is Send for the plane: the broadcast bit and whether the
 	// node speaks at all this round (false is the paper's ⊥).
@@ -64,30 +66,6 @@ type BitNode interface {
 	// node's own bit is present; excluding it is the node's rank check.
 	ReceiveBits(round int, value, spoke []uint64)
 }
-
-// bitBuffers is the pooled pair of word arenas serving one run's
-// rounds. Like runBuffers, the pool is shared across the worker
-// goroutines of a sweep grid, so the steady-state round loop is
-// allocation-free once the pool has warmed up for a given n.
-type bitBuffers struct {
-	value []uint64
-	spoke []uint64
-}
-
-var bitBufferPool = sync.Pool{New: func() interface{} { return &bitBuffers{} }}
-
-func getBitBuffers(words int) *bitBuffers {
-	buf := bitBufferPool.Get().(*bitBuffers)
-	if cap(buf.value) < words {
-		buf.value = make([]uint64, words)
-		buf.spoke = make([]uint64, words)
-	}
-	buf.value = buf.value[:words]
-	buf.spoke = buf.spoke[:words]
-	return buf
-}
-
-func putBitBuffers(buf *bitBuffers) { bitBufferPool.Put(buf) }
 
 // tritPlane is the packed transcript of a bit-plane run: one flat arena
 // of 2-bit trit codes (tritZero/tritOne/tritSilent — the same codes
@@ -155,160 +133,111 @@ func (tp *tritPlane) tritKey(v int) (TranscriptKey, error) {
 	return k, nil
 }
 
-// bindBitPlane type-asserts every node onto the plane and binds it.
-// Any node that is not a BitNode, or declines its binding, sends the
-// run down the generic path.
-func bindBitPlane(in *Instance, nodes []Node) ([]BitNode, bool) {
-	bnodes := make([]BitNode, len(nodes))
+// bitPlane is the medium of a 1-bit run: the round's broadcasts as the
+// value/spoke word pair, plus the trit arena in transcript mode. Pooled
+// like messageVector; shardSize is a multiple of 64, so concurrent
+// shards clear and fill disjoint plane words, and a shard's first trit
+// slot, shardSize·rounds, is a multiple of the arena's 32 codes per
+// word, so shards never share a trit word either.
+type bitPlane struct {
+	nodes []BitNode
+	value []uint64
+	spoke []uint64
+	trits *tritPlane // nil under WithoutTranscripts
+}
+
+var planePool = sync.Pool{New: func() interface{} { return new(bitPlane) }}
+
+// acquirePlane returns a pooled plane sized for n vertices.
+func acquirePlane(n int) *bitPlane {
+	p := planePool.Get().(*bitPlane)
+	words := (n + 63) / 64
+	if cap(p.nodes) < n {
+		p.nodes = make([]BitNode, n)
+	}
+	if cap(p.value) < words {
+		p.value = make([]uint64, words)
+		p.spoke = make([]uint64, words)
+	}
+	p.nodes, p.value, p.spoke = p.nodes[:n], p.value[:words], p.spoke[:words]
+	return p
+}
+
+// bind type-asserts every node onto the plane and binds it. Any node
+// that is not a BitNode, or declines its binding, sends the whole run
+// down the Message vector.
+func (p *bitPlane) bind(in *Instance, nodes []Node, rounds int, o options) bool {
 	for v, node := range nodes {
 		bn, ok := node.(BitNode)
 		if !ok {
-			return nil, false
+			return false
 		}
 		var portTarget []int
 		if !in.canonical {
 			portTarget = in.ports[v]
 		}
 		if !bn.BindPlane(v, portTarget) {
-			return nil, false
+			return false
 		}
-		bnodes[v] = bn
+		p.nodes[v] = bn
 	}
-	return bnodes, true
-}
-
-// runBitPlane is the word-parallel round loop. Contract with the
-// generic loop (pinned by the equivalence suite): identical RoundBits,
-// TotalBits, verdicts, labels, and — in transcript mode — identical
-// Sent sequences, with TritString/TranscriptKey derived from the
-// packed arena.
-func runBitPlane(res *Result, bnodes []BitNode, o options, sg *shardGroup) error {
-	n := len(bnodes)
-	rounds := res.Rounds
-	words := (n + 63) / 64
-	buf := getBitBuffers(words)
-	defer putBitBuffers(buf)
-	value, spoke := buf.value, buf.spoke
-
-	var tp *tritPlane
 	if !o.noTranscripts {
-		tp = newTritPlane(n, rounds)
+		p.trits = newTritPlane(len(nodes), rounds)
 	}
-	if sg != nil {
-		return runBitPlaneSharded(res, bnodes, o, sg, value, spoke, tp)
-	}
-	for t := 1; t <= rounds; t++ {
-		if err := o.ctx.Err(); err != nil {
-			recycleInts(res.RoundBits)
-			return err
-		}
-		clear(value)
-		clear(spoke)
-		for v := 0; v < n; v++ {
-			bit, speak := bnodes[v].SendBit(t)
-			if speak {
-				w, m := v>>6, uint64(1)<<uint(v&63)
-				spoke[w] |= m
-				if bit&1 != 0 {
-					value[w] |= m
-					if tp != nil {
-						tp.set(v, t, tritOne)
-					}
-				}
-				// tritZero is code 0: the zero-initialized arena
-				// already encodes it.
-			} else if tp != nil {
-				tp.set(v, t, tritSilent)
-			}
-		}
-		rb := 0
-		for _, w := range spoke {
-			rb += bits.OnesCount64(w)
-		}
-		res.RoundBits[t-1] = rb
-		res.TotalBits += rb
-		for v := 0; v < n; v++ {
-			bnodes[v].ReceiveBits(t, value, spoke)
-		}
-	}
-	if tp != nil {
-		materializeTrits(res, tp, n, rounds)
-	}
-	res.BitPlane = true
-	return nil
+	return true
 }
 
-// runBitPlaneSharded is the intra-cell parallel round loop: SendBit and
-// ReceiveBits run over fixed replica shards with a barrier between the
-// two phases. shardSize is a multiple of 64, so concurrent shards write
-// disjoint spoke/value words (each shard clears and fills exactly its
-// own word range). Trit transcripts are reconstructed from the planes
-// in a sequential post-pass after the send barrier: the trit arena
-// packs 16 vertices per word when rounds < 32, so shard-local writes
-// there would race.
-func runBitPlaneSharded(res *Result, bnodes []BitNode, o options, sg *shardGroup, value, spoke []uint64, tp *tritPlane) error {
-	n := len(bnodes)
-	rounds := res.Rounds
-	curRound := 0
-	sendPhase := func(_, first, limit int) error {
-		t := curRound
-		wf, wl := first>>6, (limit+63)>>6
-		clear(value[wf:wl])
-		clear(spoke[wf:wl])
-		for v := first; v < limit; v++ {
-			bit, speak := bnodes[v].SendBit(t)
-			if speak {
-				w, m := v>>6, uint64(1)<<uint(v&63)
-				spoke[w] |= m
-				if bit&1 != 0 {
-					value[w] |= m
-				}
-			}
-		}
-		return nil
-	}
-	recvPhase := func(_, first, limit int) error {
-		t := curRound
-		for v := first; v < limit; v++ {
-			bnodes[v].ReceiveBits(t, value, spoke)
-		}
-		return nil
-	}
-	for t := 1; t <= rounds; t++ {
-		if err := o.ctx.Err(); err != nil {
-			recycleInts(res.RoundBits)
-			return err
-		}
-		curRound = t
-		if err := sg.phase(sendPhase); err != nil {
-			return err
-		}
-		if tp != nil {
-			for v := 0; v < n; v++ {
-				w, m := v>>6, uint64(1)<<uint(v&63)
-				if spoke[w]&m == 0 {
-					tp.set(v, t, tritSilent)
-				} else if value[w]&m != 0 {
+// send clears and fills the plane words of vertices [first, limit),
+// records their trits, and pops the round's bits out of the spoke words.
+func (p *bitPlane) send(t, first, limit int) (int, error) {
+	value, spoke, tp := p.value, p.spoke, p.trits
+	wf, wl := first>>6, (limit+63)>>6
+	clear(value[wf:wl])
+	clear(spoke[wf:wl])
+	for i, node := range p.nodes[first:limit] {
+		bit, speak := node.SendBit(t)
+		v := first + i
+		if speak {
+			w, m := v>>6, uint64(1)<<uint(v&63)
+			spoke[w] |= m
+			if bit&1 != 0 {
+				value[w] |= m
+				if tp != nil {
 					tp.set(v, t, tritOne)
 				}
-				// tritZero is code 0: already encoded.
 			}
-		}
-		rb := 0
-		for _, w := range spoke {
-			rb += bits.OnesCount64(w)
-		}
-		res.RoundBits[t-1] = rb
-		res.TotalBits += rb
-		if err := sg.phase(recvPhase); err != nil {
-			return err
+			// tritZero is code 0: the zero-initialized arena
+			// already encodes it.
+		} else if tp != nil {
+			tp.set(v, t, tritSilent)
 		}
 	}
-	if tp != nil {
-		materializeTrits(res, tp, n, rounds)
+	rb := 0
+	for _, w := range spoke[wf:wl] {
+		rb += bits.OnesCount64(w)
 	}
+	return rb, nil
+}
+
+func (p *bitPlane) deliver(t, first, limit int) {
+	value, spoke := p.value, p.spoke
+	for _, node := range p.nodes[first:limit] {
+		node.ReceiveBits(t, value, spoke)
+	}
+}
+
+func (p *bitPlane) finish(res *Result) {
 	res.BitPlane = true
-	return nil
+	if p.trits != nil {
+		materializeTrits(res, p.trits, len(p.nodes), res.Rounds)
+	}
+}
+
+// release drops the run's nodes and trit arena and pools the words.
+func (p *bitPlane) release() {
+	clear(p.nodes)
+	p.trits = nil
+	planePool.Put(p)
 }
 
 // materializeTrits attaches the packed trit arena and rebuilds the Sent

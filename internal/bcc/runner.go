@@ -11,17 +11,6 @@ import (
 	"bcclique/internal/parallel"
 )
 
-// runBuffers is the per-run simulation scratch: the round's broadcast
-// vector and the per-vertex inbox. Pooled across runs (and across the
-// worker goroutines of a sweep grid) so the hot loop is allocation-free
-// once the pool has warmed up for a given instance size.
-type runBuffers struct {
-	sends []Message
-	inbox []Message
-}
-
-var runBufferPool = sync.Pool{New: func() interface{} { return &runBuffers{} }}
-
 // intsPool recycles the per-run []int allocations whose ownership
 // transfers into the Result — the RoundBits cost series and the
 // verdict/label scratch. At n = 4096 a single flood run's RoundBits is
@@ -67,21 +56,6 @@ func Recycle(res *Result) {
 	recycleInts(res.Labels)
 	res.Labels = nil
 }
-
-// getRunBuffers returns scratch sized for n vertices, growing the pooled
-// arenas if this n is the largest seen.
-func getRunBuffers(n int) *runBuffers {
-	buf := runBufferPool.Get().(*runBuffers)
-	if cap(buf.sends) < n {
-		buf.sends = make([]Message, n)
-		buf.inbox = make([]Message, n-1)
-	}
-	buf.sends = buf.sends[:n]
-	buf.inbox = buf.inbox[:n-1]
-	return buf
-}
-
-func putRunBuffers(buf *runBuffers) { runBufferPool.Put(buf) }
 
 // Verdict is a vertex's (or the system's) answer to a decision problem.
 type Verdict int
@@ -204,7 +178,7 @@ type Result struct {
 	Transcripts []Transcript
 	// BitPlane reports whether the run was served by the word-packed
 	// 1-bit fast path (see bitplane.go) instead of the generic Message
-	// loop. Both paths are pinned byte-identical by the equivalence
+	// vector. Both paths are pinned byte-identical by the equivalence
 	// suite; the flag exists for observability and for tests asserting
 	// the fast path actually engaged.
 	BitPlane bool
@@ -285,13 +259,14 @@ func Run(in *Instance, algo Algorithm, opts ...Option) (*Result, error) {
 	return RunContext(context.Background(), in, algo, opts...)
 }
 
-// RunContext is Run with cancellation: the context is checked at every
-// round boundary on both simulator paths (the generic Message loop and
-// the word-packed bit plane), so a disconnected client or a shutdown
-// signal stops a long simulation within one round instead of burning CPU
-// to the schedule's end. A cancelled run returns ctx's error and no
-// Result — partial transcripts are never surfaced, so cancellation can
-// never be mistaken for (or cached as) a computed outcome.
+// RunContext is Run with cancellation: the round loop checks the context
+// at every round boundary, whichever medium (the generic Message vector
+// or the word-packed bit plane) serves the run, so a disconnected client
+// or a shutdown signal stops a long simulation within one round instead
+// of burning CPU to the schedule's end. A cancelled run returns ctx's
+// error and no Result — partial transcripts are never surfaced, so
+// cancellation can never be mistaken for (or cached as) a computed
+// outcome.
 func RunContext(ctx context.Context, in *Instance, algo Algorithm, opts ...Option) (*Result, error) {
 	o := options{ctx: ctx, rounds: -1}
 	for _, opt := range opts {
@@ -345,48 +320,127 @@ func RunContext(ctx context.Context, in *Instance, algo Algorithm, opts ...Optio
 	}
 	bindSpan.End()
 
-	// sg is the intra-cell shard pool: run-bound algorithms at large n
-	// split each phase into fixed replica shards over helpers drawn from
-	// the same process-wide budget as RunGrid's cell fan-out. Received-
-	// transcript runs stay sequential (they are tiny, test-only, and
-	// need the per-port inbox assembled per vertex).
-	var sg *shardGroup
-	if bound && !o.recordReceived && n >= intraCellThreshold() {
-		sg = newShardGroup(n)
-		defer sg.close()
-	}
-
 	// RoundBits comes out of the recycling pool (see Recycle): the loop
 	// writes every slot, so stale pool contents are inert.
 	res := &Result{Rounds: rounds, RoundBits: takeInts(rounds)}
 
-	// The bit plane serves 1-bit algorithms whose nodes all accept a
-	// plane binding; received-transcript runs need per-port inboxes and
-	// stay generic, as does everything multi-bit.
-	if b == 1 && !o.noBitPlane && !o.recordReceived {
-		if ba, ok := runAlgo.(BitAlgorithm); ok && ba.BitPlane() {
-			if bnodes, ok := bindBitPlane(in, nodes); ok {
-				roundsSpan := span.Child("rounds")
-				if err := runBitPlane(res, bnodes, o, sg); err != nil {
-					roundsSpan.EndErr(err)
-					return nil, err
-				}
-				annotateRounds(roundsSpan, res, sg, true)
-				assembleSpan := span.Child("assemble")
-				finishOutputs(res, nodes)
-				assembleSpan.End()
-				return res, nil
-			}
+	// The medium carries the run's broadcasts; the shard group drives it.
+	// Run-bound algorithms at large n split each phase into fixed
+	// replica shards over helpers drawn from the same process-wide
+	// budget as RunGrid's cell fan-out, when the medium can deliver
+	// concurrently; every other run is the group's one-shard case.
+	m, concurrent := bindMedium(in, runAlgo, nodes, b, res, o)
+	defer m.release()
+	sg := acquireShardGroup(m, n, bound && concurrent && n >= intraCellThreshold())
+	defer sg.release()
+
+	roundsSpan := span.Child("rounds")
+	var err error
+	for t := 1; t <= rounds; t++ {
+		if err = o.ctx.Err(); err != nil {
+			break
+		}
+		var bits int
+		if bits, err = sg.send(t); err != nil {
+			break
+		}
+		res.RoundBits[t-1] = bits
+		res.TotalBits += bits
+		sg.deliver(t)
+	}
+	if err != nil {
+		recycleInts(res.RoundBits)
+		roundsSpan.EndErr(err)
+		return nil, err
+	}
+	m.finish(res)
+	annotateRounds(roundsSpan, res, sg.numShards)
+	assembleSpan := span.Child("assemble")
+	finishOutputs(res, nodes)
+	assembleSpan.End()
+	return res, nil
+}
+
+// medium is what differs between the round loop's two paths: how a
+// round's broadcasts are collected, counted and heard. RunContext's
+// loop drives it a shard of vertices at a time; send and deliver touch
+// only the vertices in [first, limit) and state no other shard writes,
+// so a medium whose nodes all take concurrent delivery can be sharded.
+// Both implementations are pooled and drop the run's nodes on release.
+type medium interface {
+	// send collects round t's broadcasts from vertices [first, limit)
+	// and returns how many bits they broadcast.
+	send(t, first, limit int) (int, error)
+	// deliver hands round t's broadcasts to vertices [first, limit).
+	deliver(t, first, limit int)
+	// finish attaches the medium's transcripts to a completed run.
+	finish(res *Result)
+	release()
+}
+
+// bindMedium picks the run's medium. The bit plane serves 1-bit
+// algorithms whose nodes all accept a plane binding; received-transcript
+// runs need per-port inboxes and take the Message vector, as does
+// everything multi-bit. concurrent reports whether shards may deliver
+// in parallel: always on the plane, and on the vector only when every
+// node consumes the raw broadcast vector.
+func bindMedium(in *Instance, algo Algorithm, nodes []Node, b int, res *Result, o options) (m medium, concurrent bool) {
+	if ba, ok := algo.(BitAlgorithm); ok && b == 1 && !o.noBitPlane && !o.recordReceived && ba.BitPlane() {
+		p := acquirePlane(len(nodes))
+		if p.bind(in, nodes, res.Rounds, o) {
+			return p, true
+		}
+		p.release()
+	}
+	mv := acquireVector(in, nodes, b, res, o)
+	return mv, mv.allSR
+}
+
+// messageVector is the generic medium: one Message per vertex per
+// round, the per-port inbox for nodes that need one, and the Sent (and
+// optionally Received) transcripts. The scratch is pooled across runs
+// (and across the worker goroutines of a sweep grid) so the hot loop is
+// allocation-free once the pool has warmed up for a given instance
+// size; every slot is overwritten before it is read, so stale pool
+// contents are inert.
+type messageVector struct {
+	in    *Instance
+	b     int
+	nodes []Node
+	// sr[v] is non-nil when vertex v consumes the raw broadcast vector
+	// (SendsReceiver) instead of an assembled per-port inbox, skipping
+	// the Θ(n) inbox assembly per vertex. Received-transcript runs need
+	// the assembled inboxes, so there sr stays all nil.
+	sr          []SendsReceiver
+	allSR       bool
+	sends       []Message
+	inbox       []Message // one vertex's inbox: the fallback is sequential
+	transcripts []Transcript
+	received    bool
+}
+
+var vectorPool = sync.Pool{New: func() interface{} { return new(messageVector) }}
+
+// acquireVector returns a pooled vector bound to the run's nodes, with
+// res's transcripts allocated unless the run records none.
+func acquireVector(in *Instance, nodes []Node, b int, res *Result, o options) *messageVector {
+	mv := vectorPool.Get().(*messageVector)
+	n, rounds := len(nodes), res.Rounds
+	if cap(mv.sends) < n {
+		mv.sends = make([]Message, n)
+		mv.inbox = make([]Message, n-1)
+		mv.sr = make([]SendsReceiver, n)
+	}
+	mv.sends, mv.inbox, mv.sr = mv.sends[:n], mv.inbox[:n-1], mv.sr[:n]
+	mv.in, mv.b, mv.nodes, mv.received = in, b, nodes, o.recordReceived
+	mv.allSR = !o.recordReceived
+	if !o.recordReceived {
+		for v, node := range nodes {
+			sr, ok := node.(SendsReceiver)
+			mv.sr[v] = sr
+			mv.allSR = mv.allSR && ok
 		}
 	}
-
-	// Per-run send/inbox scratch comes from a pool sized by the largest
-	// (n, rounds) seen, so sweep grids running thousands of cells reuse
-	// two arenas instead of re-allocating per run. Every slot is
-	// overwritten before it is read, so stale pool contents are inert.
-	buf := getRunBuffers(n)
-	defer putRunBuffers(buf)
-	sends, inbox := buf.sends, buf.inbox
 	if !o.noTranscripts {
 		res.Transcripts = make([]Transcript, n)
 		// One flat arena backs every vertex's Sent transcript: n slices
@@ -398,169 +452,93 @@ func RunContext(ctx context.Context, in *Instance, algo Algorithm, opts ...Optio
 				res.Transcripts[v].Received = make([][]Message, 0, rounds)
 			}
 		}
+		mv.transcripts = res.Transcripts
 	}
-	// Vector delivery: nodes implementing SendsReceiver consume the raw
-	// broadcast vector directly instead of a per-port inbox, skipping
-	// the Θ(n) inbox assembly per vertex. Received-transcript runs need
-	// the assembled inboxes and keep the classic path.
-	var srNodes []SendsReceiver
-	allSR := false
-	if !o.recordReceived {
-		srNodes = make([]SendsReceiver, n)
-		allSR = true
-		for v, node := range nodes {
-			if sr, ok := node.(SendsReceiver); ok {
-				srNodes[v] = sr
-			} else {
-				allSR = false
-			}
-		}
-	}
+	return mv
+}
 
-	roundsSpan := span.Child("rounds")
-	if sg != nil {
-		// Sharded round loop: replicas compute their round-t sends in
-		// parallel shards, barrier, then deliver. The two phase closures
-		// are created once per run (not per round) so the steady-state
-		// loop stays allocation-free; curRound is published to the
-		// workers by the phase barrier itself.
-		curRound := 0
-		shardBits := make([]int, sg.numShards)
-		sendPhase := func(shard, first, limit int) error {
-			t := curRound
-			rb := 0
-			for v := first; v < limit; v++ {
-				m := nodes[v].Send(t)
-				if int(m.Len) > b {
-					return fmt.Errorf("bcc: vertex %d broadcast %d bits in round %d, bandwidth is %d", v, m.Len, t, b)
-				}
-				sends[v] = m
-				rb += int(m.Len)
-				if !o.noTranscripts {
-					res.Transcripts[v].Sent[t-1] = m
-				}
-			}
-			shardBits[shard] = rb
-			return nil
+func (mv *messageVector) send(t, first, limit int) (int, error) {
+	b, sends, transcripts := mv.b, mv.sends, mv.transcripts
+	rb := 0
+	for i, node := range mv.nodes[first:limit] {
+		m := node.Send(t)
+		v := first + i
+		if int(m.Len) > b {
+			return 0, fmt.Errorf("bcc: vertex %d broadcast %d bits in round %d, bandwidth is %d", v, m.Len, t, b)
 		}
-		recvPhase := func(_, first, limit int) error {
-			t := curRound
-			for v := first; v < limit; v++ {
-				srNodes[v].ReceiveSends(t, sends)
-			}
-			return nil
-		}
-		for t := 1; t <= rounds; t++ {
-			if err := o.ctx.Err(); err != nil {
-				recycleInts(res.RoundBits)
-				roundsSpan.EndErr(err)
-				return nil, err
-			}
-			curRound = t
-			if err := sg.phase(sendPhase); err != nil {
-				roundsSpan.EndErr(err)
-				return nil, err
-			}
-			roundBits := 0
-			for _, rb := range shardBits {
-				roundBits += rb
-			}
-			res.RoundBits[t-1] = roundBits
-			res.TotalBits += roundBits
-			if allSR {
-				if err := sg.phase(recvPhase); err != nil {
-					roundsSpan.EndErr(err)
-					return nil, err
-				}
-			} else {
-				deliverRound(in, nodes, srNodes, sends, inbox, t)
-			}
-		}
-		annotateRounds(roundsSpan, res, sg, false)
-		assembleSpan := span.Child("assemble")
-		finishOutputs(res, nodes)
-		assembleSpan.End()
-		return res, nil
-	}
-
-	for t := 1; t <= rounds; t++ {
-		if err := o.ctx.Err(); err != nil {
-			recycleInts(res.RoundBits)
-			roundsSpan.EndErr(err)
-			return nil, err
-		}
-		roundBits := 0
-		for v := 0; v < n; v++ {
-			m := nodes[v].Send(t)
-			if int(m.Len) > b {
-				err := fmt.Errorf("bcc: vertex %d broadcast %d bits in round %d, bandwidth is %d", v, m.Len, t, b)
-				roundsSpan.EndErr(err)
-				return nil, err
-			}
-			sends[v] = m
-			roundBits += int(m.Len)
-			if !o.noTranscripts {
-				res.Transcripts[v].Sent[t-1] = m
-			}
-		}
-		res.RoundBits[t-1] = roundBits
-		res.TotalBits += roundBits
-		var recvArena []Message
-		if o.recordReceived {
-			recvArena = make([]Message, n*(n-1))
-		}
-		for v := 0; v < n; v++ {
-			if srNodes != nil && srNodes[v] != nil {
-				srNodes[v].ReceiveSends(t, sends)
-				continue
-			}
-			if in.canonical {
-				// Canonical ascending-ID wiring: port p of v carries
-				// vertex p (p < v) or p+1, so delivery is two block
-				// copies instead of an indexed gather.
-				copy(inbox[:v], sends[:v])
-				copy(inbox[v:], sends[v+1:])
-			} else {
-				// delivery[p] is the vertex whose broadcast lands on
-				// port p of v — the instance's precomputed port table,
-				// one linear pass per vertex instead of a PortOf(v, u)
-				// lookup per (v, u) pair.
-				for p, u := range in.ports[v] {
-					inbox[p] = sends[u]
-				}
-			}
-			nodes[v].Receive(t, inbox)
-			if o.recordReceived {
-				row := recvArena[v*(n-1) : (v+1)*(n-1) : (v+1)*(n-1)]
-				copy(row, inbox)
-				res.Transcripts[v].Received = append(res.Transcripts[v].Received, row)
-			}
+		sends[v] = m
+		rb += int(m.Len)
+		if transcripts != nil {
+			transcripts[v].Sent[t-1] = m
 		}
 	}
+	return rb, nil
+}
 
-	annotateRounds(roundsSpan, res, nil, false)
-	assembleSpan := span.Child("assemble")
-	finishOutputs(res, nodes)
-	assembleSpan.End()
-	return res, nil
+func (mv *messageVector) deliver(t, first, limit int) {
+	in, sends, inbox, n := mv.in, mv.sends, mv.inbox, len(mv.nodes)
+	var recvArena []Message
+	if mv.received {
+		recvArena = make([]Message, (limit-first)*(n-1))
+	}
+	sr := mv.sr[first:limit]
+	for i, node := range mv.nodes[first:limit] {
+		if sr[i] != nil {
+			sr[i].ReceiveSends(t, sends)
+			continue
+		}
+		v := first + i
+		if in.canonical {
+			// Canonical ascending-ID wiring: port p of v carries vertex
+			// p (p < v) or p+1, so delivery is two block copies instead
+			// of an indexed gather.
+			copy(inbox[:v], sends[:v])
+			copy(inbox[v:], sends[v+1:])
+		} else {
+			// delivery[p] is the vertex whose broadcast lands on port p
+			// of v — the instance's precomputed port table, one linear
+			// pass per vertex instead of a PortOf(v, u) lookup per
+			// (v, u) pair.
+			for p, u := range in.ports[v] {
+				inbox[p] = sends[u]
+			}
+		}
+		node.Receive(t, inbox)
+		if mv.received {
+			row := recvArena[i*(n-1) : (i+1)*(n-1) : (i+1)*(n-1)]
+			copy(row, inbox)
+			mv.transcripts[v].Received = append(mv.transcripts[v].Received, row)
+		}
+	}
+}
+
+// finish has nothing to attach: the vector writes transcripts in place.
+func (mv *messageVector) finish(*Result) {}
+
+// release drops the run's instance, nodes and transcripts and pools the
+// scratch.
+func (mv *messageVector) release() {
+	clear(mv.sr)
+	mv.in, mv.nodes, mv.transcripts = nil, nil, nil
+	vectorPool.Put(mv)
 }
 
 // annotateRounds summarizes a finished round loop onto its span and
-// ends it: round/bit totals, which simulator path served the run, the
-// shard count, and a coarse per-round-window bit profile derived from
-// the already-recorded RoundBits series — all computed after the loop,
-// so the hot path never touches the tracer.
-func annotateRounds(s *obs.Span, res *Result, sg *shardGroup, bitPlane bool) {
+// ends it: round/bit totals, which medium served the run, the shard
+// count of a sharded run, and a coarse per-round-window bit profile
+// derived from the already-recorded RoundBits series — all computed
+// after the loop, so the hot path never touches the tracer.
+func annotateRounds(s *obs.Span, res *Result, shards int) {
 	if s == nil {
 		return
 	}
 	s.SetNum("rounds", float64(res.Rounds))
 	s.SetNum("total_bits", float64(res.TotalBits))
-	if bitPlane {
+	if res.BitPlane {
 		s.SetNum("bit_plane", 1)
 	}
-	if sg != nil {
-		s.SetNum("shards", float64(sg.numShards))
+	if shards > 1 {
+		s.SetNum("shards", float64(shards))
 	}
 	s.SetStr("round_windows", roundWindows(res.RoundBits))
 	s.End()
@@ -591,27 +569,6 @@ func roundWindows(bits []int) string {
 		sb.WriteString(strconv.Itoa(sum))
 	}
 	return sb.String()
-}
-
-// deliverRound assembles per-port inboxes sequentially for the nodes
-// that need them — the fallback delivery of a sharded run whose nodes
-// do not all consume the raw broadcast vector.
-func deliverRound(in *Instance, nodes []Node, srNodes []SendsReceiver, sends, inbox []Message, t int) {
-	for v := range nodes {
-		if srNodes != nil && srNodes[v] != nil {
-			srNodes[v].ReceiveSends(t, sends)
-			continue
-		}
-		if in.canonical {
-			copy(inbox[:v], sends[:v])
-			copy(inbox[v:], sends[v+1:])
-		} else {
-			for p, u := range in.ports[v] {
-				inbox[p] = sends[u]
-			}
-		}
-		nodes[v].Receive(t, inbox)
-	}
 }
 
 // finishOutputs collects the decision/labelling epilogue shared by both

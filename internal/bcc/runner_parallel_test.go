@@ -1,10 +1,14 @@
 package bcc
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"bcclique/internal/obs"
 	"bcclique/internal/parallel"
 )
 
@@ -138,5 +142,111 @@ func TestEstimateErrorParallelMatchesSequential(t *testing.T) {
 	}
 	if seq == 0 || seq == 1 {
 		t.Errorf("flip decider error = %v over 64 seeds; want a seed-dependent mix", seq)
+	}
+}
+
+// loopProbe is a run-bound BCC(1) algorithm whose nodes ride either
+// medium and take concurrent delivery on both, so its runs shard
+// whenever the threshold allows. Vertices listed in greedy broadcast
+// two bits on the Message vector.
+type loopProbe struct {
+	plane  bool
+	greedy map[int]bool
+}
+
+func (loopProbe) Name() string                       { return "loop-probe" }
+func (loopProbe) Bandwidth() int                     { return 1 }
+func (loopProbe) Rounds(int) int                     { return 3 }
+func (p loopProbe) BitPlane() bool                   { return p.plane }
+func (p loopProbe) BindRun(*Instance, int) Algorithm { return p }
+func (p loopProbe) NewNode(view View, _ *Coin) Node  { return loopNode{greedy: p.greedy[view.ID]} }
+
+type loopNode struct{ greedy bool }
+
+func (n loopNode) Send(int) Message {
+	if n.greedy {
+		return Word(3, 2)
+	}
+	return Bit(1)
+}
+func (loopNode) Receive(int, []Message)              {}
+func (loopNode) ReceiveSends(int, []Message)         {}
+func (loopNode) BindPlane(int, []int) bool           { return true }
+func (loopNode) SendBit(int) (uint8, bool)           { return 1, true }
+func (loopNode) ReceiveBits(int, []uint64, []uint64) {}
+
+// TestRunErrorPaths pins the round loop's one error exit on both media
+// and both shard layouts: a ctx cancelled before round 1 returns
+// context.Canceled and no Result, and on the Message vector a bandwidth
+// violation names the same vertex sharded and unsharded. A clean traced
+// run first checks that each case takes the medium and layout it names.
+func TestRunErrorPaths(t *testing.T) {
+	const n = 300 // two shards when sharded
+	in, err := NewKT1(SequentialIDs(n), cycleInput(t, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel.SetLimit(3)
+	defer parallel.SetLimit(0)
+	defer SetIntraCellMinN(SetIntraCellMinN(0))
+	layouts := []struct {
+		name   string
+		minN   int
+		shards int
+	}{{"one-shard", 1 << 30, 0}, {"sharded", 1, 2}}
+	bandwidthErrs := make([]string, len(layouts))
+	for li, layout := range layouts {
+		SetIntraCellMinN(layout.minN)
+		for _, plane := range []bool{false, true} {
+			name := fmt.Sprintf("%s/plane=%v", layout.name, plane)
+			algo := loopProbe{plane: plane}
+
+			tr := obs.New(64)
+			ctx, root := tr.Root(context.Background(), "run", name)
+			res, err := RunContext(ctx, in, algo)
+			root.End()
+			if err != nil {
+				t.Fatalf("%s: clean run: %v", name, err)
+			}
+			if res.BitPlane != plane {
+				t.Fatalf("%s: BitPlane = %v", name, res.BitPlane)
+			}
+			found := false
+			for _, rec := range tr.Trace(name) {
+				if rec.Name != "rounds" {
+					continue
+				}
+				found = true
+				a, ok := rec.Attr("shards")
+				if got := int(a.Num); ok != (layout.shards > 0) || got != layout.shards {
+					t.Fatalf("%s: rounds span shards attr = %v (present %v), want %d", name, got, ok, layout.shards)
+				}
+			}
+			if !found {
+				t.Fatalf("%s: no rounds span recorded", name)
+			}
+
+			cancelled, cancel := context.WithCancel(context.Background())
+			cancel()
+			res, err = RunContext(cancelled, in, algo)
+			if !errors.Is(err, context.Canceled) || res != nil {
+				t.Fatalf("%s: cancelled run returned (%v, %v), want (nil, context.Canceled)", name, res, err)
+			}
+		}
+		// Greedy vertices in both shards: the lowest one is reported.
+		_, err := Run(in, loopProbe{greedy: map[int]bool{5: true, 290: true}})
+		if err == nil {
+			t.Fatalf("%s: over-budget broadcast succeeded", layout.name)
+		}
+		bandwidthErrs[li] = err.Error()
+	}
+	if bandwidthErrs[0] != bandwidthErrs[1] {
+		t.Fatalf("bandwidth error differs:\none-shard: %s\nsharded:   %s", bandwidthErrs[0], bandwidthErrs[1])
+	}
+	if want := "vertex 5 broadcast 2 bits in round 1"; !strings.Contains(bandwidthErrs[0], want) {
+		t.Fatalf("bandwidth error %q does not name %q", bandwidthErrs[0], want)
+	}
+	if got := IntraCellShardsInFlight(); got != 0 {
+		t.Fatalf("%d shards still in flight after every run ended", got)
 	}
 }

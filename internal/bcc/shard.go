@@ -10,15 +10,18 @@ import (
 // Intra-cell replica parallelism: at large n one cell dominates a sweep
 // and RunGrid's cell-level fan-out has nothing left to parallelize, so
 // the runner shards the replicas of a single round across helper
-// goroutines. Send phases are embarrassingly parallel (each replica
-// writes only its own state and its own slot of the broadcast vector);
-// the barrier between the send and delivery phases preserves the
-// round-synchronous semantics, and shard→replica assignment is a fixed
-// function of the index, so outputs are bit-identical at every worker
-// count. Helper goroutines come out of the same process-wide
-// parallel.Acquire budget as RunGrid's workers: a machine-wide limit of
-// L means at most L simulation goroutines no matter how the cell-level
-// and intra-cell layers split them.
+// goroutines. Every run's round loop goes through a shardGroup: a run
+// below the threshold, or one whose medium cannot deliver concurrently,
+// is the one-shard case, drained by the calling goroutine with no
+// helpers. Send phases are embarrassingly parallel (each replica writes
+// only its own state and its own slot of the medium); the barrier
+// between the send and delivery phases preserves the round-synchronous
+// semantics, and shard→replica assignment is a fixed function of the
+// index, so outputs are bit-identical at every worker count. Helper
+// goroutines come out of the same process-wide parallel.Acquire budget
+// as RunGrid's workers: a machine-wide limit of L means at most L
+// simulation goroutines no matter how the cell-level and intra-cell
+// layers split them.
 
 // shardSize is the number of replicas per shard. It is a multiple of 64
 // so shard boundaries are word-aligned on the bit plane: concurrent
@@ -66,14 +69,20 @@ func IntraCellShardsInFlight() int64 { return intraShardsInFlight.Load() }
 
 // shardGroup runs one run's phases over fixed replica shards: the
 // calling goroutine plus up to numShards-1 helpers drain an atomic
-// shard cursor. Workers are started once per run and parked on a
-// channel between phases, so the steady-state round loop allocates
-// nothing.
+// shard cursor. Groups are pooled and their workers are started once
+// per run and parked on a channel between phases, so the steady-state
+// round loop allocates nothing and a one-shard run allocates nothing
+// at all. A one-shard run calls its medium directly and writes no group
+// state per phase: writing the small per-phase fields made concurrent
+// one-shard runs measurably slower, likely through false sharing.
 type shardGroup struct {
+	m         medium
 	n         int
 	numShards int
 	workers   int
-	fn        func(shard, first, limit int) error
+	round     int
+	delivery  bool // which phase the current drain runs
+	bits      []int
 	errs      []error
 	next      atomic.Int64
 	start     chan struct{}
@@ -81,20 +90,25 @@ type shardGroup struct {
 	exitWG    sync.WaitGroup
 }
 
-// newShardGroup reserves helper slots from the process-wide budget and
-// parks that many workers. With zero available slots the group still
-// works — every phase degrades to the sequential loop on the caller.
-func newShardGroup(n int) *shardGroup {
-	numShards := (n + shardSize - 1) / shardSize
-	sg := &shardGroup{n: n, numShards: numShards, errs: make([]error, numShards)}
-	want := numShards - 1
-	if most := parallel.Limit() - 1; want > most {
-		want = most
+var shardGroupPool = sync.Pool{New: func() interface{} { return new(shardGroup) }}
+
+// acquireShardGroup returns a group driving m over n replicas. A
+// sharded group splits them into shardSize shards and reserves helpers
+// from the process-wide budget; with zero available slots it still
+// works, every phase degrading to the sequential loop on the caller.
+// An unsharded group is one shard of n replicas and no helpers.
+func acquireShardGroup(m medium, n int, sharded bool) *shardGroup {
+	sg := shardGroupPool.Get().(*shardGroup)
+	sg.m, sg.n, sg.numShards = m, n, 1
+	if sharded {
+		sg.numShards = (n + shardSize - 1) / shardSize
 	}
-	if want < 0 {
-		want = 0
+	if cap(sg.bits) < sg.numShards {
+		sg.bits = make([]int, sg.numShards)
+		sg.errs = make([]error, sg.numShards)
 	}
-	sg.workers = parallel.Acquire(want)
+	sg.bits, sg.errs = sg.bits[:sg.numShards], sg.errs[:sg.numShards]
+	sg.workers = parallel.Acquire(min(sg.numShards, parallel.Limit()) - 1)
 	if sg.workers > 0 {
 		sg.start = make(chan struct{})
 		sg.exitWG.Add(sg.workers)
@@ -111,13 +125,37 @@ func newShardGroup(n int) *shardGroup {
 	return sg
 }
 
-// phase runs fn over every shard and returns after the last one
-// completes — the barrier between a round's send and delivery steps.
-// The returned error is the lowest-shard error, so failures are
-// deterministic at every worker count. fn must be a per-run closure
-// (not per-phase) to keep the round loop allocation-free.
-func (sg *shardGroup) phase(fn func(shard, first, limit int) error) error {
-	sg.fn = fn
+// send runs round t's send phase over every shard and returns after the
+// last one completes — the barrier before delivery — with the round's
+// bit total. The returned error is the lowest-shard error, so failures
+// are deterministic at every worker count and name the vertex the
+// one-shard loop would.
+func (sg *shardGroup) send(t int) (int, error) {
+	if sg.numShards == 1 {
+		return sg.m.send(t, 0, sg.n)
+	}
+	sg.phase(t, false)
+	bits := 0
+	for s, err := range sg.errs {
+		if err != nil {
+			return 0, err
+		}
+		bits += sg.bits[s]
+	}
+	return bits, nil
+}
+
+// deliver runs round t's delivery phase over every shard.
+func (sg *shardGroup) deliver(t int) {
+	if sg.numShards == 1 {
+		sg.m.deliver(t, 0, sg.n)
+		return
+	}
+	sg.phase(t, true)
+}
+
+func (sg *shardGroup) phase(t int, delivery bool) {
+	sg.round, sg.delivery = t, delivery
 	sg.next.Store(0)
 	if sg.workers > 0 {
 		sg.phaseWG.Add(sg.workers)
@@ -127,12 +165,6 @@ func (sg *shardGroup) phase(fn func(shard, first, limit int) error) error {
 	}
 	sg.drain()
 	sg.phaseWG.Wait()
-	for _, err := range sg.errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // drain claims shards off the cursor until none remain. Shard s always
@@ -146,21 +178,24 @@ func (sg *shardGroup) drain() {
 		}
 		intraShardsInFlight.Add(1)
 		first := s * shardSize
-		limit := first + shardSize
-		if limit > sg.n {
-			limit = sg.n
+		limit := min(first+shardSize, sg.n)
+		if sg.delivery {
+			sg.m.deliver(sg.round, first, limit)
+		} else {
+			sg.bits[s], sg.errs[s] = sg.m.send(sg.round, first, limit)
 		}
-		sg.errs[s] = sg.fn(s, first, limit)
 		intraShardsInFlight.Add(-1)
 	}
 }
 
-// close retires the workers and returns their slots to the global
-// budget.
-func (sg *shardGroup) close() {
+// release retires the workers, returns their slots to the global
+// budget, and pools the group without its medium.
+func (sg *shardGroup) release() {
 	if sg.workers > 0 {
 		close(sg.start)
 		sg.exitWG.Wait()
 		parallel.Release(sg.workers)
 	}
+	sg.m = nil
+	shardGroupPool.Put(sg)
 }

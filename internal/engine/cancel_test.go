@@ -88,6 +88,9 @@ func TestCancelledJobCellsDoNotPoisonCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	firstCellDone := make(chan struct{})
+	// release lets the parked n=8 cell finish once the cancelled run is
+	// over, so the rerun computes it without waiting on a timer.
+	release := make(chan struct{})
 	var once sync.Once
 	var executions atomic.Int64
 	grid := engine.GridSpec{
@@ -107,7 +110,7 @@ func TestCancelledJobCellsDoNotPoisonCache(t *testing.T) {
 			select {
 			case <-ctx.Done():
 				return nil, ctx.Err()
-			case <-time.After(30 * time.Second):
+			case <-release:
 				return []string{"8"}, nil
 			}
 		},
@@ -128,6 +131,7 @@ func TestCancelledJobCellsDoNotPoisonCache(t *testing.T) {
 
 	// Rerun: the completed n=16 cell must come from cache, the aborted
 	// n=8 cell must recompute (its failed attempt was never stored).
+	close(release)
 	execsBefore := executions.Load()
 	res, err := eng.RunGrid(t.Context(), grid, engine.Config{Seed: 1}, nil, nil)
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"os"
 	"reflect"
 	"regexp"
+	"sync"
 	"testing"
 
 	"bcclique/internal/engine"
@@ -102,10 +103,14 @@ func TestSecondRunZeroExecutions(t *testing.T) {
 	}
 
 	warm := harness.NewEngine(engine.WithStore(store))
+	// Specs run on concurrent workers, so events arrive concurrently.
+	var mu sync.Mutex
 	var events []engine.EventKind
 	var warmBuf bytes.Buffer
 	second, err := warm.Stream(t.Context(), &warmBuf, report.Markdown{}, report.Meta{}, cfg, ids, func(ev engine.Event) {
+		mu.Lock()
 		events = append(events, ev.Kind)
+		mu.Unlock()
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"bcclique/internal/engine"
@@ -92,8 +93,14 @@ func TestGridIncrementalRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Cells run on concurrent workers, so events arrive concurrently.
+	var mu sync.Mutex
 	var events []engine.Event
-	full, err := eng3.RunGrid(t.Context(), grown, cfg, func(ev engine.Event) { events = append(events, ev) }, nil)
+	full, err := eng3.RunGrid(t.Context(), grown, cfg, func(ev engine.Event) {
+		mu.Lock()
+		events = append(events, ev)
+		mu.Unlock()
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -216,6 +216,41 @@ func TestDoRetryRecoversTransientPut(t *testing.T) {
 	}
 }
 
+// TestDoStoresResultComputedBeforeCancel is the cancellation-resume
+// contract at the store: compute finishes, then the caller's ctx is
+// cancelled before Put. The result is already paid for, so it must
+// still be stored: a cancelled job's finished cells stay cached and a
+// rerun does not recompute them.
+func TestDoStoresResultComputedBeforeCancel(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	key := Key("computed-then-cancelled")
+	res, state, err := s.Do(ctx, key, func() (*report.Result, error) {
+		cancel()
+		return sample(), nil
+	})
+	if err != nil || state != StateMiss || res == nil {
+		t.Fatalf("Do: res=%v state=%v err=%v", res, state, err)
+	}
+	if st := s.Stats(); st.Puts != 1 || st.PutErrors != 0 {
+		t.Fatalf("stats = %+v, want 1 put and 0 put errors", st)
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, state, err := s2.Do(context.Background(), key, func() (*report.Result, error) {
+		t.Error("result computed before the cancellation was not stored")
+		return sample(), nil
+	}); err != nil || state != StateHit {
+		t.Fatalf("rerun: state=%v err=%v", state, err)
+	}
+}
+
 func TestRetryGivesUpOnPermanent(t *testing.T) {
 	disk, err := NewDiskBackend(t.TempDir())
 	if err != nil {

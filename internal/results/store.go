@@ -28,6 +28,7 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"bcclique/internal/obs"
 	"bcclique/internal/report"
@@ -364,16 +365,27 @@ func (s *Store) load(ctx context.Context, key string) (res *report.Result, found
 	return res, true, true
 }
 
+// storeTimeout bounds the write of an already-computed result. The
+// write runs detached from the caller's cancellation (see storePut), so
+// this is what stops a hung backend from holding the cell forever.
+const storeTimeout = 10 * time.Second
+
 // storePut writes the computed result through the envelope, counting
-// the outcome. healthy reports whether the backend behaved (a context
-// error is the request's fault, not the backend's).
+// the outcome. The result is already paid for, so the write ignores the
+// caller's cancellation and runs under storeTimeout instead: a cell that
+// finished just before its job was cancelled stays cached (DESIGN §7.1).
+// healthy reports whether the backend behaved; with the caller's
+// cancellation detached, any failure, the deadline included, is the
+// backend's.
 func (s *Store) storePut(ctx context.Context, key string, res *report.Result) (healthy bool) {
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), storeTimeout)
+	defer cancel()
 	pctx, span := obs.Start(ctx, "store.put")
 	err := s.Put(pctx, key, res)
 	if err != nil {
 		span.EndErr(err)
 		s.log.WarnContext(ctx, "results: backend put failed", "key", key, "err", err)
-		return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+		return false
 	}
 	span.End()
 	return true
@@ -392,7 +404,8 @@ func (s *Store) storePut(ctx context.Context, key string, res *report.Result) (h
 // leader's context error — it retries the lookup itself, so one client's
 // disconnect can never poison another client's identical request.
 // Cancelled or failed computations are never stored: the cache only
-// ever holds successfully computed results.
+// ever holds successfully computed results. A computation that did
+// finish is stored even if ctx is cancelled meanwhile.
 //
 // Backend trouble never fails Do: an unreadable entry degrades to a
 // miss, an unwritable result is served uncached, and a backend sick
