@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race stress check bench bench-json bench-sweeps bench-scale bench-bitplane bench-serving bench-memory bench-compare report serve serve-race load-smoke chaos chaos-smoke trace-smoke smoke-examples sweep sweep-smoke sweep-large sweep-xl sweep-xxl fmt vet lint staticcheck govulncheck
+.PHONY: build test race stress check bench-json bench-sweeps bench-scale bench-bitplane bench-serving bench-memory bench-compare report serve serve-race load-smoke chaos chaos-smoke trace-smoke smoke-examples sweep sweep-smoke sweep-large sweep-xl sweep-xxl fmt vet lint staticcheck govulncheck
 
 build:
 	$(GO) build ./...
@@ -68,14 +68,8 @@ smoke-examples:
 		$(GO) run "./$$d" >/dev/null; \
 	done
 
-# Full benchmark pass over the E-series suite (plus engine cache benchmarks).
-bench:
-	$(GO) test -bench 'BenchmarkE' -benchmem -benchtime 20x -run '^$$' .
-
-# Record the perf baseline consumed by future PRs. BENCH_engine.json is
-# the current baseline (E-series + engine cold/warm cache);
-# BENCH_parallel.json is the pre-cache historical baseline kept for the
-# perf trajectory.
+# Full benchmark pass over the E-series suite (plus engine cold/warm
+# cache benchmarks), recorded as the BENCH_engine.json baseline.
 bench-json:
 	$(GO) test -bench 'BenchmarkE' -benchmem -benchtime 20x -run '^$$' . | $(GO) run ./cmd/benchjson -out BENCH_engine.json
 
@@ -107,9 +101,11 @@ bench-serving:
 # Record the memory-footprint baseline: bytes/op per protocol×size cell
 # through the no-transcript sweep path (BENCH_memory.json). These are
 # the numbers the shared-substrate split is accountable to — B/op is
-# machine-independent, so CI gates on it with -bytes.
+# machine-independent, so CI gates on it with -bytes. The group runs at
+# -cpu 1: with more Ps, cells at n >= 2048 shard and sync.Pool's
+# per-P caches miss at random (Boruvka 4096 read 644 or 890 KB at -cpu 2).
 bench-memory:
-	$(GO) test -bench 'BenchmarkMemory' -benchmem -benchtime 2x -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Memory' -out BENCH_memory.json
+	$(GO) test -bench 'BenchmarkMemory' -benchmem -benchtime 2x -cpu 1 -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Memory' -out BENCH_memory.json
 
 # Regression gate: re-measure the Scale and Bitplane groups into fresh
 # baselines and compare against the checked-in ones. Exits non-zero on
@@ -124,7 +120,7 @@ bench-compare:
 	$(GO) run ./cmd/benchjson -compare -tolerance 25 $(COMPARE_FLAGS) BENCH_bitplane.json /tmp/bench_bitplane_fresh.json
 	$(GO) test -bench 'BenchmarkServing' -benchmem -benchtime 100x -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Serving' -out /tmp/bench_serving_fresh.json
 	$(GO) run ./cmd/benchjson -compare -tolerance 25 $(COMPARE_FLAGS) BENCH_serving.json /tmp/bench_serving_fresh.json
-	$(GO) test -bench 'BenchmarkMemory' -benchmem -benchtime 2x -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Memory' -out /tmp/bench_memory_fresh.json
+	$(GO) test -bench 'BenchmarkMemory' -benchmem -benchtime 2x -cpu 1 -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Memory' -out /tmp/bench_memory_fresh.json
 	$(GO) run ./cmd/benchjson -compare -tolerance 25 $(COMPARE_FLAGS) -bytes BENCH_memory.json /tmp/bench_memory_fresh.json
 
 # Regenerate the full experiment report.

@@ -2,6 +2,7 @@ package bcclique_test
 
 import (
 	"context"
+	"runtime/debug"
 	"testing"
 
 	"bcclique/internal/bcc"
@@ -33,6 +34,14 @@ func benchmarkMemoryCell(b *testing.B, proto, fam string, n int) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// One untimed run fills the protocol's pooled arenas, and GC stays
+	// off for the timed loop: a collection mid-loop would drop a pooled
+	// arena for the next run to allocate afresh, so B/op would depend on
+	// GC timing. The gate reads the steady state instead.
+	if _, err := p.Run(context.Background(), g, 1); err != nil {
+		b.Fatal(err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -334,7 +334,7 @@ func BenchmarkE16Sketch(b *testing.B) {
 // end-to-end cost of regenerating EXPERIMENTS.md in -quick mode.
 func BenchmarkFullQuickSuite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := harness.RunAll(io.Discard, harness.Config{Quick: true, Seed: 1}); err != nil {
+		if _, err := harness.NewEngine().Stream(context.Background(), io.Discard, report.Markdown{}, report.Meta{}, harness.Config{Quick: true, Seed: 1}, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -59,7 +59,6 @@ var errBroken = errors.New("backend is on fire")
 func (brokenBackend) Get(context.Context, string) ([]byte, error) { return nil, errBroken }
 func (brokenBackend) Put(context.Context, string, []byte) error   { return errBroken }
 func (brokenBackend) Delete(context.Context, string) error        { return errBroken }
-func (brokenBackend) Ping(context.Context) error                  { return errBroken }
 
 // TestDegradedModeServing is the degraded-mode acceptance test: with
 // the store backend hard-down, requests keep answering 200 (slower,

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	go test -bench 'BenchmarkE' -benchmem -benchtime 20x -run '^$' . | benchjson -out BENCH_parallel.json
+//	go test -bench 'BenchmarkE' -benchmem -benchtime 20x -run '^$' . | benchjson -out BENCH_engine.json
 //	go test -bench . -benchmem -run '^$' . | benchjson -match '^Sweep' -out BENCH_sweeps.json
 //	benchjson -compare BENCH_scale.json fresh.json -tolerance 25
 //

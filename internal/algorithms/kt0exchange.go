@@ -24,15 +24,18 @@ import (
 // inputs, matching the KT-0 Ω(log n) lower bound of Theorem 3.1.
 //
 // What each replica accumulates is a projection of one global object:
-// the per-vertex announcement streams, identical in every inbox. Under
-// the runner's RunBinder protocol the n per-replica stream tables
-// (2·(n−1) words each — the Θ(n²) dominating large cells) collapse
-// into one run-shared pair uid[u]/stream[u], filled once per round by
-// whichever replica wins the round's apply. On a complete schedule every
+// the per-vertex announcement streams, identical in every inbox. A
+// phase-2 stream holds MaxDegree slots of IDBits bits in
+// ⌈MaxDegree·IDBits/64⌉ words, and a slot that straddles a word
+// boundary is decoded from both words. Under the runner's RunBinder
+// protocol the n per-replica stream tables (n−1 ID words plus n−1
+// streams each — the Θ(n²) dominating large cells) collapse into one
+// run-shared pair uid[u]/stream(u), filled once per round by whichever
+// replica wins the round's apply. On every complete schedule each
 // replica's reconstructed claim graph coincides with the shared one, so
 // verdict and labels are computed once and read per-replica in O(1);
-// truncated runs (the replicas' universes genuinely diverge when a
-// partial uid differs from a vertex's own full ID) reconstruct the
+// only truncated runs, where the replicas' universes genuinely diverge
+// (a partial uid differs from a vertex's own full ID), reconstruct the
 // classic per-replica outputs from the shared streams. Bare NewNode
 // keeps the old self-contained per-node accumulation for callers that
 // drive nodes by hand.
@@ -65,6 +68,35 @@ func (a *KT0Exchange) Bandwidth() int { return 1 }
 // Rounds implements bcc.Algorithm.
 func (a *KT0Exchange) Rounds(int) int { return (a.MaxDegree + 1) * a.IDBits }
 
+// streamWords is the length in words of one phase-2 stream.
+func streamWords(maxDegree, idBits int) int { return (maxDegree*idBits + 63) >> 6 }
+
+// record ORs a set bit one sender broadcast in the given round into its
+// announcement: the phase-1 ID word or the phase-2 stream. Bits past
+// the stream's end (a transcript longer than the schedule, as a hand-
+// driven node may be fed) vanish.
+func record(id *uint64, stream []uint64, idBits, round int) {
+	if round <= idBits {
+		*id |= 1 << uint(round-1)
+		return
+	}
+	if off := round - idBits - 1; off>>6 < len(stream) {
+		stream[off>>6] |= 1 << uint(off&63)
+	}
+}
+
+// streamSlot decodes the s-th idBits-wide slot of a phase-2 stream,
+// joining the two words a slot straddles.
+func streamSlot(stream []uint64, s, idBits int) int {
+	off := s * idBits
+	w, sh := off>>6, uint(off&63)
+	v := stream[w] >> sh
+	if sh+uint(idBits) > 64 {
+		v |= stream[w+1] << (64 - sh)
+	}
+	return int(v & (1<<uint(idBits) - 1))
+}
+
 // BitPlane implements bcc.BitAlgorithm: the algorithm is BCC(1) in
 // every configuration. Unlike the rank-space KT-1 nodes, kt0Node is
 // port-addressed, so it accepts any wiring by inverting the runner's
@@ -88,12 +120,15 @@ func (a *KT0Exchange) BindRun(in *bcc.Instance, _ int) bcc.Algorithm {
 	r.sharedValid = false
 	r.appliedRound.Store(0)
 	r.nextNode = 0
+	r.words = streamWords(a.MaxDegree, a.IDBits)
 	if cap(r.uid) < n {
 		r.uid = make([]uint64, n)
-		r.stream = make([]uint64, n)
+	}
+	if cap(r.stream) < n*r.words {
+		r.stream = make([]uint64, n*r.words)
 	}
 	r.uid = r.uid[:n]
-	r.stream = r.stream[:n]
+	r.stream = r.stream[:n*r.words]
 	clear(r.uid)
 	clear(r.stream)
 	if cap(r.nodes) < n {
@@ -108,7 +143,7 @@ func (a *KT0Exchange) BindRun(in *bcc.Instance, _ int) bcc.Algorithm {
 }
 
 // kt0Run is the run-shared announcement mirror: uid[u] collects the
-// phase-1 bits vertex u broadcast, stream[u] its phase-2 slot stream —
+// phase-1 bits vertex u broadcast, stream(u) its phase-2 slot stream —
 // exactly the columns every replica's per-port tables would have held.
 // The first replica to receive each round wins the CAS and transcribes
 // the round's broadcast vector; everyone else returns untouched.
@@ -116,8 +151,9 @@ type kt0Run struct {
 	*KT0Exchange
 	in     *bcc.Instance
 	uid    []uint64
-	stream []uint64
-	rounds int // last applied round = the run's actual length
+	stream []uint64 // n phase-2 streams, vertex-major
+	words  int      // length of one stream
+	rounds int      // last applied round = the run's actual length
 	// appliedRound gates the once-per-round transcription.
 	appliedRound atomic.Int64
 	nodes        []kt0Node
@@ -179,14 +215,13 @@ func (r *kt0Run) beginApply(round int) bool {
 	return r.appliedRound.CompareAndSwap(int64(round-1), int64(round))
 }
 
+// streamOf returns vertex u's phase-2 stream in the mirror.
+func (r *kt0Run) streamOf(u int) []uint64 { return r.stream[u*r.words : (u+1)*r.words] }
+
 // accumulate records that vertex u broadcast the given bit in round t.
-// Shifts at or beyond 64 vanish (Go shift semantics), matching the
-// classic per-node accumulation on over-extended schedules.
 func (r *kt0Run) accumulate(u int, bit uint8, round int) {
-	if round <= r.IDBits {
-		r.uid[u] |= uint64(bit&1) << uint(round-1)
-	} else {
-		r.stream[u] |= uint64(bit&1) << uint(round-r.IDBits-1)
+	if bit&1 != 0 {
+		record(&r.uid[u], r.streamOf(u), r.IDBits, round)
 	}
 }
 
@@ -205,15 +240,6 @@ func (r *kt0Run) finishShared() {
 	if r.rounds < (r.MaxDegree+1)*r.IDBits {
 		return // truncated: universes diverge; replicas take the slow path
 	}
-	if r.MaxDegree*r.IDBits > 64 {
-		// The phase-2 stream overflows its word: receivers drop bits at
-		// or past 64 (Go shift semantics), so a replica's reconstructed
-		// claim graph — exact for its own row via its input ports,
-		// truncated for everyone else's — no longer coincides with a
-		// decode of all n truncated streams. Only the per-replica
-		// reconstruction reproduces the classic outputs bit for bit.
-		return
-	}
 	n := len(r.uid)
 	allIDs := make([]int, n)
 	for u, bits := range r.uid {
@@ -221,13 +247,10 @@ func (r *kt0Run) finishShared() {
 	}
 	ix := newIndexer(allIDs)
 	claims := make([][]int, ix.n())
-	slots := r.MaxDegree
-	mask := uint64(1)<<uint(r.IDBits) - 1
 	for u := 0; u < n; u++ {
 		v := ix.rank(int(r.uid[u]))
-		for s := 0; s < slots; s++ {
-			claimedID := int(r.stream[u] >> uint(s*r.IDBits) & mask)
-			if w := ix.rank(claimedID); w >= 0 {
+		for s := 0; s < r.MaxDegree; s++ {
+			if w := ix.rank(streamSlot(r.streamOf(u), s, r.IDBits)); w >= 0 {
 				claims[v] = append(claims[v], w)
 			}
 		}
@@ -266,7 +289,7 @@ func (a *KT0Exchange) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
 		maxDegree:  a.MaxDegree,
 		inputPorts: append([]int(nil), view.InputPorts...),
 		portID:     make([]uint64, view.NumPorts),
-		phase2:     make([]uint64, view.NumPorts),
+		phase2:     make([]uint64, view.NumPorts*streamWords(a.MaxDegree, a.IDBits)),
 	}
 	if view.ID < 0 || view.ID >= 1<<uint(a.IDBits) {
 		node.broken = true
@@ -287,7 +310,7 @@ type kt0Node struct {
 	maxDegree  int
 	inputPorts []int    // private mode
 	portID     []uint64 // private mode: phase-1 ID heard on each port
-	phase2     []uint64 // private mode: phase-2 stream heard on each port
+	phase2     []uint64 // private mode: phase-2 stream heard on each port, port-major
 	rounds     int      // private mode
 	self       int32    // shared mode: vertex index
 	nbrOfSlot  []int32  // shared mode: vertex behind the s-th input port
@@ -330,6 +353,12 @@ func (n *kt0Node) sendBit(round int) (uint8, bool) {
 	return uint8(n.id>>uint(bit)) & 1, true
 }
 
+// portStream returns the phase-2 stream heard on port p (private mode).
+func (n *kt0Node) portStream(p int) []uint64 {
+	w := streamWords(n.maxDegree, n.idBits)
+	return n.phase2[p*w : (p+1)*w]
+}
+
 func (n *kt0Node) degree() int {
 	if n.run != nil {
 		return len(n.nbrOfSlot)
@@ -369,15 +398,10 @@ func (n *kt0Node) Receive(round int, inbox []bcc.Message) {
 		return
 	}
 	n.rounds = round
-	if round <= n.idBits {
-		for p, m := range inbox {
-			n.portID[p] |= uint64(m.BitAt(0)) << uint(round-1)
-		}
-		return
-	}
-	r := round - n.idBits - 1
 	for p, m := range inbox {
-		n.phase2[p] |= uint64(m.BitAt(0)) << uint(r)
+		if m.BitAt(0) != 0 {
+			record(&n.portID[p], n.portStream(p), n.idBits, round)
+		}
 	}
 }
 
@@ -464,14 +488,6 @@ func (n *kt0Node) ReceiveBits(round int, value, _ []uint64) {
 		return
 	}
 	n.rounds = round
-	var shift uint
-	dest := n.phase2
-	if round <= n.idBits {
-		shift = uint(round - 1)
-		dest = n.portID
-	} else {
-		shift = uint(round - n.idBits - 1)
-	}
 	selfW, selfM := n.planeSelf>>6, uint64(1)<<uint(n.planeSelf&63)
 	for wi, w := range value {
 		if wi == selfW {
@@ -480,7 +496,8 @@ func (n *kt0Node) ReceiveBits(round int, value, _ []uint64) {
 		for w != 0 {
 			u := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
-			dest[n.portOfPlane(u)] |= 1 << shift
+			p := n.portOfPlane(u)
+			record(&n.portID[p], n.portStream(p), n.idBits, round)
 		}
 	}
 }
@@ -527,11 +544,7 @@ func (n *kt0Node) computeOutputs() componentOutputs {
 		for s := 0; s < n.degree(); s++ {
 			claims[self] = append(claims[self], ix.rank(int(r.uid[n.nbrOfSlot[s]])))
 		}
-		slots := (r.rounds - n.idBits) / n.idBits
-		if slots > n.maxDegree {
-			slots = n.maxDegree
-		}
-		mask := uint64(1)<<uint(n.idBits) - 1
+		slots := min((r.rounds-n.idBits)/n.idBits, n.maxDegree)
 		for u := 0; u < nn; u++ {
 			if u == int(n.self) {
 				continue
@@ -541,8 +554,7 @@ func (n *kt0Node) computeOutputs() componentOutputs {
 				return componentOutputs{verdict: bcc.VerdictNo, label: -1}
 			}
 			for s := 0; s < slots; s++ {
-				claimedID := int(r.stream[u] >> uint(s*n.idBits) & mask)
-				if w := ix.rank(claimedID); w >= 0 {
+				if w := ix.rank(streamSlot(r.streamOf(u), s, n.idBits)); w >= 0 {
 					claims[v] = append(claims[v], w)
 				}
 			}
@@ -561,19 +573,14 @@ func (n *kt0Node) computeOutputs() componentOutputs {
 	for _, p := range n.inputPorts {
 		claims[self] = append(claims[self], ix.rank(int(n.portID[p])))
 	}
-	slots := (n.rounds - n.idBits) / n.idBits
-	if slots > n.maxDegree {
-		slots = n.maxDegree
-	}
-	mask := uint64(1)<<uint(n.idBits) - 1
-	for p, stream := range n.phase2 {
-		v := ix.rank(int(n.portID[p]))
+	slots := min((n.rounds-n.idBits)/n.idBits, n.maxDegree)
+	for p, pid := range n.portID {
+		v := ix.rank(int(pid))
 		if v < 0 {
 			return componentOutputs{verdict: bcc.VerdictNo, label: -1}
 		}
 		for s := 0; s < slots; s++ {
-			claimedID := int(stream >> uint(s*n.idBits) & mask)
-			if w := ix.rank(claimedID); w >= 0 {
+			if w := ix.rank(streamSlot(n.portStream(p), s, n.idBits)); w >= 0 {
 				claims[v] = append(claims[v], w)
 			}
 		}

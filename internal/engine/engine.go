@@ -182,9 +182,8 @@ func (e *Engine) CacheKey(spec Spec, cfg Config) string {
 }
 
 // selectSpecs filters the registry to the listed IDs (all when empty),
-// preserving registry order. Unknown IDs are ignored, matching the
-// historical harness.RunAll contract; frontends that want a hard error
-// validate with Lookup first.
+// preserving registry order. Unknown IDs are ignored; frontends that
+// want a hard error validate with Lookup first.
 func (e *Engine) selectSpecs(only []string) []Spec {
 	allowed := make(map[string]bool, len(only))
 	for _, id := range only {
@@ -207,8 +206,11 @@ func (e *Engine) runOne(ctx context.Context, spec Spec, cfg Config, emit func(Ev
 		span.SetStr("spec", spec.ID)
 		defer func() { span.EndErr(rerr) }()
 	}
-	compute := func() (*Result, error) {
-		emit(Event{Kind: EventStarted, SpecID: spec.ID})
+	var key string
+	if e.store != nil {
+		key = e.CacheKey(spec, cfg)
+	}
+	return e.runUnit(ctx, span, key, spec.ID, "", emit, func() (*Result, error) {
 		e.executions.Add(1)
 		start := time.Now() //bccvet:ignore detpath -- measurement site: elapsed is reported, never part of a table key
 		res, err := spec.Run(ctx, cfg, spec.Params)
@@ -218,38 +220,47 @@ func (e *Engine) runOne(ctx context.Context, spec Spec, cfg Config, emit func(Ev
 		res.ID, res.Title, res.PaperRef = spec.ID, spec.Title, spec.PaperRef
 		res.Elapsed = time.Since(start) //bccvet:ignore detpath -- measurement site: elapsed is reported, never part of a table key
 		return res, nil
+	})
+}
+
+// runUnit computes one unit — a spec, or a cell when cell is set —
+// through the store under key, or directly when the engine has none.
+// It emits the unit's events (started from inside compute, so a store
+// hit never emits it) and sets span's cache attribute.
+func (e *Engine) runUnit(ctx context.Context, span *obs.Span, key, specID, cell string, emit func(Event), compute func() (*Result, error)) (*Result, error) {
+	run := func() (*Result, error) {
+		emit(Event{Kind: EventStarted, SpecID: specID, Cell: cell})
+		return compute()
 	}
+	var (
+		res   *Result
+		state results.CacheState // StateMiss when computed without a store
+		err   error
+	)
 	if e.store == nil {
-		res, err := compute()
-		if err != nil {
-			emit(Event{Kind: EventFailed, SpecID: spec.ID, Err: err.Error()})
-			return nil, err
-		}
-		emit(Event{Kind: EventDone, SpecID: spec.ID, Cache: "miss", Elapsed: res.Elapsed})
-		span.SetStr("cache", "miss")
-		return res, nil
+		res, err = run()
+	} else {
+		res, state, err = e.store.Do(ctx, key, run)
 	}
-	res, state, err := e.store.Do(ctx, e.CacheKey(spec, cfg), compute)
-	switch {
-	case err != nil:
-		emit(Event{Kind: EventFailed, SpecID: spec.ID, Err: err.Error()})
+	if err != nil {
+		emit(Event{Kind: EventFailed, SpecID: specID, Cell: cell, Err: err.Error()})
 		return nil, err
-	case state.Cached():
-		emit(Event{Kind: EventCached, SpecID: spec.ID, Cache: state.String(), Elapsed: res.Elapsed})
-		span.SetStr("cache", state.String())
-	default:
-		emit(Event{Kind: EventDone, SpecID: spec.ID, Cache: state.String(), Elapsed: res.Elapsed})
-		span.SetStr("cache", state.String())
 	}
+	kind := EventDone
+	if state.Cached() {
+		kind = EventCached
+	}
+	emit(Event{Kind: kind, SpecID: specID, Cell: cell, Cache: state.String(), Elapsed: res.Elapsed})
+	span.SetStr("cache", state.String())
 	return res, nil
 }
 
 // Run executes the selected specs concurrently on the process-wide
 // worker pool and returns their results in registry ID order. onEvent
 // (optional) observes progress and may be called from worker goroutines.
-// Semantics match the historical harness.RunAll: a failure stops specs
-// that have not started yet, the completed prefix is returned, and the
-// reported error is scheduling-independent. Cancelling ctx stops specs
+// A failure stops specs that have not started yet, the completed prefix
+// is returned, and the reported error is scheduling-independent (see
+// fanOut, which grid cells share). Cancelling ctx stops specs
 // that have not started, propagates into running specs (which observe it
 // at their next round boundary), and returns the completed prefix with
 // ctx's error — unless a spec genuinely failed first, in which case the
@@ -280,69 +291,97 @@ func (e *Engine) run(ctx context.Context, cfg Config, only []string, onEvent fun
 		emit = onEvent
 	}
 	selected := e.selectSpecs(only)
-	done := make([]chan struct{}, len(selected))
-	for i := range done {
-		done[i] = make(chan struct{})
+	var delivered []*Result
+	err := fanOut(ctx, len(selected), nil,
+		func(i int) (*Result, error) { return e.runOne(ctx, selected[i], cfg, emit) },
+		func(i int, res *Result) error {
+			if sink != nil {
+				if err := sink(i, res); err != nil {
+					return err
+				}
+			}
+			delivered = append(delivered, res)
+			return nil
+		},
+		func(i int) string { return "spec " + selected[i].ID })
+	return delivered, err
+}
+
+// fanOut runs n units on the process-wide worker pool, starting them in
+// the given order (nil: index order), and hands each result to deliver
+// in index order as soon as it and all its predecessors have finished.
+// A failure or a deliver error stops the units that have not started.
+// The error returned is the lowest-indexed failure, so it does not
+// depend on scheduling; failing that, ctx's error when cancellation
+// skipped a unit. name labels a unit in the (unreachable) error for one
+// skipped with neither cause.
+func fanOut[T any](ctx context.Context, n int, order []int, run func(i int) (T, error), deliver func(i int, v T) error, name func(i int) string) error {
+	type slot struct {
+		done chan struct{}
+		ran  bool
+		v    T
+		err  error
 	}
-	resSlots := make([]*Result, len(selected))
-	runErrs := make([]error, len(selected))
+	slots := make([]slot, n)
+	for i := range slots {
+		slots[i].done = make(chan struct{})
+	}
 	var stop atomic.Bool
-	// A cancelled pool never starts (and so never closes done[i] for)
-	// the remaining specs; poolDone unblocks the assembly loop then. By
-	// the time poolDone closes every worker has finished, so all slot
+	// A cancelled pool never starts (and so never closes done for) the
+	// remaining units; poolDone unblocks the delivery loop then. By the
+	// time poolDone closes every worker has finished, so all slot
 	// writes are visible.
 	poolDone := make(chan struct{})
 	go func() {
 		defer close(poolDone)
-		parallel.ForEachCtx(ctx, len(selected), func(i int) error {
-			defer close(done[i])
+		parallel.ForEachCtx(ctx, n, func(k int) error {
+			i := k
+			if order != nil {
+				i = order[k]
+			}
+			s := &slots[i]
+			defer close(s.done)
 			if stop.Load() {
 				return nil
 			}
-			res, err := e.runOne(ctx, selected[i], cfg, emit)
-			if err != nil {
+			s.v, s.err = run(i)
+			s.ran = true
+			if s.err != nil {
 				stop.Store(true)
-				runErrs[i] = err
-				return nil
 			}
-			resSlots[i] = res
 			return nil
 		})
 	}()
-	wait := func(i int) {
+	wait := func(i int) *slot {
 		select {
-		case <-done[i]:
+		case <-slots[i].done:
 		case <-poolDone:
 		}
+		return &slots[i]
 	}
-	var delivered []*Result
-	for i := range selected {
-		wait(i)
-		if runErrs[i] != nil {
-			return delivered, runErrs[i]
+	for i := range slots {
+		s := wait(i)
+		if s.err != nil {
+			return s.err
 		}
-		if resSlots[i] == nil {
-			// Skipped: a later-indexed spec failed first, or the context
-			// was cancelled. Surface the lowest-indexed real error;
-			// fall back to the cancellation cause.
-			for j := i + 1; j < len(selected); j++ {
-				wait(j)
-				if runErrs[j] != nil {
-					return delivered, runErrs[j]
+		if !s.ran {
+			// Skipped: a later-indexed unit failed first, or ctx was
+			// cancelled. Surface the lowest-indexed real error; fall
+			// back to the cancellation cause.
+			for j := i + 1; j < n; j++ {
+				if err := wait(j).err; err != nil {
+					return err
 				}
 			}
 			if err := ctx.Err(); err != nil {
-				return delivered, err
+				return err
 			}
-			return delivered, fmt.Errorf("engine: spec %s did not run", selected[i].ID)
+			return fmt.Errorf("engine: %s did not run", name(i))
 		}
-		if sink != nil {
-			if err := sink(i, resSlots[i]); err != nil {
-				stop.Store(true)
-				return delivered, err
-			}
+		if err := deliver(i, s.v); err != nil {
+			stop.Store(true)
+			return err
 		}
-		delivered = append(delivered, resSlots[i])
 	}
-	return delivered, nil
+	return nil
 }

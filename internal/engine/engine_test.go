@@ -63,23 +63,6 @@ func TestMarkdownGolden(t *testing.T) {
 	}
 }
 
-// TestRunAllShimMatchesEngine pins the compatibility shim: RunAll is the
-// engine with the zero-value Markdown renderer.
-func TestRunAllShimMatchesEngine(t *testing.T) {
-	ids := []string{"E13", "E14"}
-	cfg := engine.Config{Quick: true, Seed: 1}
-	var shim, direct bytes.Buffer
-	if _, err := harness.RunAll(&shim, cfg, ids...); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := harness.NewEngine().Stream(t.Context(), &direct, report.Markdown{}, report.Meta{}, cfg, ids, nil); err != nil {
-		t.Fatal(err)
-	}
-	if normalize(shim.Bytes()) != normalize(direct.Bytes()) {
-		t.Error("RunAll diverges from a direct engine stream")
-	}
-}
-
 // TestSecondRunZeroExecutions is the cache acceptance test: a second
 // engine over the same store performs zero experiment executions and
 // returns identical results (elapsed included — it is part of the

@@ -8,7 +8,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"bcclique/internal/obs"
@@ -397,8 +396,7 @@ func (e *Engine) runCell(ctx context.Context, g GridSpec, cfg Config, c GridCell
 		span.SetNum("seeds", float64(c.Seeds))
 		defer func() { span.EndErr(rerr) }()
 	}
-	compute := func() (*report.Result, error) {
-		emit(Event{Kind: EventStarted, SpecID: g.ID, Cell: c.String()})
+	res, err := e.runUnit(ctx, span, key, g.ID, c.String(), emit, func() (*Result, error) {
 		e.cellExecutions.Add(1)
 		cellStarted()
 		defer cellFinished()
@@ -419,36 +417,14 @@ func (e *Engine) runCell(ctx context.Context, g GridSpec, cfg Config, c GridCell
 			Tables:  []*report.Table{{Rows: [][]string{row}}},
 			Elapsed: time.Since(start), //bccvet:ignore detpath -- measurement site: cell elapsed is reported, never part of a table key
 		}, nil
-	}
-	unwrap := func(res *report.Result) ([]string, error) {
-		if len(res.Tables) != 1 || len(res.Tables[0].Rows) != 1 || len(res.Tables[0].Rows[0]) != len(g.Headers) {
-			return nil, fmt.Errorf("grid %s cell %s: malformed cached cell", g.ID, c)
-		}
-		return res.Tables[0].Rows[0], nil
-	}
-	if e.store == nil {
-		res, err := compute()
-		if err != nil {
-			emit(Event{Kind: EventFailed, SpecID: g.ID, Cell: c.String(), Err: err.Error()})
-			return nil, err
-		}
-		emit(Event{Kind: EventDone, SpecID: g.ID, Cell: c.String(), Cache: "miss", Elapsed: res.Elapsed})
-		span.SetStr("cache", "miss")
-		return unwrap(res)
-	}
-	res, state, err := e.store.Do(ctx, key, compute)
-	switch {
-	case err != nil:
-		emit(Event{Kind: EventFailed, SpecID: g.ID, Cell: c.String(), Err: err.Error()})
+	})
+	if err != nil {
 		return nil, err
-	case state.Cached():
-		emit(Event{Kind: EventCached, SpecID: g.ID, Cell: c.String(), Cache: state.String(), Elapsed: res.Elapsed})
-		span.SetStr("cache", state.String())
-	default:
-		emit(Event{Kind: EventDone, SpecID: g.ID, Cell: c.String(), Cache: state.String(), Elapsed: res.Elapsed})
-		span.SetStr("cache", state.String())
 	}
-	return unwrap(res)
+	if len(res.Tables) != 1 || len(res.Tables[0].Rows) != 1 || len(res.Tables[0].Rows[0]) != len(g.Headers) {
+		return nil, fmt.Errorf("grid %s cell %s: malformed cached cell", g.ID, c)
+	}
+	return res.Tables[0].Rows[0], nil
 }
 
 // dispatchOrder returns the order in which RunGrid starts cells:
@@ -509,73 +485,25 @@ func (e *Engine) RunGrid(ctx context.Context, g GridSpec, cfg Config, onEvent fu
 		return nil, fmt.Errorf("engine: grid %s has no cells for this configuration (sizes %v, declared ceilings %s)",
 			g.ID, g.ResolvedSizes(cfg), g.axes())
 	}
-	order := dispatchOrder(cells)
-	done := make([]chan struct{}, len(cells))
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-	rows := make([][]string, len(cells))
-	errs := make([]error, len(cells))
-	var stop atomic.Bool
-	// See Engine.run: a cancelled pool never closes done[i] for cells it
-	// never started, so the assembly loop also waits on poolDone.
-	poolDone := make(chan struct{})
-	go func() {
-		defer close(poolDone)
-		parallel.ForEachCtx(ctx, len(cells), func(k int) error {
-			i := order[k]
-			defer close(done[i])
-			if stop.Load() {
-				return nil
-			}
-			row, err := e.runCell(ctx, g, cfg, cells[i], emit)
-			if err != nil {
-				stop.Store(true)
-				errs[i] = err
-				return nil
-			}
-			rows[i] = row
-			return nil
-		})
-	}()
-	wait := func(i int) {
-		select {
-		case <-done[i]:
-		case <-poolDone:
-		}
-	}
 	table := &report.Table{
 		Title:   fmt.Sprintf("%s (%d cells)", g.Title, len(cells)),
 		Caption: g.Caption,
 		Headers: append([]string(nil), g.Headers...),
 	}
-	for i := range cells {
-		wait(i)
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		if rows[i] == nil {
-			// Skipped: a later-indexed cell failed first, or the sweep
-			// was cancelled. Surface the lowest-indexed real error; fall
-			// back to the cancellation cause.
-			for j := i + 1; j < len(cells); j++ {
-				wait(j)
-				if errs[j] != nil {
-					return nil, errs[j]
+	err := fanOut(ctx, len(cells), dispatchOrder(cells),
+		func(i int) ([]string, error) { return e.runCell(ctx, g, cfg, cells[i], emit) },
+		func(i int, row []string) error {
+			if sink != nil {
+				if err := sink(cells[i], row); err != nil {
+					return err
 				}
 			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("engine: grid %s cell %s did not run", g.ID, cells[i])
-		}
-		if sink != nil {
-			if err := sink(cells[i], rows[i]); err != nil {
-				stop.Store(true)
-				return nil, err
-			}
-		}
-		table.Rows = append(table.Rows, rows[i])
+			table.Rows = append(table.Rows, row)
+			return nil
+		},
+		func(i int) string { return fmt.Sprintf("grid %s cell %s", g.ID, cells[i]) })
+	if err != nil {
+		return nil, err
 	}
 	sizes := g.ResolvedSizes(cfg)
 	finding := fmt.Sprintf("%d cells: %d families × %d protocols × %d sizes, %d seeds each.",

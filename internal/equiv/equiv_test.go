@@ -23,7 +23,7 @@ import (
 // equivFamilies are the input shapes under test. The cycles exercise
 // the word-boundary regimes on 2-regular inputs; "er" is a seeded
 // er-threshold graph — irregular degrees (so kt0-exchange's phase-2
-// stream overflows its 64-bit word and sketch nodes cross the 4a
+// stream spans more than one 64-bit word and sketch nodes cross the 4a
 // live-neighbour silence gate), isolated vertices, and usually
 // disconnected.
 var equivFamilies = []string{"one-cycle", "two-cycle", "er"}

@@ -196,10 +196,3 @@ func (b *Backend) Delete(ctx context.Context, key string) error {
 	}
 	return b.inner.Delete(ctx, key)
 }
-
-func (b *Backend) Ping(ctx context.Context) error {
-	if err := b.before(ctx, b.n.Add(1)); err != nil {
-		return err
-	}
-	return b.inner.Ping(ctx)
-}

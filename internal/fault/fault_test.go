@@ -43,8 +43,6 @@ func (b *memBackend) Delete(_ context.Context, key string) error {
 	return nil
 }
 
-func (b *memBackend) Ping(context.Context) error { return nil }
-
 func TestParseProfile(t *testing.T) {
 	p, err := ParseProfile("error=0.05,latency=0.1:2ms,torn=0.05,enospc=0.01,hang=0.001,seed=7")
 	if err != nil {
@@ -110,7 +108,7 @@ func TestDeterministic(t *testing.T) {
 
 func TestInjectedErrorIsTransient(t *testing.T) {
 	b := Wrap(newMem(), Profile{ErrorRate: 1})
-	err := b.Ping(context.Background())
+	err := b.Put(context.Background(), "k", []byte("data"))
 	if err == nil || !results.IsTransient(err) {
 		t.Fatalf("injected error = %v, want transient", err)
 	}
@@ -153,7 +151,7 @@ func TestHangUntilCancel(t *testing.T) {
 	b := Wrap(newMem(), Profile{HangRate: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- b.Ping(ctx) }()
+	go func() { done <- b.Put(ctx, "k", []byte("data")) }()
 	select {
 	case err := <-done:
 		t.Fatalf("hang fault returned early: %v", err)
@@ -173,7 +171,7 @@ func TestHangUntilCancel(t *testing.T) {
 func TestLatency(t *testing.T) {
 	b := Wrap(newMem(), Profile{LatencyRate: 1, Latency: 30 * time.Millisecond})
 	start := time.Now()
-	if err := b.Ping(context.Background()); err != nil {
+	if err := b.Put(context.Background(), "k", []byte("data")); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d < 30*time.Millisecond {

@@ -7,8 +7,7 @@
 // The harness is the top of a four-layer pipeline: it declares the specs
 // (this package), internal/engine executes them with cache lookups and
 // deterministic parallelism, internal/results stores content-addressed
-// results, and internal/report renders them. RunAll remains as a thin
-// compatibility shim over the engine.
+// results, and internal/report renders them.
 //
 // Beyond the scalar specs E01–E16, the registry carries the scenario
 // subsystem's sweep grids E17–E18 (exp_sweeps.go): protocol × family ×
@@ -17,9 +16,6 @@
 package harness
 
 import (
-	"context"
-	"io"
-
 	"bcclique/internal/engine"
 	"bcclique/internal/report"
 )
@@ -84,23 +80,6 @@ func All() []engine.Spec {
 // other entry points.
 func NewEngine(opts ...engine.Option) *engine.Engine {
 	return engine.New(All(), append(opts, engine.WithGrids(Grids()...))...)
-}
-
-// RunAll executes every experiment (or the subset whose IDs are listed)
-// and streams markdown to w. It is a thin compatibility shim over the
-// engine: an uncached engine run with the Markdown renderer, whose
-// output is byte-identical to the historical harness.RunAll.
-//
-// Experiments run concurrently on the process-wide worker pool (see
-// internal/parallel; parallel.SetLimit(1) forces a sequential run), but
-// each section is written as soon as it and all its predecessors have
-// finished, always in registry ID order, and every experiment's
-// measurements are bit-identical at any worker count — each experiment
-// derives its randomness from cfg.Seed alone. Only the per-section
-// elapsed times vary between runs. A failure stops experiments that have
-// not started yet; the completed prefix of the report is still written.
-func RunAll(w io.Writer, cfg Config, only ...string) ([]*Result, error) {
-	return NewEngine().Stream(context.Background(), w, report.Markdown{}, report.Meta{}, cfg, only, nil)
 }
 
 // FormatFloat renders floats compactly for tables; see internal/report.

@@ -4,44 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"bcclique/internal/report"
 )
-
-func TestTableMarkdown(t *testing.T) {
-	table := &Table{
-		Title:   "demo",
-		Caption: "a caption",
-		Headers: []string{"a", "b"},
-	}
-	table.AddRow(1, 2.5)
-	table.AddRow("x", true)
-	var buf bytes.Buffer
-	if err := table.WriteMarkdown(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"**demo**", "| a | b |", "|---|---|", "| 1 | 2.5 |", "| x | true |", "a caption"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("markdown missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestFormatFloat(t *testing.T) {
-	tests := []struct {
-		v    float64
-		want string
-	}{
-		{0, "0"},
-		{0.5, "0.5"},
-		{1234567, "1.23e+06"},
-		{0.19584, "0.1958"},
-	}
-	for _, tt := range tests {
-		if got := FormatFloat(tt.v); got != tt.want {
-			t.Errorf("FormatFloat(%v) = %q, want %q", tt.v, got, tt.want)
-		}
-	}
-}
 
 func TestRegistryComplete(t *testing.T) {
 	exps := All()
@@ -84,7 +49,7 @@ func TestRunAllQuick(t *testing.T) {
 		t.Skip("quick suite still takes a few seconds")
 	}
 	var buf bytes.Buffer
-	results, err := RunAll(&buf, Config{Quick: true, Seed: 1})
+	results, err := NewEngine().Stream(t.Context(), &buf, report.Markdown{}, report.Meta{}, Config{Quick: true, Seed: 1}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,17 +76,11 @@ func TestRunAllQuick(t *testing.T) {
 
 func TestRunAllFilter(t *testing.T) {
 	var buf bytes.Buffer
-	results, err := RunAll(&buf, Config{Quick: true, Seed: 1}, "E13")
+	results, err := NewEngine().Stream(t.Context(), &buf, report.Markdown{}, report.Meta{}, Config{Quick: true, Seed: 1}, []string{"E13"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(results) != 1 || results[0].ID != "E13" {
 		t.Fatalf("filter returned %d results", len(results))
-	}
-}
-
-func TestYesNo(t *testing.T) {
-	if YesNo(true) != "yes" || YesNo(false) != "no" {
-		t.Error("YesNo misrenders")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bcclique/internal/parallel"
+	"bcclique/internal/report"
 )
 
 var elapsedLine = regexp.MustCompile(`\(elapsed: [^)]*\)`)
@@ -28,14 +29,14 @@ func TestRunAllParallelMatchesSequential(t *testing.T) {
 
 	parallel.SetLimit(1)
 	var seqBuf bytes.Buffer
-	seqResults, err := RunAll(&seqBuf, Config{Quick: true, Seed: 1}, ids...)
+	seqResults, err := NewEngine().Stream(t.Context(), &seqBuf, report.Markdown{}, report.Meta{}, Config{Quick: true, Seed: 1}, ids, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	parallel.SetLimit(8)
 	var parBuf bytes.Buffer
-	parResults, err := RunAll(&parBuf, Config{Quick: true, Seed: 1}, ids...)
+	parResults, err := NewEngine().Stream(t.Context(), &parBuf, report.Markdown{}, report.Meta{}, Config{Quick: true, Seed: 1}, ids, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestRunAllWritesInIDOrder(t *testing.T) {
 	defer parallel.SetLimit(0)
 	parallel.SetLimit(8)
 	var buf bytes.Buffer
-	results, err := RunAll(&buf, Config{Quick: true, Seed: 1}, "E13", "E05", "E14")
+	results, err := NewEngine().Stream(t.Context(), &buf, report.Markdown{}, report.Meta{}, Config{Quick: true, Seed: 1}, []string{"E13", "E05", "E14"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,6 +155,28 @@ func TestSketchRefusesOutsidePromise(t *testing.T) {
 	}
 }
 
+// TestKT0ExchangeWideStreams runs kt0-exchange on an er-threshold
+// input whose phase-2 streams outgrow one word (MaxDegree·IDBits =
+// 10·7 = 70 bits). Every slot, the one straddling bit 64 included, must
+// decode to a full neighbour ID: a partial ID can name a real vertex,
+// and that spurious claim merges two components into a silent wrong
+// answer.
+func TestKT0ExchangeWideStreams(t *testing.T) {
+	const seed = -4799528948525441024
+	g := build(t, "er-threshold", 128, seed)
+	if d, b := maxDegree(g), bitsFor(g.N()); d*b <= 64 {
+		t.Fatalf("instance no longer overflows a word: MaxDegree·IDBits = %d·%d", d, b)
+	}
+	out, err := KT0Exchange{}.Run(context.Background(), g, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Correct {
+		t.Errorf("verdict %v with %d components, correct=false (silent wrong: %t)",
+			out.Verdict, g.NumComponents(), out.SilentWrong())
+	}
+}
+
 // TestKeyGolden pins the canonical cache-key encoding of every
 // protocol. These strings feed the content-addressed result cache;
 // change an adapter's parameters or version deliberately, then update
@@ -162,7 +184,7 @@ func TestSketchRefusesOutsidePromise(t *testing.T) {
 func TestKeyGolden(t *testing.T) {
 	want := map[string]string{
 		"neighborhood": "protocol=neighborhood;v=1;deg=auto",
-		"kt0-exchange": "protocol=kt0-exchange;v=1;deg=auto;wiring=random",
+		"kt0-exchange": "protocol=kt0-exchange;v=2;deg=auto;wiring=random",
 		"boruvka":      "protocol=boruvka;v=1;idbits=ceil(log2(n))",
 		"flood-b1":     "protocol=flood;v=1;b=1",
 		"sketch-a1":    "protocol=sketch;v=1;a=1",

@@ -15,13 +15,11 @@ import (
 // Keys are store-controlled: either bare content hashes or
 // slash-separated relative names (the quarantine area). A Get for an
 // absent key returns an error satisfying errors.Is(err, ErrNotFound);
-// Delete of an absent key is not an error. Ping reports whether the
-// backend is reachable at all.
+// Delete of an absent key is not an error.
 type Backend interface {
 	Get(ctx context.Context, key string) ([]byte, error)
 	Put(ctx context.Context, key string, data []byte) error
 	Delete(ctx context.Context, key string) error
-	Ping(ctx context.Context) error
 }
 
 // Unwrapper is implemented by decorating backends (retry, fault

@@ -117,14 +117,3 @@ func (d *DiskBackend) Delete(ctx context.Context, key string) error {
 	}
 	return nil
 }
-
-// Ping reports whether the blob root is reachable.
-func (d *DiskBackend) Ping(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if _, err := os.Stat(d.dir); err != nil {
-		return fmt.Errorf("results: ping: %w", err)
-	}
-	return nil
-}

@@ -324,7 +324,6 @@ func (b backendFunc) Put(ctx context.Context, key string, data []byte) error {
 }
 
 func (b backendFunc) Delete(ctx context.Context, key string) error { return b.inner.Delete(ctx, key) }
-func (b backendFunc) Ping(ctx context.Context) error               { return b.inner.Ping(ctx) }
 
 func TestTransientClassification(t *testing.T) {
 	if IsTransient(nil) || IsTransient(ErrNotFound) || IsTransient(context.Canceled) ||

@@ -127,7 +127,3 @@ func (r *RetryBackend) Put(ctx context.Context, key string, data []byte) error {
 func (r *RetryBackend) Delete(ctx context.Context, key string) error {
 	return r.do(ctx, func() error { return r.inner.Delete(ctx, key) })
 }
-
-func (r *RetryBackend) Ping(ctx context.Context) error {
-	return r.do(ctx, func() error { return r.inner.Ping(ctx) })
-}

@@ -113,8 +113,8 @@ type Store struct {
 	mu       sync.Mutex
 	inflight map[string]*call
 
-	hits, misses, shared, puts, putErrs     atomic.Int64
-	getErrs, quarantined, bypassed, deletes atomic.Int64
+	hits, misses, shared, puts, putErrs atomic.Int64
+	getErrs, quarantined, bypassed      atomic.Int64
 }
 
 type call struct {
@@ -295,18 +295,6 @@ func (s *Store) Put(ctx context.Context, key string, res *report.Result) error {
 	s.puts.Add(1)
 	return nil
 }
-
-// Delete removes the entry stored under key, if any.
-func (s *Store) Delete(ctx context.Context, key string) error {
-	if err := s.backend.Delete(ctx, key); err != nil {
-		return err
-	}
-	s.deletes.Add(1)
-	return nil
-}
-
-// Ping reports whether the backend is reachable.
-func (s *Store) Ping(ctx context.Context) error { return s.backend.Ping(ctx) }
 
 // quarantine moves a corrupt entry aside — preserving the bytes under
 // quarantine/ for post-mortem, deleting the live entry so the
