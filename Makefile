@@ -78,8 +78,9 @@ bench-sweeps:
 	$(GO) test -bench 'BenchmarkSweep' -benchmem -benchtime 20x -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Sweep' -out BENCH_sweeps.json
 
 # Record the large-n substrate baseline: CSR vs. AddEdge graph
-# construction, zero-alloc neighbour iteration, and an end-to-end
-# large-n sweep cell (BENCH_scale.json).
+# construction, the barbell and grid family builds (the grid's allocs
+# gate the exact arboricity check), zero-alloc neighbour iteration, and
+# an end-to-end large-n sweep cell (BENCH_scale.json).
 bench-scale:
 	$(GO) test -bench 'BenchmarkScale' -benchmem -benchtime 20x -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Scale' -out BENCH_scale.json
 
@@ -107,12 +108,13 @@ bench-serving:
 bench-memory:
 	$(GO) test -bench 'BenchmarkMemory' -benchmem -benchtime 2x -cpu 1 -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Memory' -out BENCH_memory.json
 
-# Regression gate: re-measure the Scale and Bitplane groups into fresh
-# baselines and compare against the checked-in ones. Exits non-zero on
-# a >25% ns/op or allocs/op regression. COMPARE_FLAGS=-allocs-only
-# restricts the gate to the machine-independent allocation counts —
-# what CI uses, since the checked-in ns/op numbers come from a
-# different machine than the runner.
+# Regression gate: re-measure the Scale, Bitplane, Serving and Memory
+# groups into fresh baselines and compare against the checked-in ones.
+# Exits non-zero on a >25% ns/op or allocs/op regression (and, for
+# Memory, B/op). COMPARE_FLAGS=-allocs-only restricts the gate to the
+# machine-independent allocation counts — what CI uses, since the
+# checked-in ns/op numbers come from a different machine than the
+# runner.
 bench-compare:
 	$(GO) test -bench 'BenchmarkScale' -benchmem -benchtime 20x -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Scale' -out /tmp/bench_scale_fresh.json
 	$(GO) run ./cmd/benchjson -compare -tolerance 25 $(COMPARE_FLAGS) BENCH_scale.json /tmp/bench_scale_fresh.json

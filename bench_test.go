@@ -733,6 +733,24 @@ func BenchmarkScaleBuildBarbellFamily(b *testing.B) {
 	}
 }
 
+// BenchmarkScaleBuildGridFamily builds the grid family at n = 1024 end
+// to end; nearly all of its cost is Build's exact arboricity ≤ 2 check.
+// Its allocs/op gate the check's place-before-search order: searching
+// a rejecting forest's tree path before offering the edge to the next
+// forest takes ~19× the allocations.
+func BenchmarkScaleBuildGridFamily(b *testing.B) {
+	fam, ok := family.Lookup("grid")
+	if !ok {
+		b.Fatal("grid family missing")
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := fam.Build(1024, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkScaleNeighborIteration measures the allocation-free
 // NeighborSlice scan over a frozen er-threshold graph — the access
 // pattern of delivery tables, ground-truth labelling and the protocol

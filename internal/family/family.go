@@ -126,18 +126,18 @@ func (f *Family) Check(g *graph.Graph, n int) error {
 	if g.N() != n {
 		return fmt.Errorf("family %s: generated %d vertices, want %d", f.name, g.N(), n)
 	}
-	switch f.inv.Connected {
-	case Yes:
-		if !g.IsConnected() {
-			return fmt.Errorf("family %s: declared connected, generated %d components", f.name, g.NumComponents())
+	if f.inv.Connected != Unknown || f.inv.Components > 0 {
+		comps := g.NumComponents() // one union-find pass serves both checks
+		connected := n == 0 || comps == 1
+		if f.inv.Connected == Yes && !connected {
+			return fmt.Errorf("family %s: declared connected, generated %d components", f.name, comps)
 		}
-	case No:
-		if g.IsConnected() {
+		if f.inv.Connected == No && connected {
 			return fmt.Errorf("family %s: declared disconnected, generated a connected graph", f.name)
 		}
-	}
-	if k := f.inv.Components; k > 0 && g.NumComponents() != k {
-		return fmt.Errorf("family %s: declared %d components, generated %d", f.name, k, g.NumComponents())
+		if k := f.inv.Components; k > 0 && comps != k {
+			return fmt.Errorf("family %s: declared %d components, generated %d", f.name, k, comps)
+		}
 	}
 	if d := f.inv.Regular; d > 0 {
 		for v := 0; v < g.N(); v++ {
@@ -160,9 +160,16 @@ func (f *Family) Check(g *graph.Graph, n int) error {
 // graphic matroids with augmenting-path search (an edge that closes a
 // cycle in every forest may displace a cycle edge into another forest,
 // transitively), so by matroid-union theory a failed augmentation
-// certifies that no partition exists. Runs in polynomial time; the
-// instance sizes the sweeps use are far below where the constants
-// matter.
+// certifies that no partition exists.
+//
+// Cost: an edge that some forest accepts takes O(a·α(n)) union-find
+// queries; only an edge that closes a cycle in every forest pays for
+// tree-path searches, each a breadth-first scan of one tree. Build
+// runs this check on every instance of a family that declares an
+// arboricity bound, so insert offers each edge to every forest before
+// it searches any path: on cycles, grids and tori an edge that forest 0
+// rejects is nearly always accepted by forest 1, and a search of forest
+// 0's tree would be thrown away.
 func ForestPartition(g *graph.Graph, a int) bool {
 	if a < 1 {
 		return g.M() == 0
@@ -275,20 +282,23 @@ func (p *forestPartitioner) treePath(layer, u, v int) []int {
 // insert adds e0 to the partition, displacing cycle edges between
 // forests via breadth-first augmenting search when no forest accepts it
 // directly. A false return certifies the grown edge set has no k-forest
-// partition.
+// partition. Each dequeued edge goes to the lowest layer that accepts
+// it; the layers' tree paths, and the search's maps, are built only
+// when none does.
 func (p *forestPartitioner) insert(e0 graph.Edge) bool {
 	type hop struct {
 		via   graph.Edge // the edge that wants to enter…
 		layer int        // …this layer, once the child edge vacates it
 	}
-	parent := make(map[graph.Edge]hop)
-	visited := map[graph.Edge]bool{e0: true}
+	var parent map[graph.Edge]hop
+	var visited map[graph.Edge]bool
 	queue := []graph.Edge{e0}
 	for len(queue) > 0 {
 		x := queue[0]
 		queue = queue[1:]
+		own, assigned := p.layerOf[x]
 		for i := 0; i < p.k; i++ {
-			if l, assigned := p.layerOf[x]; assigned && l == i {
+			if assigned && own == i {
 				continue
 			}
 			if !p.sameTree(i, x.U, x.V) {
@@ -308,7 +318,17 @@ func (p *forestPartitioner) insert(e0 graph.Edge) bool {
 					cur, dest = pr.via, pr.layer
 				}
 			}
-			// Same tree: the unique tree path is the displacement frontier.
+		}
+		if visited == nil {
+			parent = make(map[graph.Edge]hop)
+			visited = map[graph.Edge]bool{e0: true}
+		}
+		for i := 0; i < p.k; i++ {
+			if assigned && own == i {
+				continue
+			}
+			// No layer accepts x: each tree path it closes is the
+			// displacement frontier.
 			path := p.treePath(i, x.U, x.V)
 			for j := 1; j < len(path); j++ {
 				f := graph.NormEdge(path[j-1], path[j])

@@ -1,6 +1,8 @@
 package family
 
 import (
+	"math/bits"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -175,6 +177,55 @@ func TestForestPartition(t *testing.T) {
 	if !ForestPartition(k4, 2) {
 		t.Error("K4 should fit 2 forests")
 	}
+}
+
+// TestForestPartitionMatchesNashWilliams pins the exactness claim on
+// small random graphs, dense enough that edges must be displaced between
+// forests: ForestPartition(g, a) must agree with the Nash-Williams
+// formula, arboricity(g) = max over vertex sets S with |S| ≥ 2 of
+// ⌈m(S)/(|S|−1)⌉, enumerated by bitmask.
+func TestForestPartitionMatchesNashWilliams(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + rng.Intn(10)
+		density := rng.Float64()
+		g := graph.New(n)
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if rng.Float64() < density {
+					g.MustAddEdge(u, v)
+				}
+			}
+		}
+		arb := nashWilliams(g)
+		for a := 1; a <= 4; a++ {
+			if got := ForestPartition(g, a); got != (arb <= a) {
+				t.Fatalf("trial %d (n=%d, m=%d, arboricity %d): ForestPartition(g, %d) = %v",
+					trial, n, g.M(), arb, a, got)
+			}
+		}
+	}
+}
+
+// nashWilliams is the brute-force arboricity oracle: the densest vertex
+// subset's ⌈m(S)/(|S|−1)⌉.
+func nashWilliams(g *graph.Graph) int {
+	edges := g.Edges()
+	arb := 0
+	for set := uint(1); set < 1<<g.N(); set++ {
+		size := bits.OnesCount(set)
+		if size < 2 {
+			continue
+		}
+		m := 0
+		for _, e := range edges {
+			if set>>e.U&1 == 1 && set>>e.V&1 == 1 {
+				m++
+			}
+		}
+		arb = max(arb, (m+size-2)/(size-1))
+	}
+	return arb
 }
 
 // TestKeyGolden pins the canonical cache-key encoding of every family:
