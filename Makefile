@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race stress check bench-json bench-sweeps bench-scale bench-bitplane bench-serving bench-memory bench-compare report serve serve-race load-smoke chaos chaos-smoke trace-smoke smoke-examples sweep sweep-smoke sweep-large sweep-xl sweep-xxl fmt vet lint staticcheck govulncheck
+.PHONY: build test race stress check bench-json bench-sweeps bench-scale bench-bitplane bench-serving bench-memory bench-compare report serve serve-race load-smoke chaos chaos-smoke trace-smoke smoke-examples sweep sweep-smoke sweep-rows-identical sweep-large sweep-xl sweep-xxl fmt vet lint staticcheck govulncheck
 
 build:
 	$(GO) build ./...
@@ -88,8 +88,9 @@ bench-scale:
 # the word-packed plane vs. the generic Message oracle, a plane-riding
 # O(log n) protocol at 4096, the steady-state round loop's allocation
 # profile, and a small flood ladder through the grid scheduler
-# (BENCH_bitplane.json). benchtime 5x: the generic oracle is seconds
-# per op by design — it is the before number.
+# (BENCH_bitplane.json). benchtime 5x: the generic oracle is the
+# before number (~15 ms per op on a 2-CPU box; the neighborhood
+# entry, ~0.5 s per op, dominates the group).
 bench-bitplane:
 	$(GO) test -bench 'BenchmarkBitplane' -benchmem -benchtime 5x -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Bitplane' -out BENCH_bitplane.json
 
@@ -142,9 +143,9 @@ sweep-large:
 # The ladders to n = 8192 — both grids, so the E18 stress rows
 # (flood-b1 is its promise-free control) are reproducible too. With
 # shared substrates, flood-b1, boruvka and kt0-exchange all climb the
-# 8192 rung (one 8192-vertex flood run is ~40 s of word-packed
-# simulation; a seeds×families tier is minutes of compute). For the
-# full declared ladders to 32768, see sweep-xxl.
+# 8192 rung (one 8192-vertex flood run on two-cycle is ~1 s of
+# word-packed simulation on a 2-CPU box). For the full declared
+# ladders to 32768, see sweep-xxl.
 sweep-xl:
 	$(GO) run ./cmd/experiments -sweep E17 -sizes 16,32,64,128,256,512,1024,2048,4096,8192
 	$(GO) run ./cmd/experiments -sweep E18 -sizes 16,32,64,256,1024,4096,8192
@@ -169,6 +170,23 @@ sweep-smoke:
 		-protocols kt0-exchange,boruvka -families one-cycle,two-cycle -sizes 8,16 \
 		-format csv -out sweep-smoke.csv
 	@cat sweep-smoke.csv
+
+# Rows are identical at any worker count: two cold E17 sweeps, each at
+# -parallel 1 and -parallel 2, compared byte for byte. The second
+# sweep's n = 2048 cells reach the intra-cell threshold, so it pins the
+# sharded round loop too. CI's sweep-smoke job runs it.
+sweep-rows-identical:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/experiments" ./cmd/experiments; \
+	for p in 1 2; do \
+		"$$dir/experiments" -sweep E17 -sizes 16,32,64,128,256,512,1024 \
+			-format csv -cache-dir none -parallel $$p > "$$dir/ladder-$$p.csv"; \
+		"$$dir/experiments" -sweep E17 -sizes 2048 -families two-cycle,grid \
+			-format csv -cache-dir none -parallel $$p > "$$dir/sharded-$$p.csv"; \
+	done; \
+	cmp "$$dir/ladder-1.csv" "$$dir/ladder-2.csv"; \
+	cmp "$$dir/sharded-1.csv" "$$dir/sharded-2.csv"; \
+	echo "sweep rows identical at -parallel 1 and 2"
 
 # Traced sweep smoke: run a small E17 sweep with tracing on, write the
 # Chrome trace_event file, and assert it is non-empty and well-formed

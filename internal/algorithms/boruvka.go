@@ -3,7 +3,6 @@ package algorithms
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"bcclique/internal/bcc"
 	"bcclique/internal/dsu"
@@ -22,14 +21,14 @@ import (
 // The replayed merge state is a deterministic function of the broadcast
 // transcript, which every replica hears identically — so under the
 // runner's RunBinder protocol the n per-replica union-find replicas
-// collapse into one run-shared mirror (boruvkaRun): the first replica to
-// receive a round applies its merges once, and every replica's Send
-// reads the resulting label array. Per-replica residue shrinks to the
-// vertex's own rank and its input-neighbour ranks. Bare NewNode (no
-// BindRun) gives each node a private mirror, which is exactly the old
-// per-replica semantics — the form transcript verification and the
-// two-party reductions rely on when they feed a single node forged
-// broadcasts.
+// collapse into one run-shared mirror (boruvkaRun): the run hears each
+// round once and applies its merges, and every replica's Send reads the
+// resulting label array. Per-replica residue shrinks to the vertex's
+// own rank and its input-neighbour ranks. Bare NewNode (no BindRun)
+// gives each node a private mirror that its own Receive advances, which
+// is exactly the old per-replica semantics — the form transcript
+// verification and the two-party reductions rely on when they feed a
+// single node forged broadcasts.
 type Boruvka struct {
 	// IDBits is the width used to encode IDs inside messages.
 	IDBits int
@@ -58,11 +57,10 @@ func (a *Boruvka) Rounds(n int) int { return bitsFor(n) + 1 }
 var boruvkaRunPool = sync.Pool{New: func() interface{} { return new(boruvkaRun) }}
 
 // BindRun implements bcc.RunBinder: one shared merge mirror per run.
-func (a *Boruvka) BindRun(in *bcc.Instance, _ int) bcc.Algorithm {
+func (a *Boruvka) BindRun(in *bcc.Instance, _ int) bcc.BoundRun {
 	r := boruvkaRunPool.Get().(*boruvkaRun)
 	r.Boruvka = a
 	r.pooled = true
-	r.appliedRound.Store(0)
 	r.labelDirty = false
 	r.nextNode = 0
 	r.nodes = r.nodes[:0]
@@ -100,21 +98,17 @@ func (a *Boruvka) BindRun(in *bcc.Instance, _ int) bcc.Algorithm {
 // labels[v] is the rank of the smallest member of v's component, kept
 // current eagerly at the end of every apply so Send never touches the
 // union-find (Find mutates paths; Send runs concurrently across
-// shards).
+// shards). A bare NewNode builds an unpooled one-replica run.
 type boruvkaRun struct {
 	*Boruvka
 	ix         *indexer
 	comp       *dsu.Compact
 	labels     []int32
 	labelDirty bool
-	// appliedRound gates the once-per-round apply: the first replica to
-	// receive round t wins the CAS t-1 → t and replays the round's
-	// merges; the rest return without touching shared state.
-	appliedRound atomic.Int64
-	nodes        []boruvkaNode // residue arena handed out by NewNode
-	nextNode     int
-	nbrs         []int32 // neighbour-rank arena backing every node's residue
-	pooled       bool
+	nodes      []boruvkaNode // residue arena handed out by NewNode
+	nextNode   int
+	nbrs       []int32 // neighbour-rank arena backing every node's residue
+	pooled     bool
 }
 
 // NewNode implements bcc.Algorithm for both binding modes: pooled
@@ -142,7 +136,7 @@ func (r *boruvkaRun) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
 	return node
 }
 
-// ReleaseRun implements bcc.RunReleaser.
+// ReleaseRun implements bcc.BoundRun.
 func (r *boruvkaRun) ReleaseRun() {
 	if !r.pooled {
 		return
@@ -171,9 +165,13 @@ func (a *Boruvka) NewNode(view bcc.View, coin *bcc.Coin) bcc.Node {
 	return r.NewNode(view, coin)
 }
 
-// beginApply claims round t's apply for the calling replica.
-func (r *boruvkaRun) beginApply(round int) bool {
-	return r.appliedRound.CompareAndSwap(int64(round-1), int64(round))
+// Hear implements bcc.BoundRun: the vertex-indexed broadcast vector
+// includes every vertex's own entry, so the run replays it verbatim.
+func (r *boruvkaRun) Hear(_ int, sends []bcc.Message) {
+	for _, m := range sends {
+		r.apply(m.Bits)
+	}
+	r.endApply()
 }
 
 // apply replays one announced outgoing edge into the shared mirror.
@@ -251,30 +249,19 @@ func (n *boruvkaNode) Send(int) bcc.Message {
 	return bcc.Word(bits, 3*r.IDBits+1)
 }
 
-func (n *boruvkaNode) Receive(t int, inbox []bcc.Message) {
-	if n.broken || !n.run.beginApply(t) {
+// Receive implements bcc.Node for a private replica; a bound run's
+// nodes hear nothing (the run hears for them).
+func (n *boruvkaNode) Receive(_ int, inbox []bcc.Message) {
+	if n.broken {
 		return
 	}
 	// Replay the global merge: every announced outgoing edge is merged.
 	// The inbox omits this replica's own broadcast, so it replays its
-	// lastSent alongside. Union order differs from the classic per-
-	// replica replay, but the merged edge set — hence the partition, the
+	// lastSent alongside. Union order differs from the bound run's
+	// vertex order, but the merged edge set — hence the partition, the
 	// labels, and the verdict — is identical.
 	n.run.apply(n.lastSent)
 	for _, m := range inbox {
-		n.run.apply(m.Bits)
-	}
-	n.run.endApply()
-}
-
-// ReceiveSends implements bcc.SendsReceiver: the raw broadcast vector
-// includes every vertex's own entry, so the winning replica replays it
-// verbatim.
-func (n *boruvkaNode) ReceiveSends(t int, sends []bcc.Message) {
-	if n.broken || !n.run.beginApply(t) {
-		return
-	}
-	for _, m := range sends {
 		n.run.apply(m.Bits)
 	}
 	n.run.endApply()
@@ -302,11 +289,9 @@ func (n *boruvkaNode) Label() int {
 }
 
 var (
-	_ bcc.Algorithm     = (*Boruvka)(nil)
-	_ bcc.RunBinder     = (*Boruvka)(nil)
-	_ bcc.Algorithm     = (*boruvkaRun)(nil)
-	_ bcc.RunReleaser   = (*boruvkaRun)(nil)
-	_ bcc.Decider       = (*boruvkaNode)(nil)
-	_ bcc.Labeler       = (*boruvkaNode)(nil)
-	_ bcc.SendsReceiver = (*boruvkaNode)(nil)
+	_ bcc.Algorithm = (*Boruvka)(nil)
+	_ bcc.RunBinder = (*Boruvka)(nil)
+	_ bcc.BoundRun  = (*boruvkaRun)(nil)
+	_ bcc.Decider   = (*boruvkaNode)(nil)
+	_ bcc.Labeler   = (*boruvkaNode)(nil)
 )

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"bcclique/internal/bcc"
 	"bcclique/internal/dsu"
@@ -17,20 +16,21 @@ import (
 // are measured against in experiment E12.
 //
 // At b = 1 flood is the bit plane's flagship rider: the row lives in a
-// bitset, SendBit is one shift, and ReceiveBits consumes 64 adjacency
+// bitset, SendBit is one shift, and HearBits consumes 64 adjacency
 // claims per word by trailing-zero iteration straight into the
 // incremental union-find.
 //
 // That union-find is a pure function of the broadcast transcript, so
 // under the runner's RunBinder protocol the n per-replica replicas
-// collapse into one run-shared Compact fed once per round by whichever
-// replica wins the apply — own bits included, since every vertex's own
+// collapse into one run-shared Compact that the run feeds once per
+// round as it hears it — own bits included, since every vertex's own
 // claims re-arrive through its own broadcast. Per-replica residue is
 // just the vertex's own adjacency row. On a schedule that covers the
 // whole row the shared partition is every non-broken replica's
 // partition; truncated runs refine a scratch copy with the replica's
 // own full row (the part of its knowledge the broadcasts never
-// delivered). Bare NewNode keeps the classic self-contained replica.
+// delivered). Bare NewNode keeps the classic self-contained replica,
+// driven by hand through Send and Receive.
 type Flood struct {
 	// B is the per-round bandwidth.
 	B int
@@ -62,15 +62,13 @@ func (a *Flood) BitPlane() bool { return a.B == 1 }
 var floodRunPool = sync.Pool{New: func() interface{} { return new(floodRun) }}
 
 // BindRun implements bcc.RunBinder: one shared claim partition per run.
-func (a *Flood) BindRun(in *bcc.Instance, _ int) bcc.Algorithm {
+func (a *Flood) BindRun(in *bcc.Instance, _ int) bcc.BoundRun {
 	r := floodRunPool.Get().(*floodRun)
 	r.Flood = a
 	r.in = in
-	r.pooled = true
 	r.maxRound = 0
 	r.finished = false
 	r.full = false
-	r.appliedRound.Store(0)
 	r.nextNode = 0
 	r.nodes = r.nodes[:0]
 	if ids := in.SortedIDs(); ids != nil {
@@ -117,12 +115,10 @@ type floodRun struct {
 	vertexRank []int32
 	rowLen     int
 	rowWords   int
-	maxRound   int
-	// appliedRound gates the once-per-round apply.
-	appliedRound atomic.Int64
-	nodes        []floodNode
-	nextNode     int
-	rowArena     []uint64
+	maxRound   int // last round heard that carried row bits
+	nodes      []floodNode
+	nextNode   int
+	rowArena   []uint64
 	// Shared outputs: full reports whether the schedule covered the
 	// whole row (then comp is every replica's partition and minRank
 	// holds per-rank component labels); scratch serves the truncated
@@ -131,7 +127,6 @@ type floodRun struct {
 	full     bool
 	minRank  []int32
 	scratch  *dsu.Compact
-	pooled   bool
 }
 
 // NewNode implements bcc.Algorithm on the bound run.
@@ -165,24 +160,58 @@ func (r *floodRun) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
 	return node
 }
 
-// ReleaseRun implements bcc.RunReleaser.
+// ReleaseRun implements bcc.BoundRun.
 func (r *floodRun) ReleaseRun() {
-	if !r.pooled {
-		return
-	}
 	r.Flood = nil
 	r.in = nil
 	r.ix = nil
 	floodRunPool.Put(r)
 }
 
-// beginApply claims round t's apply for the calling replica.
-func (r *floodRun) beginApply(round int) bool {
-	if !r.appliedRound.CompareAndSwap(int64(round-1), int64(round)) {
-		return false
+// Hear implements bcc.BoundRun: the vertex-indexed broadcast vector
+// carries every speaker's round-t row segment, own entry included, and
+// the run transcribes it verbatim into the shared partition. Every
+// non-broken vertex follows the same schedule, so the segment base is
+// (t−1)·b for every speaker — exactly what the private path's per-port
+// got counters would read.
+func (r *floodRun) Hear(t int, sends []bcc.Message) {
+	base := (t - 1) * r.B
+	if r.ix == nil || base >= r.rowLen {
+		return
+	}
+	r.maxRound = t
+	for u, m := range sends {
+		speaker := int(r.vertexRank[u])
+		for i := 0; i < int(m.Len); i++ {
+			pos := base + i
+			if pos >= r.rowLen {
+				break // trailing bits beyond the row encoding carry nothing
+			}
+			if m.BitAt(i) == 1 {
+				r.comp.Union(speaker, rowTarget(speaker, pos))
+			}
+		}
+	}
+}
+
+// HearBits implements bcc.BitHearer: 64 adjacency claims per word.
+// Every non-broken flood node speaks in exactly rounds 1..n−1, so in
+// round t every set value bit — own bits included — is a claim at row
+// position t−1 (the generic path's per-port got counters all read t−1
+// here; the equivalence suite pins this).
+func (r *floodRun) HearBits(round int, value, _ []uint64) {
+	pos := round - 1
+	if r.ix == nil || pos >= r.rowLen {
+		return
 	}
 	r.maxRound = round
-	return true
+	for wi, w := range value {
+		for w != 0 {
+			u := wi<<6 + bits.TrailingZeros64(w)
+			w &= w - 1
+			r.comp.Union(u, rowTarget(u, pos))
+		}
+	}
 }
 
 // finishShared decides, once, whether the run covered every row
@@ -248,10 +277,12 @@ func (a *Flood) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
 		node.rowBits[pos>>6] |= 1 << uint(pos&63)
 		node.comp.Union(int(node.self), nbr)
 	}
-	// The generic Message path needs per-port speaker ranks and bit
-	// counters; they are built lazily from the view on first Receive (a
-	// plane-bound node never materializes them).
-	node.view = view
+	// Per-port speaker ranks and bit counters for Receive.
+	node.portRank = make([]int32, view.NumPorts)
+	for p := range node.portRank {
+		node.portRank[p] = int32(node.ix.rank(view.PortID(p)))
+	}
+	node.got = make([]int32, view.NumPorts)
 	return node
 }
 
@@ -266,7 +297,7 @@ func rowTarget(speaker, pos int) int {
 }
 
 // floodNode is one replica: rank, own adjacency row, and — in private
-// mode only — its own union-find and per-port generic-path state.
+// mode only — its own union-find and per-port receive state.
 type floodNode struct {
 	run     *floodRun // non-nil → run-shared mode
 	b       int
@@ -277,7 +308,6 @@ type floodNode struct {
 	// Private-mode state.
 	ix       *indexer
 	comp     *dsu.Compact // union of every adjacency claim heard (plus our own)
-	view     bcc.View     // lazy port→rank source for the generic path
 	portRank []int32
 	got      []int32 // got[p] = adjacency-row bits received on port p so far
 	broken   bool
@@ -302,50 +332,12 @@ func (n *floodNode) Send(round int) bcc.Message {
 	return bcc.Word(payload, length)
 }
 
-// genericBind materializes the per-port state of the private Message
-// path.
-func (n *floodNode) genericBind() {
-	if n.portRank != nil {
-		return
-	}
-	n.portRank = make([]int32, n.view.NumPorts)
-	for p := 0; p < n.view.NumPorts; p++ {
-		n.portRank[p] = int32(n.ix.rank(n.view.PortID(p)))
-	}
-	n.got = make([]int32, n.view.NumPorts)
-}
-
-func (n *floodNode) Receive(t int, inbox []bcc.Message) {
+// Receive implements bcc.Node for a private replica; a bound run's
+// nodes hear nothing (the run hears for them).
+func (n *floodNode) Receive(_ int, inbox []bcc.Message) {
 	if n.broken {
 		return
 	}
-	if r := n.run; r != nil {
-		base := (t - 1) * n.b
-		if base >= int(n.rowLen) || !r.beginApply(t) {
-			return
-		}
-		// Transcribe the round into the shared partition: every
-		// speaker's claims, our own included — the inbox omits our
-		// broadcast, so our row segment is replayed directly.
-		for p, m := range inbox {
-			if m.Len == 0 {
-				continue
-			}
-			speaker := int(r.vertexRank[r.in.NeighborAt(int(n.self), p)])
-			n.applyClaims(speaker, m, base)
-		}
-		selfLen := int(n.rowLen) - base
-		if selfLen > n.b {
-			selfLen = n.b
-		}
-		for i := 0; i < selfLen; i++ {
-			if n.rowBit(base+i) != 0 {
-				r.comp.Union(int(n.self), rowTarget(int(n.self), base+i))
-			}
-		}
-		return
-	}
-	n.genericBind()
 	rowLen := n.rowLen
 	for p, m := range inbox {
 		if m.Len == 0 {
@@ -366,50 +358,13 @@ func (n *floodNode) Receive(t int, inbox []bcc.Message) {
 	}
 }
 
-// applyClaims unions one speaker's round-t row segment into the shared
-// partition. Every non-broken vertex follows the same schedule, so the
-// segment base is (t−1)·b for every speaker — exactly what the private
-// path's per-port got counters would read.
-func (n *floodNode) applyClaims(speaker int, m bcc.Message, base int) {
-	r := n.run
-	for i := 0; i < int(m.Len); i++ {
-		pos := base + i
-		if pos >= r.rowLen {
-			break
-		}
-		if m.BitAt(i) == 1 {
-			r.comp.Union(speaker, rowTarget(speaker, pos))
-		}
-	}
-}
-
-// ReceiveSends implements bcc.SendsReceiver: the vertex-indexed
-// broadcast vector carries every speaker's segment — own entry included
-// — so the winning replica transcribes it verbatim.
-func (n *floodNode) ReceiveSends(t int, sends []bcc.Message) {
-	r := n.run
-	if n.broken || r == nil {
-		return
-	}
-	base := (t - 1) * n.b
-	if base >= r.rowLen || !r.beginApply(t) {
-		return
-	}
-	for u, m := range sends {
-		if m.Len == 0 {
-			continue
-		}
-		n.applyClaims(int(r.vertexRank[u]), m, base)
-	}
-}
-
-// BindPlane implements bcc.BitNode. Flood's receive logic is
-// rank-indexed, so it accepts only the canonical plane, where plane
-// indices coincide with sorted-ID ranks; a materialized wiring sends
-// the run down the generic path.
+// BindPlane implements bcc.BitNode. The run's HearBits reads plane
+// indices as sorted-ID ranks, so a node accepts only the canonical
+// plane, where the two coincide; a materialized wiring sends the run
+// down the generic path.
 func (n *floodNode) BindPlane(self int, portTarget []int) bool {
 	if n.broken {
-		return true // inert: never speaks, ignores every round
+		return true // inert: never speaks
 	}
 	if portTarget != nil || self != int(n.self) {
 		return false
@@ -427,48 +382,6 @@ func (n *floodNode) SendBit(round int) (uint8, bool) {
 		return 0, false
 	}
 	return uint8(n.rowBit(pos)), true
-}
-
-// ReceiveBits implements bcc.BitNode: 64 adjacency claims per word.
-// Every non-broken flood node follows the same schedule — it speaks in
-// exactly rounds 1..n−1 — so in round t every set value bit is a claim
-// at row position t−1 (the generic path's per-port got counters all
-// read t−1 here; the equivalence suite pins this). In shared mode the
-// winning replica transcribes the whole word array, own bit included;
-// a private replica masks its own bit out — those claims were unioned
-// at construction.
-func (n *floodNode) ReceiveBits(round int, value, _ []uint64) {
-	if n.broken {
-		return
-	}
-	pos := round - 1
-	if pos >= int(n.rowLen) {
-		return
-	}
-	if r := n.run; r != nil {
-		if !r.beginApply(round) {
-			return
-		}
-		for wi, w := range value {
-			for w != 0 {
-				u := wi<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
-				r.comp.Union(u, rowTarget(u, pos))
-			}
-		}
-		return
-	}
-	selfW, selfM := int(n.self)>>6, uint64(1)<<uint(int(n.self)&63)
-	for wi, w := range value {
-		if wi == selfW {
-			w &^= selfM
-		}
-		for w != 0 {
-			u := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			n.comp.Union(u, rowTarget(u, pos))
-		}
-	}
 }
 
 // finalComp returns the partition this replica decides from: its own
@@ -539,13 +452,13 @@ func (n *floodNode) Label() int {
 }
 
 var (
-	_ bcc.Algorithm     = (*Flood)(nil)
-	_ bcc.BitAlgorithm  = (*Flood)(nil)
-	_ bcc.RunBinder     = (*Flood)(nil)
-	_ bcc.BitAlgorithm  = (*floodRun)(nil)
-	_ bcc.RunReleaser   = (*floodRun)(nil)
-	_ bcc.Decider       = (*floodNode)(nil)
-	_ bcc.Labeler       = (*floodNode)(nil)
-	_ bcc.BitNode       = (*floodNode)(nil)
-	_ bcc.SendsReceiver = (*floodNode)(nil)
+	_ bcc.Algorithm    = (*Flood)(nil)
+	_ bcc.BitAlgorithm = (*Flood)(nil)
+	_ bcc.RunBinder    = (*Flood)(nil)
+	_ bcc.BoundRun     = (*floodRun)(nil)
+	_ bcc.BitAlgorithm = (*floodRun)(nil)
+	_ bcc.BitHearer    = (*floodRun)(nil)
+	_ bcc.Decider      = (*floodNode)(nil)
+	_ bcc.Labeler      = (*floodNode)(nil)
+	_ bcc.BitNode      = (*floodNode)(nil)
 )

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"bcclique/internal/bcc"
 )
@@ -30,15 +29,15 @@ import (
 // boundary is decoded from both words. Under the runner's RunBinder
 // protocol the n per-replica stream tables (n−1 ID words plus n−1
 // streams each — the Θ(n²) dominating large cells) collapse into one
-// run-shared pair uid[u]/stream(u), filled once per round by whichever
-// replica wins the round's apply. On every complete schedule each
-// replica's reconstructed claim graph coincides with the shared one, so
-// verdict and labels are computed once and read per-replica in O(1);
-// only truncated runs, where the replicas' universes genuinely diverge
-// (a partial uid differs from a vertex's own full ID), reconstruct the
-// classic per-replica outputs from the shared streams. Bare NewNode
+// run-shared pair uid[u]/stream(u), filled once per round as the run
+// hears it. On every complete schedule each replica's reconstructed
+// claim graph coincides with the shared one, so verdict and labels are
+// computed once and read per-replica in O(1); only truncated runs,
+// where the replicas' universes genuinely diverge (a partial uid
+// differs from a vertex's own full ID), reconstruct the classic
+// per-replica outputs from the shared streams. Bare NewNode
 // keeps the old self-contained per-node accumulation for callers that
-// drive nodes by hand.
+// drive nodes by hand through Send and Receive.
 type KT0Exchange struct {
 	// MaxDegree is the degree bound the schedule is provisioned for.
 	MaxDegree int
@@ -98,9 +97,8 @@ func streamSlot(stream []uint64, s, idBits int) int {
 }
 
 // BitPlane implements bcc.BitAlgorithm: the algorithm is BCC(1) in
-// every configuration. Unlike the rank-space KT-1 nodes, kt0Node is
-// port-addressed, so it accepts any wiring by inverting the runner's
-// port→plane table once at binding time.
+// every configuration. Unlike the rank-space KT-1 runs, the shared
+// mirror is vertex-indexed, so it rides the plane under any wiring.
 func (a *KT0Exchange) BitPlane() bool { return true }
 
 // kt0RunPool recycles the run-shared stream tables and node arenas.
@@ -109,16 +107,14 @@ var kt0RunPool = sync.Pool{New: func() interface{} { return new(kt0Run) }}
 // BindRun implements bcc.RunBinder: one shared announcement mirror per
 // run. kt0-exchange reads nothing KT-1-specific, so binding works on
 // every knowledge variant.
-func (a *KT0Exchange) BindRun(in *bcc.Instance, _ int) bcc.Algorithm {
+func (a *KT0Exchange) BindRun(in *bcc.Instance, _ int) bcc.BoundRun {
 	r := kt0RunPool.Get().(*kt0Run)
 	n := in.N()
 	r.KT0Exchange = a
 	r.in = in
-	r.pooled = true
 	r.rounds = 0
 	r.finished = false
 	r.sharedValid = false
-	r.appliedRound.Store(0)
 	r.nextNode = 0
 	r.words = streamWords(a.MaxDegree, a.IDBits)
 	if cap(r.uid) < n {
@@ -145,20 +141,17 @@ func (a *KT0Exchange) BindRun(in *bcc.Instance, _ int) bcc.Algorithm {
 // kt0Run is the run-shared announcement mirror: uid[u] collects the
 // phase-1 bits vertex u broadcast, stream(u) its phase-2 slot stream —
 // exactly the columns every replica's per-port tables would have held.
-// The first replica to receive each round wins the CAS and transcribes
-// the round's broadcast vector; everyone else returns untouched.
+// The run transcribes each round's broadcasts as it hears them.
 type kt0Run struct {
 	*KT0Exchange
-	in     *bcc.Instance
-	uid    []uint64
-	stream []uint64 // n phase-2 streams, vertex-major
-	words  int      // length of one stream
-	rounds int      // last applied round = the run's actual length
-	// appliedRound gates the once-per-round transcription.
-	appliedRound atomic.Int64
-	nodes        []kt0Node
-	nextNode     int
-	nbrs         []int32 // per-node input-neighbour arena
+	in       *bcc.Instance
+	uid      []uint64
+	stream   []uint64 // n phase-2 streams, vertex-major
+	words    int      // length of one stream
+	rounds   int      // last heard round = the run's actual length
+	nodes    []kt0Node
+	nextNode int
+	nbrs     []int32 // per-node input-neighbour arena
 
 	// Shared outputs, computed lazily after the last round when the
 	// schedule ran to completion (see finishShared).
@@ -167,7 +160,6 @@ type kt0Run struct {
 	sharedIx    *indexer
 	sharedComp  []int32 // rank → smallest rank in its claim-graph component
 	sharedOne   bool    // claim graph is connected
-	pooled      bool
 }
 
 // NewNode implements bcc.Algorithm on the bound run. Nodes come out of
@@ -199,20 +191,36 @@ func (r *kt0Run) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
 	return node
 }
 
-// ReleaseRun implements bcc.RunReleaser.
+// ReleaseRun implements bcc.BoundRun.
 func (r *kt0Run) ReleaseRun() {
-	if !r.pooled {
-		return
-	}
 	r.KT0Exchange = nil
 	r.in = nil
 	r.sharedIx = nil
 	kt0RunPool.Put(r)
 }
 
-// beginApply claims round t's transcription for the calling replica.
-func (r *kt0Run) beginApply(round int) bool {
-	return r.appliedRound.CompareAndSwap(int64(round-1), int64(round))
+// Hear implements bcc.BoundRun: the broadcast vector is vertex-indexed
+// with every vertex's own entry present, which is exactly the shared
+// mirror's layout, so the run transcribes it verbatim.
+func (r *kt0Run) Hear(round int, sends []bcc.Message) {
+	r.rounds = round
+	for u, m := range sends {
+		r.accumulate(u, m.BitAt(0), round)
+	}
+}
+
+// HearBits implements bcc.BitHearer: only set value bits matter (the
+// generic path ORs zeros in as no-ops), so the run transcribes every
+// set bit, each vertex's own included, into the vertex-indexed tables.
+func (r *kt0Run) HearBits(round int, value, _ []uint64) {
+	r.rounds = round
+	for wi, w := range value {
+		for w != 0 {
+			u := wi<<6 + bits.TrailingZeros64(w)
+			w &= w - 1
+			r.accumulate(u, 1, round)
+		}
+	}
 }
 
 // streamOf returns vertex u's phase-2 stream in the mirror.
@@ -314,16 +322,9 @@ type kt0Node struct {
 	rounds     int      // private mode
 	self       int32    // shared mode: vertex index
 	nbrOfSlot  []int32  // shared mode: vertex behind the s-th input port
-	// Bit-plane state: planeSelf is our plane index; planePort[u] is
-	// the port behind plane index u (−1 for self), or nil under the
-	// canonical wiring, where port p of self is plane index p (p <
-	// self) or p+1. Shared mode needs neither: the mirror is
-	// vertex-indexed.
-	planeSelf int
-	planePort []int32
-	outDone   bool
-	out       componentOutputs
-	broken    bool
+	outDone    bool
+	out        componentOutputs
+	broken     bool
 }
 
 // heardID returns the phase-1 announcement of the vertex behind input
@@ -377,24 +378,10 @@ func (n *kt0Node) Send(round int) bcc.Message {
 	return bcc.Bit(bit)
 }
 
+// Receive implements bcc.Node for a private replica; a bound run's
+// nodes hear nothing (the run hears for them).
 func (n *kt0Node) Receive(round int, inbox []bcc.Message) {
 	if n.broken {
-		return
-	}
-	if r := n.run; r != nil {
-		if !r.beginApply(round) {
-			return
-		}
-		r.rounds = round
-		for p, m := range inbox {
-			r.accumulate(r.in.NeighborAt(int(n.self), p), m.BitAt(0), round)
-		}
-		// The inbox omits our own broadcast; transcribe it from the
-		// same schedule Send used (phase-2 sends read only phase-1
-		// state, stable since the phase boundary).
-		if bit, speak := n.sendBit(round); speak {
-			r.accumulate(int(n.self), bit, round)
-		}
 		return
 	}
 	n.rounds = round
@@ -405,56 +392,9 @@ func (n *kt0Node) Receive(round int, inbox []bcc.Message) {
 	}
 }
 
-// ReceiveSends implements bcc.SendsReceiver: the raw broadcast vector
-// is vertex-indexed with our own entry present, which is exactly the
-// shared mirror's layout — the winning replica transcribes it verbatim.
-func (n *kt0Node) ReceiveSends(round int, sends []bcc.Message) {
-	r := n.run
-	if n.broken || r == nil || !r.beginApply(round) {
-		return
-	}
-	r.rounds = round
-	for u, m := range sends {
-		if m.Len != 0 {
-			r.accumulate(u, m.BitAt(0), round)
-		}
-	}
-}
-
-// BindPlane implements bcc.BitNode: any wiring is accepted. Private
-// nodes invert the port→plane table into planePort so each incoming bit
-// is routed to the per-port stream the generic path would have filled;
-// shared nodes route by vertex index and need no table.
-func (n *kt0Node) BindPlane(self int, portTarget []int) bool {
-	if n.broken {
-		return true // inert
-	}
-	n.planeSelf = self
-	if n.run != nil || portTarget == nil {
-		n.planePort = nil
-		return true
-	}
-	pp := make([]int32, len(portTarget)+1)
-	for i := range pp {
-		pp[i] = -1
-	}
-	for p, u := range portTarget {
-		pp[u] = int32(p)
-	}
-	n.planePort = pp
-	return true
-}
-
-// portOfPlane maps a plane index to the port behind it (private mode).
-func (n *kt0Node) portOfPlane(u int) int {
-	if n.planePort != nil {
-		return int(n.planePort[u])
-	}
-	if u > n.planeSelf {
-		return u - 1
-	}
-	return u
-}
+// BindPlane implements bcc.BitNode: any wiring is accepted, since the
+// run's mirror is vertex-indexed.
+func (n *kt0Node) BindPlane(int, []int) bool { return true }
 
 // SendBit implements bcc.BitNode: the same two-phase schedule as Send.
 func (n *kt0Node) SendBit(round int) (uint8, bool) {
@@ -462,44 +402,6 @@ func (n *kt0Node) SendBit(round int) (uint8, bool) {
 		return 0, false
 	}
 	return n.sendBit(round)
-}
-
-// ReceiveBits implements bcc.BitNode: only set value bits matter (the
-// generic path ORs zeros in as no-ops). In shared mode the winning
-// replica transcribes every set bit — its own included, since uid[self]
-// is part of the mirror — into the vertex-indexed tables; private nodes
-// route each foreign bit through planePort to their per-port stream.
-func (n *kt0Node) ReceiveBits(round int, value, _ []uint64) {
-	if n.broken {
-		return
-	}
-	if r := n.run; r != nil {
-		if !r.beginApply(round) {
-			return
-		}
-		r.rounds = round
-		for wi, w := range value {
-			for w != 0 {
-				u := wi<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
-				r.accumulate(u, 1, round)
-			}
-		}
-		return
-	}
-	n.rounds = round
-	selfW, selfM := n.planeSelf>>6, uint64(1)<<uint(n.planeSelf&63)
-	for wi, w := range value {
-		if wi == selfW {
-			w &^= selfM
-		}
-		for w != 0 {
-			u := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			p := n.portOfPlane(u)
-			record(&n.portID[p], n.portStream(p), n.idBits, round)
-		}
-	}
 }
 
 func (n *kt0Node) outputs() componentOutputs {
@@ -596,13 +498,13 @@ func (n *kt0Node) Decide() bcc.Verdict { return n.outputs().verdict }
 func (n *kt0Node) Label() int { return n.outputs().label }
 
 var (
-	_ bcc.Algorithm     = (*KT0Exchange)(nil)
-	_ bcc.BitAlgorithm  = (*KT0Exchange)(nil)
-	_ bcc.RunBinder     = (*KT0Exchange)(nil)
-	_ bcc.BitAlgorithm  = (*kt0Run)(nil)
-	_ bcc.RunReleaser   = (*kt0Run)(nil)
-	_ bcc.Decider       = (*kt0Node)(nil)
-	_ bcc.Labeler       = (*kt0Node)(nil)
-	_ bcc.BitNode       = (*kt0Node)(nil)
-	_ bcc.SendsReceiver = (*kt0Node)(nil)
+	_ bcc.Algorithm    = (*KT0Exchange)(nil)
+	_ bcc.BitAlgorithm = (*KT0Exchange)(nil)
+	_ bcc.RunBinder    = (*KT0Exchange)(nil)
+	_ bcc.BoundRun     = (*kt0Run)(nil)
+	_ bcc.BitAlgorithm = (*kt0Run)(nil)
+	_ bcc.BitHearer    = (*kt0Run)(nil)
+	_ bcc.Decider      = (*kt0Node)(nil)
+	_ bcc.Labeler      = (*kt0Node)(nil)
+	_ bcc.BitNode      = (*kt0Node)(nil)
 )

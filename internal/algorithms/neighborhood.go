@@ -132,7 +132,7 @@ func (n *nbNode) SendBit(round int) (uint8, bool) {
 	return uint8(n.slots[slot]>>uint((round-1)%n.idxBits)) & 1, true
 }
 
-// ReceiveBits implements bcc.BitNode: only set value bits matter (the
+// ReceiveBits implements bcc.BitReceiver: only set value bits matter (the
 // generic path ORs silent and zero bits in as zeros), so the round is
 // consumed by trailing-zero iteration. Our own bit is skipped — the
 // rank-check form of the generic path's self-free inbox.
@@ -195,4 +195,5 @@ var (
 	_ bcc.Decider      = (*nbNode)(nil)
 	_ bcc.Labeler      = (*nbNode)(nil)
 	_ bcc.BitNode      = (*nbNode)(nil)
+	_ bcc.BitReceiver  = (*nbNode)(nil)
 )

@@ -14,13 +14,15 @@ import (
 //	spoke[v>>6] bit v&63 — whether vertex v broadcast at all
 //
 // Delivery is aliasing: a broadcast is the same for every listener, so
-// all n receivers read the *same* two word arrays instead of n
-// permuted (n−1)-slot Message inboxes. Self-exclusion, which the
-// Message vector implements by omitting the receiver from its inbox,
-// becomes a rank check inside the node. The per-round cost RoundBits[t]
-// is a popcount over the spoke mask, and transcript mode packs the
-// round's trits as 2-bit codes into one flat arena from which
-// TritString / TranscriptKey are derived directly.
+// the round is heard from the *same* two word arrays instead of n
+// permuted (n−1)-slot Message inboxes. A bound run (see BoundRun) hears
+// them once per round; only an unbound run's nodes each receive them,
+// and there self-exclusion, which the Message vector implements by
+// omitting the receiver from its inbox, becomes a rank check inside the
+// node. The per-round cost RoundBits[t] is a popcount over the spoke
+// mask, and transcript mode packs the round's trits as 2-bit codes into
+// one flat arena from which TritString / TranscriptKey are derived
+// directly.
 //
 // The plane is one of the two media RunContext's single round loop
 // drives (see medium in runner.go); it has no loop of its own. The
@@ -32,8 +34,8 @@ import (
 // BitAlgorithm is implemented by algorithms whose nodes can run on the
 // bit plane. The runner takes the fast path only when BitPlane()
 // reports true, the declared bandwidth is 1, no received transcripts
-// were requested, and every node accepts its plane binding; otherwise
-// the run falls back to the Message vector with identical results.
+// were requested, and the run accepts its plane binding; otherwise the
+// run falls back to the Message vector with identical results.
 type BitAlgorithm interface {
 	Algorithm
 	// BitPlane reports whether this configuration of the algorithm is
@@ -42,10 +44,11 @@ type BitAlgorithm interface {
 	BitPlane() bool
 }
 
-// BitNode is the word-parallel counterpart of Node. The runner calls
-// BindPlane once before round 1, then SendBit/ReceiveBits instead of
-// Send/Receive. Nodes must keep both interfaces consistent: the
-// equivalence suite pins SendBit against Send trit by trit.
+// BitNode is the send half of a plane node, the word-parallel
+// counterpart of Node.Send. The runner calls BindPlane once before
+// round 1, then SendBit instead of Send. Nodes must keep both
+// consistent: the equivalence suite pins SendBit against Send trit by
+// trit.
 type BitNode interface {
 	// BindPlane hands the node its simulation bookkeeping: self is the
 	// node's plane index (= vertex index), and portTarget[p] is the
@@ -60,11 +63,23 @@ type BitNode interface {
 	// SendBit is Send for the plane: the broadcast bit and whether the
 	// node speaks at all this round (false is the paper's ⊥).
 	SendBit(round int) (bit uint8, speak bool)
-	// ReceiveBits delivers the round: value and spoke are the shared
-	// planes described above, aliased by every listener and reused
-	// between rounds — nodes must not retain or mutate them. The
-	// node's own bit is present; excluding it is the node's rank check.
+}
+
+// BitReceiver is the receive half of a plane node in an unbound run:
+// the runner calls ReceiveBits on every node instead of Receive. value
+// and spoke are the shared planes described above, aliased by every
+// listener and reused between rounds — nodes must not retain or mutate
+// them. The node's own bit is present; excluding it is the node's rank
+// check.
+type BitReceiver interface {
 	ReceiveBits(round int, value, spoke []uint64)
+}
+
+// BitHearer is BoundRun.Hear for the plane: a 1-bit bound run hears
+// each round once, as the value/spoke words with every vertex's own
+// bit present. The words are runner-owned and reused between rounds.
+type BitHearer interface {
+	HearBits(round int, value, spoke []uint64)
 }
 
 // tritPlane is the packed transcript of a bit-plane run: one flat arena
@@ -140,10 +155,18 @@ func (tp *tritPlane) tritKey(v int) (TranscriptKey, error) {
 // slot, shardSize·rounds, is a multiple of the arena's 32 codes per
 // word, so shards never share a trit word either.
 type bitPlane struct {
-	nodes []BitNode
+	nodes []planeNode
+	run   BitHearer // a bound run hears each round once
 	value []uint64
 	spoke []uint64
 	trits *tritPlane // nil under WithoutTranscripts
+}
+
+// planeNode is one vertex on the plane: its send half and, in an
+// unbound run, its receive half (nil in a bound run).
+type planeNode struct {
+	BitNode
+	BitReceiver
 }
 
 var planePool = sync.Pool{New: func() interface{} { return new(bitPlane) }}
@@ -153,7 +176,7 @@ func acquirePlane(n int) *bitPlane {
 	p := planePool.Get().(*bitPlane)
 	words := (n + 63) / 64
 	if cap(p.nodes) < n {
-		p.nodes = make([]BitNode, n)
+		p.nodes = make([]planeNode, n)
 	}
 	if cap(p.value) < words {
 		p.value = make([]uint64, words)
@@ -163,14 +186,28 @@ func acquirePlane(n int) *bitPlane {
 	return p
 }
 
-// bind type-asserts every node onto the plane and binds it. Any node
-// that is not a BitNode, or declines its binding, sends the whole run
-// down the Message vector.
-func (p *bitPlane) bind(in *Instance, nodes []Node, rounds int, o options) bool {
+// bind type-asserts the run onto the plane and binds every node. A
+// bound run that cannot hear bits, a node that is not a BitNode (or, in
+// an unbound run, not a BitReceiver), or a node that declines its
+// binding sends the whole run down the Message vector.
+func (p *bitPlane) bind(in *Instance, run BoundRun, nodes []Node, rounds int, o options) bool {
+	if run != nil {
+		h, ok := run.(BitHearer)
+		if !ok {
+			return false
+		}
+		p.run = h
+	}
 	for v, node := range nodes {
 		bn, ok := node.(BitNode)
 		if !ok {
 			return false
+		}
+		var br BitReceiver
+		if run == nil {
+			if br, ok = node.(BitReceiver); !ok {
+				return false
+			}
 		}
 		var portTarget []int
 		if !in.canonical {
@@ -179,7 +216,7 @@ func (p *bitPlane) bind(in *Instance, nodes []Node, rounds int, o options) bool 
 		if !bn.BindPlane(v, portTarget) {
 			return false
 		}
-		p.nodes[v] = bn
+		p.nodes[v] = planeNode{bn, br}
 	}
 	if !o.noTranscripts {
 		p.trits = newTritPlane(len(nodes), rounds)
@@ -219,10 +256,13 @@ func (p *bitPlane) send(t, first, limit int) (int, error) {
 	return rb, nil
 }
 
-func (p *bitPlane) deliver(t, first, limit int) {
-	value, spoke := p.value, p.spoke
-	for _, node := range p.nodes[first:limit] {
-		node.ReceiveBits(t, value, spoke)
+func (p *bitPlane) deliver(t int) {
+	if p.run != nil {
+		p.run.HearBits(t, p.value, p.spoke)
+		return
+	}
+	for _, node := range p.nodes {
+		node.ReceiveBits(t, p.value, p.spoke)
 	}
 }
 
@@ -233,10 +273,10 @@ func (p *bitPlane) finish(res *Result) {
 	}
 }
 
-// release drops the run's nodes and trit arena and pools the words.
+// release drops the run, its nodes and trit arena and pools the words.
 func (p *bitPlane) release() {
 	clear(p.nodes)
-	p.trits = nil
+	p.run, p.trits = nil, nil
 	planePool.Put(p)
 }
 

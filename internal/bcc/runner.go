@@ -96,7 +96,8 @@ type Algorithm interface {
 
 // Node is the per-vertex state machine. In each round t = 1, 2, ... the
 // runner first calls Send(t) on every node, then delivers all broadcasts
-// via Receive(t, inbox), where inbox[p] holds the message heard on port p.
+// via Receive(t, inbox), where inbox[p] holds the message heard on port p
+// — except in a bound run, which hears the round itself (see BoundRun).
 // The inbox slice is reused between rounds; nodes must copy anything they
 // retain.
 type Node interface {
@@ -107,38 +108,34 @@ type Node interface {
 // RunBinder is an optional Algorithm interface for shared-substrate
 // protocols. When implemented, the runner calls BindRun once per run —
 // after the round count is resolved, before any node is built — and
-// uses the returned per-run Algorithm to construct nodes. The bound
-// algorithm typically carries run-shared state (a frozen instance
-// substrate plus the broadcast mirror every replica would otherwise
-// replicate), so n replicas shrink to compact per-replica residue.
+// builds the run's nodes from the returned BoundRun. The bound run
+// typically carries run-shared state (a frozen instance substrate plus
+// the broadcast mirror every replica would otherwise replicate), so n
+// replicas shrink to compact per-replica residue.
 //
 // Implementing RunBinder also opts the algorithm into the intra-cell
 // replica-parallel round loop: it declares that distinct nodes of one
-// run may execute their Send (and SendsReceiver/BitNode delivery)
-// phases concurrently. The bound algorithm must implement BitAlgorithm
-// whenever the original does.
+// run may execute Send (or SendBit) concurrently. The bound run must
+// implement BitAlgorithm and BitHearer whenever the original algorithm
+// implements BitAlgorithm.
 type RunBinder interface {
-	BindRun(in *Instance, rounds int) Algorithm
+	BindRun(in *Instance, rounds int) BoundRun
 }
 
-// RunReleaser is an optional interface of the Algorithm returned by
-// BindRun. ReleaseRun is called when the run's outputs have been fully
-// extracted, so bound algorithms can hand pooled arenas back for the
-// next run.
-type RunReleaser interface {
+// BoundRun is the per-run algorithm BindRun returns. In BCC every
+// vertex hears the same broadcast vector, so the run hears each round
+// once on behalf of all its nodes, and the runner never delivers to
+// the nodes themselves. After round t's send barrier the runner calls
+// Hear(t, sends) exactly once, on its own goroutine, with the round's
+// broadcasts indexed by vertex (every vertex's own entry included); the
+// slice is runner-owned and reused between rounds, so the run must not
+// retain it. On the bit plane the run hears through BitHearer instead.
+// ReleaseRun is called once the run's outputs have been extracted, so
+// the run can hand pooled arenas back for the next run.
+type BoundRun interface {
+	Algorithm
+	Hear(round int, sends []Message)
 	ReleaseRun()
-}
-
-// SendsReceiver is an optional Node interface: a node that can consume
-// the round's raw broadcast vector indexed by vertex (its own entry
-// included — excluding it is the node's business), instead of a
-// per-port inbox. The runner prefers it whenever received transcripts
-// were not requested, which kills the Θ(n²)-per-round inbox assembly;
-// the slice is runner-owned and reused between rounds, so nodes must
-// not retain it. Nodes must keep Receive and ReceiveSends consistent:
-// the equivalence suite pins both deliveries against each other.
-type SendsReceiver interface {
-	ReceiveSends(round int, sends []Message)
 }
 
 // Decider is implemented by nodes solving decision problems such as
@@ -295,18 +292,17 @@ func RunContext(ctx context.Context, in *Instance, algo Algorithm, opts ...Optio
 	// never per round — so the hot loop stays allocation-free.
 	span := obs.FromContext(ctx)
 
-	// Shared-substrate algorithms bind once per run; the bound algorithm
-	// owns the run's shared state and is what nodes are built from.
-	// Binding also opts the run into intra-cell sharding at large n.
+	// Shared-substrate algorithms bind once per run; the bound run owns
+	// the run's shared state, is what nodes are built from, and hears
+	// every round. Binding also opts the run into intra-cell sharding at
+	// large n.
 	bindSpan := span.Child("bind")
 	runAlgo := algo
-	bound := false
+	var run BoundRun
 	if rb, ok := algo.(RunBinder); ok {
-		runAlgo = rb.BindRun(in, rounds)
-		bound = true
-		if rr, ok := runAlgo.(RunReleaser); ok {
-			defer rr.ReleaseRun()
-		}
+		run = rb.BindRun(in, rounds)
+		runAlgo = run
+		defer run.ReleaseRun()
 	}
 
 	nodes := make([]Node, n)
@@ -315,7 +311,7 @@ func RunContext(ctx context.Context, in *Instance, algo Algorithm, opts ...Optio
 	}
 	bindSpan.SetStr("algorithm", runAlgo.Name())
 	bindSpan.SetNum("n", float64(n))
-	if bound {
+	if run != nil {
 		bindSpan.SetNum("bound", 1)
 	}
 	bindSpan.End()
@@ -324,14 +320,15 @@ func RunContext(ctx context.Context, in *Instance, algo Algorithm, opts ...Optio
 	// writes every slot, so stale pool contents are inert.
 	res := &Result{Rounds: rounds, RoundBits: takeInts(rounds)}
 
-	// The medium carries the run's broadcasts; the shard group drives it.
-	// Run-bound algorithms at large n split each phase into fixed
-	// replica shards over helpers drawn from the same process-wide
-	// budget as RunGrid's cell fan-out, when the medium can deliver
-	// concurrently; every other run is the group's one-shard case.
-	m, concurrent := bindMedium(in, runAlgo, nodes, b, res, o)
+	// The medium carries the run's broadcasts; the shard group drives
+	// its send phase. A bound run at large n splits each send phase into
+	// fixed replica shards over helpers drawn from the same process-wide
+	// budget as RunGrid's cell fan-out; every other run is the group's
+	// one-shard case. The round is heard on this goroutine, after the
+	// send barrier.
+	m := bindMedium(in, runAlgo, run, nodes, b, res, o)
 	defer m.release()
-	sg := acquireShardGroup(m, n, bound && concurrent && n >= intraCellThreshold())
+	sg := acquireShardGroup(m, n, run != nil && n >= intraCellThreshold())
 	defer sg.release()
 
 	roundsSpan := span.Child("rounds")
@@ -346,7 +343,7 @@ func RunContext(ctx context.Context, in *Instance, algo Algorithm, opts ...Optio
 		}
 		res.RoundBits[t-1] = bits
 		res.TotalBits += bits
-		sg.deliver(t)
+		m.deliver(t)
 	}
 	if err != nil {
 		recycleInts(res.RoundBits)
@@ -363,58 +360,52 @@ func RunContext(ctx context.Context, in *Instance, algo Algorithm, opts ...Optio
 
 // medium is what differs between the round loop's two paths: how a
 // round's broadcasts are collected, counted and heard. RunContext's
-// loop drives it a shard of vertices at a time; send and deliver touch
-// only the vertices in [first, limit) and state no other shard writes,
-// so a medium whose nodes all take concurrent delivery can be sharded.
-// Both implementations are pooled and drop the run's nodes on release.
+// loop drives its send phase a shard of vertices at a time — send
+// touches only the vertices in [first, limit) and state no other shard
+// writes — and hears each round whole, on the calling goroutine. Both
+// implementations are pooled and drop the run's nodes on release.
 type medium interface {
 	// send collects round t's broadcasts from vertices [first, limit)
 	// and returns how many bits they broadcast.
 	send(t, first, limit int) (int, error)
-	// deliver hands round t's broadcasts to vertices [first, limit).
-	deliver(t, first, limit int)
+	// deliver hands round t's broadcasts to the run: once to a bound
+	// run, or to every node of an unbound one.
+	deliver(t int)
 	// finish attaches the medium's transcripts to a completed run.
 	finish(res *Result)
 	release()
 }
 
 // bindMedium picks the run's medium. The bit plane serves 1-bit
-// algorithms whose nodes all accept a plane binding; received-transcript
-// runs need per-port inboxes and take the Message vector, as does
-// everything multi-bit. concurrent reports whether shards may deliver
-// in parallel: always on the plane, and on the vector only when every
-// node consumes the raw broadcast vector.
-func bindMedium(in *Instance, algo Algorithm, nodes []Node, b int, res *Result, o options) (m medium, concurrent bool) {
+// algorithms that accept a plane binding: a bound run must hear bits,
+// and every node must take its binding (and, in an unbound run, receive
+// bits). Received-transcript runs need per-port inboxes and take the
+// Message vector, as does everything multi-bit.
+func bindMedium(in *Instance, algo Algorithm, run BoundRun, nodes []Node, b int, res *Result, o options) medium {
 	if ba, ok := algo.(BitAlgorithm); ok && b == 1 && !o.noBitPlane && !o.recordReceived && ba.BitPlane() {
 		p := acquirePlane(len(nodes))
-		if p.bind(in, nodes, res.Rounds, o) {
-			return p, true
+		if p.bind(in, run, nodes, res.Rounds, o) {
+			return p
 		}
 		p.release()
 	}
-	mv := acquireVector(in, nodes, b, res, o)
-	return mv, mv.allSR
+	return acquireVector(in, run, nodes, b, res, o)
 }
 
 // messageVector is the generic medium: one Message per vertex per
-// round, the per-port inbox for nodes that need one, and the Sent (and
-// optionally Received) transcripts. The scratch is pooled across runs
-// (and across the worker goroutines of a sweep grid) so the hot loop is
-// allocation-free once the pool has warmed up for a given instance
-// size; every slot is overwritten before it is read, so stale pool
-// contents are inert.
+// round, the per-port inbox of an unbound run's nodes, and the Sent
+// (and optionally Received) transcripts. The scratch is pooled across
+// runs (and across the worker goroutines of a sweep grid) so the hot
+// loop is allocation-free once the pool has warmed up for a given
+// instance size; every slot is overwritten before it is read, so stale
+// pool contents are inert.
 type messageVector struct {
-	in    *Instance
-	b     int
-	nodes []Node
-	// sr[v] is non-nil when vertex v consumes the raw broadcast vector
-	// (SendsReceiver) instead of an assembled per-port inbox, skipping
-	// the Θ(n) inbox assembly per vertex. Received-transcript runs need
-	// the assembled inboxes, so there sr stays all nil.
-	sr          []SendsReceiver
-	allSR       bool
+	in          *Instance
+	b           int
+	nodes       []Node
+	run         BoundRun // nil for an unbound run
 	sends       []Message
-	inbox       []Message // one vertex's inbox: the fallback is sequential
+	inbox       []Message // one vertex's inbox, assembled in turn
 	transcripts []Transcript
 	received    bool
 }
@@ -423,24 +414,15 @@ var vectorPool = sync.Pool{New: func() interface{} { return new(messageVector) }
 
 // acquireVector returns a pooled vector bound to the run's nodes, with
 // res's transcripts allocated unless the run records none.
-func acquireVector(in *Instance, nodes []Node, b int, res *Result, o options) *messageVector {
+func acquireVector(in *Instance, run BoundRun, nodes []Node, b int, res *Result, o options) *messageVector {
 	mv := vectorPool.Get().(*messageVector)
 	n, rounds := len(nodes), res.Rounds
 	if cap(mv.sends) < n {
 		mv.sends = make([]Message, n)
 		mv.inbox = make([]Message, n-1)
-		mv.sr = make([]SendsReceiver, n)
 	}
-	mv.sends, mv.inbox, mv.sr = mv.sends[:n], mv.inbox[:n-1], mv.sr[:n]
-	mv.in, mv.b, mv.nodes, mv.received = in, b, nodes, o.recordReceived
-	mv.allSR = !o.recordReceived
-	if !o.recordReceived {
-		for v, node := range nodes {
-			sr, ok := node.(SendsReceiver)
-			mv.sr[v] = sr
-			mv.allSR = mv.allSR && ok
-		}
-	}
+	mv.sends, mv.inbox = mv.sends[:n], mv.inbox[:n-1]
+	mv.in, mv.b, mv.nodes, mv.run, mv.received = in, b, nodes, run, o.recordReceived
 	if !o.noTranscripts {
 		res.Transcripts = make([]Transcript, n)
 		// One flat arena backs every vertex's Sent transcript: n slices
@@ -475,19 +457,21 @@ func (mv *messageVector) send(t, first, limit int) (int, error) {
 	return rb, nil
 }
 
-func (mv *messageVector) deliver(t, first, limit int) {
+// deliver hears round t. A bound run hears the vertex-indexed vector
+// once. Otherwise each node receives its per-port inbox; a
+// received-transcript run assembles and records every inbox, and then
+// a bound run hears the round.
+func (mv *messageVector) deliver(t int) {
 	in, sends, inbox, n := mv.in, mv.sends, mv.inbox, len(mv.nodes)
+	if mv.run != nil && !mv.received {
+		mv.run.Hear(t, sends)
+		return
+	}
 	var recvArena []Message
 	if mv.received {
-		recvArena = make([]Message, (limit-first)*(n-1))
+		recvArena = make([]Message, n*(n-1))
 	}
-	sr := mv.sr[first:limit]
-	for i, node := range mv.nodes[first:limit] {
-		if sr[i] != nil {
-			sr[i].ReceiveSends(t, sends)
-			continue
-		}
-		v := first + i
+	for v, node := range mv.nodes {
 		if in.canonical {
 			// Canonical ascending-ID wiring: port p of v carries vertex
 			// p (p < v) or p+1, so delivery is two block copies instead
@@ -503,12 +487,17 @@ func (mv *messageVector) deliver(t, first, limit int) {
 				inbox[p] = sends[u]
 			}
 		}
-		node.Receive(t, inbox)
+		if mv.run == nil {
+			node.Receive(t, inbox)
+		}
 		if mv.received {
-			row := recvArena[i*(n-1) : (i+1)*(n-1) : (i+1)*(n-1)]
+			row := recvArena[v*(n-1) : (v+1)*(n-1) : (v+1)*(n-1)]
 			copy(row, inbox)
 			mv.transcripts[v].Received = append(mv.transcripts[v].Received, row)
 		}
+	}
+	if mv.run != nil {
+		mv.run.Hear(t, sends)
 	}
 }
 
@@ -518,8 +507,7 @@ func (mv *messageVector) finish(*Result) {}
 // release drops the run's instance, nodes and transcripts and pools the
 // scratch.
 func (mv *messageVector) release() {
-	clear(mv.sr)
-	mv.in, mv.nodes, mv.transcripts = nil, nil, nil
+	mv.in, mv.nodes, mv.run, mv.transcripts = nil, nil, nil, nil
 	vectorPool.Put(mv)
 }
 

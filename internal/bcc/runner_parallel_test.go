@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"bcclique/internal/obs"
@@ -145,21 +146,26 @@ func TestEstimateErrorParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// loopProbe is a run-bound BCC(1) algorithm whose nodes ride either
-// medium and take concurrent delivery on both, so its runs shard
-// whenever the threshold allows. Vertices listed in greedy broadcast
-// two bits on the Message vector.
+// loopProbe is a run-bound BCC(1) algorithm that rides either medium,
+// hearing each round itself, so its runs shard whenever the threshold
+// allows. Vertices listed in greedy broadcast two bits on the Message
+// vector.
 type loopProbe struct {
 	plane  bool
 	greedy map[int]bool
 }
 
-func (loopProbe) Name() string                       { return "loop-probe" }
-func (loopProbe) Bandwidth() int                     { return 1 }
-func (loopProbe) Rounds(int) int                     { return 3 }
-func (p loopProbe) BitPlane() bool                   { return p.plane }
-func (p loopProbe) BindRun(*Instance, int) Algorithm { return p }
-func (p loopProbe) NewNode(view View, _ *Coin) Node  { return loopNode{greedy: p.greedy[view.ID]} }
+var _ RunBinder = loopProbe{}
+
+func (loopProbe) Name() string                      { return "loop-probe" }
+func (loopProbe) Bandwidth() int                    { return 1 }
+func (loopProbe) Rounds(int) int                    { return 3 }
+func (p loopProbe) BitPlane() bool                  { return p.plane }
+func (p loopProbe) BindRun(*Instance, int) BoundRun { return p }
+func (p loopProbe) NewNode(view View, _ *Coin) Node { return loopNode{greedy: p.greedy[view.ID]} }
+func (loopProbe) Hear(int, []Message)               {}
+func (loopProbe) HearBits(int, []uint64, []uint64)  {}
+func (loopProbe) ReleaseRun()                       {}
 
 type loopNode struct{ greedy bool }
 
@@ -169,11 +175,9 @@ func (n loopNode) Send(int) Message {
 	}
 	return Bit(1)
 }
-func (loopNode) Receive(int, []Message)              {}
-func (loopNode) ReceiveSends(int, []Message)         {}
-func (loopNode) BindPlane(int, []int) bool           { return true }
-func (loopNode) SendBit(int) (uint8, bool)           { return 1, true }
-func (loopNode) ReceiveBits(int, []uint64, []uint64) {}
+func (loopNode) Receive(int, []Message)    {}
+func (loopNode) BindPlane(int, []int) bool { return true }
+func (loopNode) SendBit(int) (uint8, bool) { return 1, true }
 
 // TestRunErrorPaths pins the round loop's one error exit on both media
 // and both shard layouts: a ctx cancelled before round 1 returns
@@ -248,5 +252,193 @@ func TestRunErrorPaths(t *testing.T) {
 	}
 	if got := IntraCellShardsInFlight(); got != 0 {
 		t.Fatalf("%d shards still in flight after every run ended", got)
+	}
+}
+
+// hearProbe is a bound BCC(1) run that logs what the round loop does
+// to it. Its nodes count their sends and receives in atomic counters,
+// and each send checks that the previous round was already heard; the
+// run records every round it hears, with the send count at that moment
+// and whether the broadcasts it heard match hearMsg. It rides either
+// medium.
+type hearProbe struct {
+	plane     bool
+	n         int
+	sends     atomic.Int64
+	receives  atomic.Int64
+	early     atomic.Int64 // sends of round t made before round t−1 was heard
+	lastHeard int          // written by the run, read by every send
+	heard     []hearing
+}
+
+type hearing struct {
+	round int
+	sends int64 // node sends counted when the round was heard
+	bits  bool  // heard through HearBits
+	ok    bool  // the heard broadcasts are every vertex's hearMsg
+}
+
+var _ RunBinder = (*hearProbe)(nil)
+
+// hearMsg is vertex v's round-t broadcast: a mix of 0, 1 and silence.
+func hearMsg(v, t int) Message {
+	switch (7*v + t) % 3 {
+	case 0:
+		return Bit(0)
+	case 1:
+		return Bit(1)
+	}
+	return Silence
+}
+
+func (p *hearProbe) Name() string                    { return "hear-probe" }
+func (p *hearProbe) Bandwidth() int                  { return 1 }
+func (p *hearProbe) Rounds(int) int                  { return 5 }
+func (p *hearProbe) BitPlane() bool                  { return p.plane }
+func (p *hearProbe) BindRun(*Instance, int) BoundRun { return p }
+func (p *hearProbe) NewNode(view View, _ *Coin) Node { return hearNode{p: p, v: view.ID} }
+func (p *hearProbe) ReleaseRun()                     {}
+
+func (p *hearProbe) Hear(t int, sends []Message) {
+	ok := len(sends) == p.n
+	for u, m := range sends {
+		ok = ok && m == hearMsg(u, t)
+	}
+	p.record(t, false, ok)
+}
+
+func (p *hearProbe) HearBits(t int, value, spoke []uint64) {
+	ok := true
+	for u := 0; u < p.n; u++ {
+		m := hearMsg(u, t)
+		w, bit := u>>6, uint(u&63)
+		ok = ok && spoke[w]>>bit&1 == uint64(m.Len) && value[w]>>bit&1 == m.Bits
+	}
+	p.record(t, true, ok)
+}
+
+func (p *hearProbe) record(t int, bits, ok bool) {
+	p.heard = append(p.heard, hearing{round: t, sends: p.sends.Load(), bits: bits, ok: ok})
+	p.lastHeard = t
+}
+
+// hearNode is vertex v of a hearProbe run; the vertex index is its ID
+// under SequentialIDs.
+type hearNode struct {
+	p *hearProbe
+	v int
+}
+
+func (n hearNode) send(t int) Message {
+	if n.p.lastHeard != t-1 {
+		n.p.early.Add(1)
+	}
+	n.p.sends.Add(1)
+	return hearMsg(n.v, t)
+}
+
+func (n hearNode) Send(t int) Message { return n.send(t) }
+func (n hearNode) SendBit(t int) (uint8, bool) {
+	m := n.send(t)
+	return uint8(m.Bits), m.Len != 0
+}
+func (hearNode) BindPlane(int, []int) bool             { return true }
+func (n hearNode) Receive(int, []Message)              { n.p.receives.Add(1) }
+func (n hearNode) ReceiveBits(int, []uint64, []uint64) { n.p.receives.Add(1) }
+
+// TestBoundRunHearsOncePerRound pins the BoundRun contract on both
+// media and both shard layouts, and on a received-transcript run: the
+// run hears rounds 1..R exactly once each, in order; when it hears
+// round t all n·t sends of rounds 1..t have happened and none of round
+// t+1; the broadcasts it hears are the ones sent; no node receives
+// anything; and every recorded inbox slot is the Sent entry of the
+// vertex behind that port. The wiring is a rotation, so ports and
+// vertices differ. Under -race (make stress), the sends' plain read of
+// lastHeard also checks that each hearing happens before the next
+// sharded send phase.
+func TestBoundRunHearsOncePerRound(t *testing.T) {
+	const n = 300 // two shards when sharded
+	in, err := NewKT0(SequentialIDs(n), cycleInput(t, n), RotationWiring(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel.SetLimit(3)
+	defer parallel.SetLimit(0)
+	defer SetIntraCellMinN(SetIntraCellMinN(0))
+	layouts := []struct {
+		name   string
+		minN   int
+		shards int
+	}{{"one-shard", 1 << 30, 0}, {"sharded", 1, 2}}
+	cases := []struct {
+		name            string
+		plane, received bool
+	}{{"vector", false, false}, {"plane", true, false}, {"vector-received", false, true}}
+	for _, layout := range layouts {
+		SetIntraCellMinN(layout.minN)
+		for _, c := range cases {
+			name := layout.name + "/" + c.name
+			probe := &hearProbe{plane: c.plane, n: n}
+			var opts []Option
+			if c.received {
+				opts = append(opts, WithReceivedTranscripts())
+			}
+			tr := obs.New(64)
+			ctx, root := tr.Root(context.Background(), "run", name)
+			res, err := RunContext(ctx, in, probe, opts...)
+			root.End()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if res.BitPlane != c.plane {
+				t.Fatalf("%s: BitPlane = %v", name, res.BitPlane)
+			}
+			shards := -1
+			for _, rec := range tr.Trace(name) {
+				if rec.Name == "rounds" {
+					a, _ := rec.Attr("shards")
+					shards = int(a.Num)
+				}
+			}
+			if shards != layout.shards {
+				t.Fatalf("%s: rounds span shards = %d, want %d", name, shards, layout.shards)
+			}
+			if len(probe.heard) != res.Rounds {
+				t.Fatalf("%s: heard %d rounds, want %d", name, len(probe.heard), res.Rounds)
+			}
+			for i, h := range probe.heard {
+				if want := i + 1; h.round != want {
+					t.Fatalf("%s: hearing %d was round %d, want %d", name, i, h.round, want)
+				}
+				if want := int64(n * h.round); h.sends != want {
+					t.Fatalf("%s: round %d heard after %d sends, want %d", name, h.round, h.sends, want)
+				}
+				if h.bits != c.plane {
+					t.Fatalf("%s: round %d heard through HearBits = %v", name, h.round, h.bits)
+				}
+				if !h.ok {
+					t.Fatalf("%s: round %d heard broadcasts that were not sent", name, h.round)
+				}
+			}
+			if got := probe.early.Load(); got != 0 {
+				t.Fatalf("%s: %d sends ran before the previous round was heard", name, got)
+			}
+			if got := probe.receives.Load(); got != 0 {
+				t.Fatalf("%s: nodes of a bound run received %d times", name, got)
+			}
+			if !c.received {
+				continue
+			}
+			for v := 0; v < n; v++ {
+				for r := 0; r < res.Rounds; r++ {
+					for p, got := range res.Transcripts[v].Received[r] {
+						u := in.NeighborAt(v, p)
+						if want := res.Transcripts[u].Sent[r]; got != want {
+							t.Fatalf("%s: vertex %d round %d port %d received %v, vertex %d sent %v", name, v, r+1, p, got, u, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

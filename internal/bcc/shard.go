@@ -9,19 +9,19 @@ import (
 
 // Intra-cell replica parallelism: at large n one cell dominates a sweep
 // and RunGrid's cell-level fan-out has nothing left to parallelize, so
-// the runner shards the replicas of a single round across helper
-// goroutines. Every run's round loop goes through a shardGroup: a run
-// below the threshold, or one whose medium cannot deliver concurrently,
-// is the one-shard case, drained by the calling goroutine with no
-// helpers. Send phases are embarrassingly parallel (each replica writes
-// only its own state and its own slot of the medium); the barrier
-// between the send and delivery phases preserves the round-synchronous
-// semantics, and shard→replica assignment is a fixed function of the
-// index, so outputs are bit-identical at every worker count. Helper
-// goroutines come out of the same process-wide parallel.Acquire budget
-// as RunGrid's workers: a machine-wide limit of L means at most L
-// simulation goroutines no matter how the cell-level and intra-cell
-// layers split them.
+// the runner shards the replicas of a single round's send phase across
+// helper goroutines. Every run's send phase goes through a shardGroup:
+// an unbound run, or a bound one below the threshold, is the one-shard
+// case, drained by the calling goroutine with no helpers. Send phases
+// are embarrassingly parallel (each replica writes only its own state
+// and its own slot of the medium); the barrier at the end of the phase
+// precedes the round's one hearing on the calling goroutine, which
+// preserves the round-synchronous semantics, and shard→replica
+// assignment is a fixed function of the index, so outputs are
+// bit-identical at every worker count. Helper goroutines come out of
+// the same process-wide parallel.Acquire budget as RunGrid's workers: a
+// machine-wide limit of L means at most L simulation goroutines no
+// matter how the cell-level and intra-cell layers split them.
 
 // shardSize is the number of replicas per shard. It is a multiple of 64
 // so shard boundaries are word-aligned on the bit plane: concurrent
@@ -38,7 +38,7 @@ const defaultIntraCellMinN = 2048
 var intraCellMinN atomic.Int64
 
 // SetIntraCellMinN sets the smallest n at which runs of run-bound
-// algorithms shard their rounds across helper goroutines, returning
+// algorithms shard their send phases across helper goroutines, returning
 // the previous threshold. n <= 0 restores the default. The equivalence
 // suite uses it to drive small instances down the parallel path.
 func SetIntraCellMinN(n int) int {
@@ -67,7 +67,7 @@ var intraShardsInFlight atomic.Int64
 // executing right now across every run in the process.
 func IntraCellShardsInFlight() int64 { return intraShardsInFlight.Load() }
 
-// shardGroup runs one run's phases over fixed replica shards: the
+// shardGroup runs one run's send phases over fixed replica shards: the
 // calling goroutine plus up to numShards-1 helpers drain an atomic
 // shard cursor. Groups are pooled and their workers are started once
 // per run and parked on a channel between phases, so the steady-state
@@ -81,7 +81,6 @@ type shardGroup struct {
 	numShards int
 	workers   int
 	round     int
-	delivery  bool // which phase the current drain runs
 	bits      []int
 	errs      []error
 	next      atomic.Int64
@@ -126,36 +125,15 @@ func acquireShardGroup(m medium, n int, sharded bool) *shardGroup {
 }
 
 // send runs round t's send phase over every shard and returns after the
-// last one completes — the barrier before delivery — with the round's
-// bit total. The returned error is the lowest-shard error, so failures
-// are deterministic at every worker count and name the vertex the
-// one-shard loop would.
+// last one completes — the barrier before the round is heard — with the
+// round's bit total. The returned error is the lowest-shard error, so
+// failures are deterministic at every worker count and name the vertex
+// the one-shard loop would.
 func (sg *shardGroup) send(t int) (int, error) {
 	if sg.numShards == 1 {
 		return sg.m.send(t, 0, sg.n)
 	}
-	sg.phase(t, false)
-	bits := 0
-	for s, err := range sg.errs {
-		if err != nil {
-			return 0, err
-		}
-		bits += sg.bits[s]
-	}
-	return bits, nil
-}
-
-// deliver runs round t's delivery phase over every shard.
-func (sg *shardGroup) deliver(t int) {
-	if sg.numShards == 1 {
-		sg.m.deliver(t, 0, sg.n)
-		return
-	}
-	sg.phase(t, true)
-}
-
-func (sg *shardGroup) phase(t int, delivery bool) {
-	sg.round, sg.delivery = t, delivery
+	sg.round = t
 	sg.next.Store(0)
 	if sg.workers > 0 {
 		sg.phaseWG.Add(sg.workers)
@@ -165,6 +143,14 @@ func (sg *shardGroup) phase(t int, delivery bool) {
 	}
 	sg.drain()
 	sg.phaseWG.Wait()
+	bits := 0
+	for s, err := range sg.errs {
+		if err != nil {
+			return 0, err
+		}
+		bits += sg.bits[s]
+	}
+	return bits, nil
 }
 
 // drain claims shards off the cursor until none remain. Shard s always
@@ -179,11 +165,7 @@ func (sg *shardGroup) drain() {
 		intraShardsInFlight.Add(1)
 		first := s * shardSize
 		limit := min(first+shardSize, sg.n)
-		if sg.delivery {
-			sg.m.deliver(sg.round, first, limit)
-		} else {
-			sg.bits[s], sg.errs[s] = sg.m.send(sg.round, first, limit)
-		}
+		sg.bits[s], sg.errs[s] = sg.m.send(sg.round, first, limit)
 		intraShardsInFlight.Add(-1)
 	}
 }

@@ -37,13 +37,14 @@ import (
 // sketches, identical in every inbox. Under the runner's RunBinder
 // protocol it therefore lives once per run: each phase, transmitting
 // replicas deposit their sketch in their own slot of a shared row
-// table at phase start, and at phase end the first replica through a
-// sync.Once decodes every row and applies the retirements; the Once
-// doubles as the barrier that lets the remaining replicas sync their
-// private live-neighbour sets safely. Bare NewNode keeps the classic
-// self-contained replica (per-port accumulation, private union-find)
-// for callers that drive nodes by hand — including ones that feed
-// forged inboxes, which the shared row table could not represent.
+// table at phase start, and the run, hearing the phase's last round,
+// decodes every row and applies the retirements. Each replica re-syncs
+// its live-neighbour set from the shared retired set at the next phase
+// start, before it decides whether to transmit. Bare NewNode keeps the
+// classic self-contained replica (per-port accumulation, private
+// union-find) for callers that drive nodes by hand — including ones
+// that feed forged inboxes, which the shared row table could not
+// represent.
 type Connectivity struct {
 	// Arboricity is the promised arboricity bound a.
 	Arboricity int
@@ -85,10 +86,9 @@ var sketchRunPool = sync.Pool{New: func() interface{} { return new(sketchRun) }}
 
 // BindRun implements bcc.RunBinder: one shared retirement mirror per
 // run.
-func (c *Connectivity) BindRun(in *bcc.Instance, rounds int) bcc.Algorithm {
+func (c *Connectivity) BindRun(in *bcc.Instance, _ int) bcc.BoundRun {
 	r := sketchRunPool.Get().(*sketchRun)
 	r.Connectivity = c
-	r.pooled = true
 	r.retiredCount = 0
 	r.labelsDone = false
 	r.nextNode = 0
@@ -128,10 +128,6 @@ func (c *Connectivity) BindRun(in *bcc.Instance, rounds int) bcc.Algorithm {
 	if want := 2 * in.Input().M(); cap(r.nbrs) < want {
 		r.nbrs = make([]int, 0, want)
 	}
-	sketchLen := rec.Len()
-	// sync.Once is single-use: the per-phase barrier array is fresh per
-	// run (one small allocation; everything else is pooled).
-	r.phaseOnce = make([]sync.Once, (rounds+sketchLen-1)/sketchLen)
 	return r
 }
 
@@ -160,18 +156,13 @@ type sketchRun struct {
 	retired      []bool // by universe rank
 	retiredCount int
 	comp         *dsu.Compact
-	// phaseOnce[k] runs the phase-k decode exactly once and blocks every
-	// other replica until it lands — the intra-round barrier that makes
-	// the shared retired[] readable for their private live-set sync.
-	phaseOnce []sync.Once
-	nodes     []sketchNode
-	nextNode  int
-	nbrs      []int // live-neighbour arena (IDs, filtered in place per node)
+	nodes        []sketchNode
+	nextNode     int
+	nbrs         []int // live-neighbour arena (IDs, filtered in place per node)
 	// Label epilogue, computed once: minRank[rank] = smallest rank in
 	// its component.
 	labelsDone bool
 	minRank    []int32
-	pooled     bool
 }
 
 // NewNode implements bcc.Algorithm on the bound run.
@@ -202,27 +193,27 @@ func (r *sketchRun) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
 	return node
 }
 
-// ReleaseRun implements bcc.RunReleaser.
+// ReleaseRun implements bcc.BoundRun.
 func (r *sketchRun) ReleaseRun() {
-	if !r.pooled {
-		return
-	}
 	r.Connectivity = nil
 	r.rec = nil
 	r.universe = nil
-	r.phaseOnce = nil
 	for v := range r.rows {
 		r.rows[v] = nil
 	}
 	sketchRunPool.Put(r)
 }
 
-// finishPhase decodes every deposited sketch and applies the phase's
-// retirements to the shared mirror — run once per phase via phaseOnce.
-// Vertex-ascending decode order differs from the classic per-replica
-// order (own row first, then ports), but retirements and the union set
-// are order-independent.
-func (r *sketchRun) finishPhase() {
+// Hear implements bcc.BoundRun. The broadcast vector is a projection of
+// the row table the replicas already share, so only the phase's last
+// round matters: the run decodes every deposited sketch and applies
+// the phase's retirements to the shared mirror. Vertex-ascending decode
+// order differs from the classic per-replica order (own row first, then
+// ports), but retirements and the union set are order-independent.
+func (r *sketchRun) Hear(round int, _ []bcc.Message) {
+	if r.universe == nil || round%r.rec.Len() != 0 {
+		return
+	}
 	for v, row := range r.rows {
 		if row == nil {
 			continue
@@ -348,6 +339,9 @@ func (n *sketchNode) Send(round int) bcc.Message {
 	}
 	pos := (round - 1) % n.sketchLen()
 	if pos == 0 {
+		if n.run != nil {
+			n.syncRetired()
+		}
 		// Phase start: decide whether to transmit this phase.
 		n.sketch = nil
 		if !n.selfRetired && len(n.liveNbrs) <= 4*n.a {
@@ -374,17 +368,12 @@ func (n *sketchNode) encoder() *Recoverer {
 	return n.rec
 }
 
-// sharedEndPhase is the shared-mode phase epilogue: run the decode once
-// across all replicas, then sync this replica's private residue from
-// the shared mirror. phaseOnce blocks until the winning decode is
-// complete, so the reads below are ordered after it.
-func (n *sketchNode) sharedEndPhase(round int) {
+// syncRetired re-syncs a bound replica's private residue from the
+// shared mirror the run advanced when it heard the last phase end. The
+// run hears rounds on the runner's goroutine after the send barrier,
+// so the reads below are ordered after it.
+func (n *sketchNode) syncRetired() {
 	r := n.run
-	k := (round - 1) / n.sketchLen()
-	if k >= len(r.phaseOnce) {
-		return // over-extended schedule: phases beyond the bound are inert
-	}
-	r.phaseOnce[k].Do(r.finishPhase)
 	n.selfRetired = r.retired[n.selfRank]
 	live := n.liveNbrs[:0]
 	for _, w := range n.liveNbrs {
@@ -395,19 +384,13 @@ func (n *sketchNode) sharedEndPhase(round int) {
 	n.liveNbrs = live
 }
 
+// Receive implements bcc.Node for a private replica; a bound run's
+// nodes hear nothing (the run hears for them).
 func (n *sketchNode) Receive(round int, inbox []bcc.Message) {
 	if n.broken {
 		return
 	}
 	pos := (round - 1) % n.sketchLen()
-	if n.run != nil {
-		// Shared mode: the inbox is a projection of the row table the
-		// replicas already share; only the phase boundary matters.
-		if pos == n.sketchLen()-1 {
-			n.sharedEndPhase(round)
-		}
-		return
-	}
 	if pos == 0 {
 		for p := range n.phaseBuf {
 			n.phaseBuf[p] = n.phaseBuf[p][:0]
@@ -423,18 +406,6 @@ func (n *sketchNode) Receive(round int, inbox []bcc.Message) {
 	}
 	if pos == n.sketchLen()-1 {
 		n.endPhase()
-	}
-}
-
-// ReceiveSends implements bcc.SendsReceiver: shared mode reads the row
-// table, not the broadcast vector, so delivery is just the phase
-// boundary.
-func (n *sketchNode) ReceiveSends(round int, _ []bcc.Message) {
-	if n.broken || n.run == nil {
-		return
-	}
-	if (round-1)%n.sketchLen() == n.sketchLen()-1 {
-		n.sharedEndPhase(round)
 	}
 }
 
@@ -540,11 +511,9 @@ func (n *sketchNode) Label() int {
 }
 
 var (
-	_ bcc.Algorithm     = (*Connectivity)(nil)
-	_ bcc.RunBinder     = (*Connectivity)(nil)
-	_ bcc.Algorithm     = (*sketchRun)(nil)
-	_ bcc.RunReleaser   = (*sketchRun)(nil)
-	_ bcc.Decider       = (*sketchNode)(nil)
-	_ bcc.Labeler       = (*sketchNode)(nil)
-	_ bcc.SendsReceiver = (*sketchNode)(nil)
+	_ bcc.Algorithm = (*Connectivity)(nil)
+	_ bcc.RunBinder = (*Connectivity)(nil)
+	_ bcc.BoundRun  = (*sketchRun)(nil)
+	_ bcc.Decider   = (*sketchNode)(nil)
+	_ bcc.Labeler   = (*sketchNode)(nil)
 )

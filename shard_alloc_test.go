@@ -10,19 +10,21 @@ import (
 
 // shardLoopProbe is an inert run-bound BCC(2) algorithm with
 // preallocated nodes: binding it opts a run into the intra-cell
-// replica-parallel loop, and its nodes consume the raw broadcast vector,
-// so a Run's allocations are exactly the sharded generic round loop's
-// own. Bandwidth 2 keeps it off the bit plane.
+// replica-parallel loop, and the run hears the raw broadcast vector, so
+// a Run's allocations are exactly the sharded generic round loop's own.
+// Bandwidth 2 keeps it off the bit plane.
 type shardLoopProbe struct {
 	rounds int
 	nodes  []bcc.Node
 	next   int
 }
 
+var _ bcc.RunBinder = (*shardLoopProbe)(nil)
+
 func (p *shardLoopProbe) Name() string   { return "shard-loop-probe" }
 func (p *shardLoopProbe) Bandwidth() int { return 2 }
 func (p *shardLoopProbe) Rounds(int) int { return p.rounds }
-func (p *shardLoopProbe) BindRun(*bcc.Instance, int) bcc.Algorithm {
+func (p *shardLoopProbe) BindRun(*bcc.Instance, int) bcc.BoundRun {
 	p.next = 0
 	return p
 }
@@ -31,12 +33,13 @@ func (p *shardLoopProbe) NewNode(bcc.View, *bcc.Coin) bcc.Node {
 	p.next = (p.next + 1) % len(p.nodes)
 	return n
 }
+func (p *shardLoopProbe) Hear(int, []bcc.Message) {}
+func (p *shardLoopProbe) ReleaseRun()             {}
 
 type shardLoopNode struct{}
 
-func (shardLoopNode) Send(int) bcc.Message            { return bcc.Word(2, 2) }
-func (shardLoopNode) Receive(int, []bcc.Message)      {}
-func (shardLoopNode) ReceiveSends(int, []bcc.Message) {}
+func (shardLoopNode) Send(int) bcc.Message       { return bcc.Word(2, 2) }
+func (shardLoopNode) Receive(int, []bcc.Message) {}
 
 // TestShardedRoundLoopAllocationFree pins the intra-cell parallel
 // loop's 0-allocs steady-state contract, the sharded sibling of
@@ -83,7 +86,7 @@ func TestShardedRoundLoopAllocationFree(t *testing.T) {
 		t.Errorf("allocations grow with the round count (%.1f at 64 rounds, %.1f at 4096): the sharded round loop allocates", short, long)
 	}
 	// The constant is the per-run overhead: shard group + parked
-	// workers + phase closures + node/SendsReceiver tables. A per-round
+	// workers + phase closures + node tables. A per-round
 	// or per-phase regression would add thousands.
 	if long > 48 {
 		t.Errorf("per-run allocation constant is %.1f, want a small constant", long)
