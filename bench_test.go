@@ -563,7 +563,7 @@ type bitLoopNode struct{}
 
 func (bitLoopNode) Send(int) bcc.Message                { return bcc.Bit(1) }
 func (bitLoopNode) Receive(int, []bcc.Message)          {}
-func (bitLoopNode) BindPlane(int, []int) bool           { return true }
+func (bitLoopNode) BindPlane(int, bool) bool            { return true }
 func (bitLoopNode) SendBit(int) (uint8, bool)           { return 1, true }
 func (bitLoopNode) ReceiveBits(int, []uint64, []uint64) {}
 

@@ -362,14 +362,11 @@ func (n *floodNode) Receive(_ int, inbox []bcc.Message) {
 // indices as sorted-ID ranks, so a node accepts only the canonical
 // plane, where the two coincide; a materialized wiring sends the run
 // down the generic path.
-func (n *floodNode) BindPlane(self int, portTarget []int) bool {
+func (n *floodNode) BindPlane(self int, canonical bool) bool {
 	if n.broken {
 		return true // inert: never speaks
 	}
-	if portTarget != nil || self != int(n.self) {
-		return false
-	}
-	return true
+	return canonical && self == int(n.self)
 }
 
 // SendBit implements bcc.BitNode: bit pos = round−1 of the row.

@@ -394,7 +394,7 @@ func (n *kt0Node) Receive(round int, inbox []bcc.Message) {
 
 // BindPlane implements bcc.BitNode: any wiring is accepted, since the
 // run's mirror is vertex-indexed.
-func (n *kt0Node) BindPlane(int, []int) bool { return true }
+func (n *kt0Node) BindPlane(int, bool) bool { return true }
 
 // SendBit implements bcc.BitNode: the same two-phase schedule as Send.
 func (n *kt0Node) SendBit(round int) (uint8, bool) {

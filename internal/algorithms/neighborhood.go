@@ -113,11 +113,11 @@ func (n *nbNode) Receive(round int, inbox []bcc.Message) {
 // BindPlane implements bcc.BitNode. The per-port bit streams are
 // rank-addressed under the canonical wiring (port p of self is rank p
 // or p+1), so only the canonical plane is accepted.
-func (n *nbNode) BindPlane(self int, portTarget []int) bool {
+func (n *nbNode) BindPlane(self int, canonical bool) bool {
 	if n.broken {
 		return true // inert
 	}
-	return portTarget == nil && self == n.self
+	return canonical && self == n.self
 }
 
 // SendBit implements bcc.BitNode: the same slot/bit schedule as Send.

@@ -51,15 +51,15 @@ type BitAlgorithm interface {
 // trit.
 type BitNode interface {
 	// BindPlane hands the node its simulation bookkeeping: self is the
-	// node's plane index (= vertex index), and portTarget[p] is the
-	// plane index behind port p — nil means the instance's canonical
-	// ascending-ID wiring, where port p of self leads to plane index p
-	// (p < self) or p+1, and plane indices coincide with sorted-ID
-	// ranks. The slice aliases runner-owned wiring; treat it as
-	// read-only. Returning false declines the binding (e.g. a
-	// rank-space node handed a non-canonical plane) and sends the whole
-	// run down the Message vector.
-	BindPlane(self int, portTarget []int) bool
+	// node's plane index (= vertex index), and canonical reports the
+	// instance's canonical ascending-ID wiring, where port p of self
+	// leads to plane index p (p < self) or p+1, and plane indices
+	// coincide with sorted-ID ranks. Any other wiring is the instance's
+	// to answer (Instance.NeighborAt); the plane hands out no port
+	// table. Returning false declines the binding (e.g. a rank-space
+	// node handed a non-canonical plane) and sends the whole run down
+	// the Message vector.
+	BindPlane(self int, canonical bool) bool
 	// SendBit is Send for the plane: the broadcast bit and whether the
 	// node speaks at all this round (false is the paper's ⊥).
 	SendBit(round int) (bit uint8, speak bool)
@@ -209,11 +209,7 @@ func (p *bitPlane) bind(in *Instance, run BoundRun, nodes []Node, rounds int, o 
 				return false
 			}
 		}
-		var portTarget []int
-		if !in.canonical {
-			portTarget = in.ports[v]
-		}
-		if !bn.BindPlane(v, portTarget) {
+		if !bn.BindPlane(v, in.canonical) {
 			return false
 		}
 		p.nodes[v] = planeNode{bn, br}

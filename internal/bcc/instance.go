@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"bcclique/internal/graph"
 )
@@ -41,22 +42,39 @@ func (k Knowledge) String() string {
 // part of any vertex's knowledge. Ports at each vertex are indexed
 // 0..n-2.
 //
-// KT-1 instances whose IDs are already ascending in vertex-index order
-// (SequentialIDs, and any other sorted assignment) keep their wiring
-// implicit: port p of vertex v provably leads to vertex p (p < v) or
-// p+1 (p ≥ v), so no O(n²) port tables are materialized. This is what
-// lets large-n sweep cells build instances in O(n) memory; the tables
-// appear lazily only if a caller rewires ports (SwapPortTargets).
+// Two wirings stay implicit, so no O(n²) port tables are materialized
+// until a caller needs them. KT-1 instances whose IDs are already
+// ascending in vertex-index order (SequentialIDs, and any other sorted
+// assignment) use the canonical wiring: port p of vertex v provably
+// leads to vertex p (p < v) or p+1 (p ≥ v). Seeded KT-0 instances
+// (NewRandomKT0) keep only the ports of their input edges, which is all
+// a vertex's view and a bound run read. This is what lets large-n sweep
+// cells build instances in O(n + m) memory; the tables appear lazily,
+// once, for a caller that reads a non-input port of a seeded wiring,
+// delivers per-port inboxes, compares, clones or rewires.
 //
 //bccvet:frozen
 type Instance struct {
 	knowledge Knowledge
 	ids       []int
-	canonical bool    // implicit ascending-ID KT-1 wiring; ports/portTo nil
-	ports     [][]int // ports[v][p] = vertex index reached from port p of v
-	portTo    [][]int // portTo[v][u] = port of v leading to u; -1 on diagonal
-	sortedIDs []int   // ids sorted ascending, shared read-only by KT-1 views
+	canonical bool         // implicit ascending-ID KT-1 wiring; ports/portTo nil until rewired
+	seeded    *seededPorts // seeded KT-0 wiring's input-edge ports; nil otherwise
+	tables    sync.Once    // builds an implicit wiring's ports/portTo (materialize)
+	ports     [][]int      // ports[v][p] = vertex index reached from port p of v
+	portTo    [][]int      // portTo[v][u] = port of v leading to u; -1 on diagonal
+	sortedIDs []int        // ids sorted ascending, shared read-only by KT-1 views
 	input     *graph.Graph
+}
+
+// seededPorts is what a seeded KT-0 instance keeps of its wiring: the
+// seed that replays it, and the ports of the input edges. Vertex v's
+// input edges occupy [off[v], off[v+1]) of each array.
+type seededPorts struct {
+	seed    int64
+	off     []int
+	nbrPort []int // port of v to its i-th input neighbour, NeighborSlice order
+	ports   []int // v's input ports ascending
+	nbrs    []int // the vertex behind ports[i]
 }
 
 // NewKT1 builds a KT-1 instance over the given IDs and input graph. The
@@ -108,22 +126,77 @@ func NewKT0(ids []int, input *graph.Graph, wiring [][]int) (*Instance, error) {
 	return newInstance(KT0, ids, input, wiring)
 }
 
+// NewRandomKT0 builds the KT-0 instance
+//
+//	NewKT0(ids, input, RandomWiring(n, rand.New(rand.NewSource(seed))))
+//
+// in O(n + m) memory: it replays the same draws and keeps only the
+// ports of input edges. The draws stay Θ(n²). The full port tables are
+// built from the seed on first need (see Instance).
+//
+//bccvet:thaws Instance
+func NewRandomKT0(ids []int, input *graph.Graph, seed int64) (*Instance, error) {
+	if err := validateIDs(ids, input); err != nil {
+		return nil, err
+	}
+	n := len(ids)
+	in := bareInstance(KT0, ids, input)
+	g := in.input
+	s := &seededPorts{seed: seed, off: make([]int, n+1)}
+	for v := 0; v < n; v++ {
+		s.off[v+1] = s.off[v] + g.Degree(v)
+	}
+	s.nbrPort, s.ports, s.nbrs = make([]int, s.off[n]), make([]int, s.off[n]), make([]int, s.off[n])
+	slot := make([]int, n) // 1 + u's index in v's neighbour row; 0 for a non-neighbour
+	replayWiring(n, rand.New(rand.NewSource(seed)), func(v int, order []int) {
+		nbrs := g.NeighborSlice(v)
+		for i, u := range nbrs {
+			slot[u] = i + 1
+		}
+		k, end := s.off[v], s.off[v+1]
+		for p, u := range order {
+			if k == end {
+				break
+			}
+			if i := slot[u]; i != 0 {
+				s.nbrPort[s.off[v]+i-1] = p
+				s.ports[k], s.nbrs[k] = p, u
+				k++
+			}
+		}
+		for _, u := range nbrs {
+			slot[u] = 0
+		}
+	})
+	in.seeded = s
+	return in, nil
+}
+
 // RandomWiring returns a uniformly random port wiring for n vertices.
 func RandomWiring(n int, rng *rand.Rand) [][]int {
 	wiring := make([][]int, n)
+	replayWiring(n, rng, func(v int, order []int) { wiring[v] = append([]int(nil), order...) })
+	return wiring
+}
+
+// replayWiring makes RandomWiring's draws: for v = 0..n−1 in turn, the
+// other n−1 vertices in ascending order, shuffled by rng, handed to
+// visit in one reused scratch. Every vertex draws, whether or not visit
+// uses its order, so each order depends only on the seed.
+func replayWiring(n int, rng *rand.Rand, visit func(v int, order []int)) {
+	order := make([]int, 0, n)
 	for v := 0; v < n; v++ {
-		others := make([]int, 0, n-1)
+		order = order[:0]
 		for u := 0; u < n; u++ {
 			if u != v {
-				others = append(others, u)
+				order = append(order, u)
 			}
 		}
-		rng.Shuffle(len(others), func(i, j int) {
-			others[i], others[j] = others[j], others[i]
+		rng.Shuffle(len(order), func(i, j int) {
+			order[i], order[j] = order[j], order[i]
 		})
-		wiring[v] = others
+		visit(v, order)
 	}
-	return wiring
 }
 
 // RotationWiring returns the deterministic wiring where port p of vertex v
@@ -166,36 +239,53 @@ func newInstance(k Knowledge, ids []int, input *graph.Graph, wiring [][]int) (*I
 	if len(wiring) != n {
 		return nil, fmt.Errorf("bcc: wiring for %d vertices, want %d", len(wiring), n)
 	}
-	sorted := append([]int(nil), ids...)
-	sort.Ints(sorted)
-	in := &Instance{
-		knowledge: k,
-		ids:       append([]int(nil), ids...),
-		ports:     make([][]int, n),
-		portTo:    make([][]int, n),
-		sortedIDs: sorted,
-		input:     input.Clone(),
+	in := bareInstance(k, ids, input)
+	ports := make([][]int, n)
+	for v := range ports {
+		ports[v] = append([]int(nil), wiring[v]...)
 	}
-	for v := 0; v < n; v++ {
-		if len(wiring[v]) != n-1 {
-			return nil, fmt.Errorf("bcc: vertex %d has %d ports, want %d", v, len(wiring[v]), n-1)
-		}
-		in.ports[v] = append([]int(nil), wiring[v]...)
-		in.portTo[v] = make([]int, n)
-		for u := range in.portTo[v] {
-			in.portTo[v][u] = -1
-		}
-		for p, u := range wiring[v] {
-			if u < 0 || u >= n || u == v {
-				return nil, fmt.Errorf("bcc: vertex %d port %d targets invalid vertex %d", v, p, u)
-			}
-			if in.portTo[v][u] != -1 {
-				return nil, fmt.Errorf("bcc: vertex %d has two ports to vertex %d", v, u)
-			}
-			in.portTo[v][u] = p
-		}
+	if err := in.setPorts(ports); err != nil {
+		return nil, err
 	}
 	return in, nil
+}
+
+// bareInstance copies the IDs and the input graph into an instance
+// whose wiring the caller sets.
+func bareInstance(k Knowledge, ids []int, input *graph.Graph) *Instance {
+	sorted := append([]int(nil), ids...)
+	sort.Ints(sorted)
+	return &Instance{knowledge: k, ids: append([]int(nil), ids...), sortedIDs: sorted, input: input.Clone()}
+}
+
+// setPorts installs ports as the port table, without copying it, and
+// builds its inverse portTo. Each row must be a permutation of the
+// other n−1 vertices.
+//
+//bccvet:thaws Instance
+func (in *Instance) setPorts(ports [][]int) error {
+	n := in.N()
+	in.ports, in.portTo = ports, make([][]int, n)
+	for v, row := range ports {
+		if len(row) != n-1 {
+			return fmt.Errorf("bcc: vertex %d has %d ports, want %d", v, len(row), n-1)
+		}
+		to := make([]int, n)
+		for u := range to {
+			to[u] = -1
+		}
+		for p, u := range row {
+			if u < 0 || u >= n || u == v {
+				return fmt.Errorf("bcc: vertex %d port %d targets invalid vertex %d", v, p, u)
+			}
+			if to[u] != -1 {
+				return fmt.Errorf("bcc: vertex %d has two ports to vertex %d", v, u)
+			}
+			to[u] = p
+		}
+		in.portTo[v] = to
+	}
+	return nil
 }
 
 // SequentialIDs returns the identity ID assignment 0..n-1, handy for
@@ -247,7 +337,9 @@ func (in *Instance) VertexByID(id int) int {
 // RemoveInputEdge to modify it.
 func (in *Instance) Input() *graph.Graph { return in.input }
 
-// NeighborAt returns the vertex index at the far end of port p of v.
+// NeighborAt returns the vertex index at the far end of port p of v. A
+// seeded wiring answers an input port from its kept ports and builds
+// its tables for any other.
 func (in *Instance) NeighborAt(v, p int) int {
 	if in.canonical {
 		if p < v {
@@ -255,10 +347,19 @@ func (in *Instance) NeighborAt(v, p int) int {
 		}
 		return p + 1
 	}
+	if s := in.seeded; s != nil {
+		ports := s.ports[s.off[v]:s.off[v+1]]
+		if i := sort.SearchInts(ports, p); i < len(ports) && ports[i] == p {
+			return s.nbrs[s.off[v]+i]
+		}
+	}
+	in.materialize()
 	return in.ports[v][p]
 }
 
-// PortOf returns the port of v whose far end is u (-1 if u == v).
+// PortOf returns the port of v whose far end is u (-1 if u == v). A
+// seeded wiring answers an input neighbour from its kept ports and
+// builds its tables for any other vertex.
 func (in *Instance) PortOf(v, u int) int {
 	if in.canonical {
 		switch {
@@ -270,13 +371,24 @@ func (in *Instance) PortOf(v, u int) int {
 			return u - 1
 		}
 	}
+	if s := in.seeded; s != nil {
+		nbrs := in.input.NeighborSlice(v)
+		if i := sort.SearchInts(nbrs, u); i < len(nbrs) && nbrs[i] == u {
+			return s.nbrPort[s.off[v]+i]
+		}
+	}
+	in.materialize()
 	return in.portTo[v][u]
 }
 
 // InputPorts returns the sorted port numbers of v that carry input edges.
 // It walks v's input neighbours directly — O(deg(v) log deg(v)) — rather
-// than probing every one of the n−1 ports with an edge lookup.
+// than probing every one of the n−1 ports with an edge lookup; a seeded
+// wiring copies its kept ports.
 func (in *Instance) InputPorts(v int) []int {
+	if s := in.seeded; s != nil {
+		return append([]int(nil), s.ports[s.off[v]:s.off[v+1]]...)
+	}
 	nbrs := in.input.NeighborSlice(v)
 	if len(nbrs) == 0 {
 		return nil
@@ -293,31 +405,48 @@ func (in *Instance) InputPorts(v int) []int {
 	return ports
 }
 
-// materialize expands an implicit canonical wiring into explicit port
-// tables, so rewiring primitives can mutate them.
+// materialize builds the explicit port tables of an implicit wiring,
+// once: the canonical formula's, so rewiring primitives can mutate
+// them, or a seeded wiring's, replayed from its seed. Instances are
+// shared read-only across goroutines, and a seeded wiring builds its
+// tables on a reader's first need, hence the sync.Once. Only a rewiring
+// materializes a canonical wiring, so no reader races its flag.
 //
 //bccvet:thaws Instance
 func (in *Instance) materialize() {
-	if !in.canonical {
-		return
-	}
-	n := in.N()
-	in.ports = make([][]int, n)
-	in.portTo = make([][]int, n)
-	for v := 0; v < n; v++ {
-		in.ports[v] = make([]int, n-1)
-		in.portTo[v] = make([]int, n)
-		for p := 0; p < n-1; p++ {
-			in.ports[v][p] = in.NeighborAt(v, p)
-		}
-		in.portTo[v][v] = -1
-		for u := 0; u < n; u++ {
-			if u != v {
-				in.portTo[v][u] = in.PortOf(v, u)
+	in.tables.Do(func() {
+		n := in.N()
+		var ports [][]int
+		switch {
+		case in.canonical:
+			ports = make([][]int, n)
+			for v := range ports {
+				ports[v] = make([]int, n-1)
+				for p := range ports[v] {
+					ports[v][p] = in.NeighborAt(v, p)
+				}
 			}
+			in.canonical = false
+		case in.seeded != nil:
+			ports = RandomWiring(n, rand.New(rand.NewSource(in.seeded.seed)))
+		default:
+			return
 		}
+		if err := in.setPorts(ports); err != nil {
+			panic(err) // a permutation by construction
+		}
+	})
+}
+
+// unseed builds a seeded wiring's tables and drops its kept ports,
+// which a mutation of the input or the wiring would leave stale.
+//
+//bccvet:thaws Instance
+func (in *Instance) unseed() {
+	if in.seeded != nil {
+		in.materialize()
+		in.seeded = nil
 	}
-	in.canonical = false
 }
 
 // SwapPortTargets exchanges the far endpoints of ports pA and pB at vertex
@@ -333,6 +462,7 @@ func (in *Instance) SwapPortTargets(v, pA, pB int) error {
 		return fmt.Errorf("bcc: ports %d,%d out of range at vertex %d", pA, pB, v)
 	}
 	in.materialize()
+	in.seeded = nil
 	a, b := in.ports[v][pA], in.ports[v][pB]
 	in.ports[v][pA], in.ports[v][pB] = b, a
 	in.portTo[v][a], in.portTo[v][b] = pB, pA
@@ -340,16 +470,25 @@ func (in *Instance) SwapPortTargets(v, pA, pB int) error {
 }
 
 // AddInputEdge marks the clique edge {u, v} as an input edge.
-func (in *Instance) AddInputEdge(u, v int) error { return in.input.AddEdge(u, v) }
+func (in *Instance) AddInputEdge(u, v int) error {
+	in.unseed()
+	return in.input.AddEdge(u, v)
+}
 
 // RemoveInputEdge unmarks the input edge {u, v}.
-func (in *Instance) RemoveInputEdge(u, v int) error { return in.input.RemoveEdge(u, v) }
+func (in *Instance) RemoveInputEdge(u, v int) error {
+	in.unseed()
+	return in.input.RemoveEdge(u, v)
+}
 
 // Clone returns a deep copy of the instance. Implicit canonical wirings
-// stay implicit.
+// stay implicit; a seeded wiring is cloned as its tables.
 //
 //bccvet:thaws Instance
 func (in *Instance) Clone() *Instance {
+	if in.seeded != nil {
+		in.materialize()
+	}
 	n := in.N()
 	c := &Instance{
 		knowledge: in.knowledge,
@@ -373,7 +512,7 @@ func (in *Instance) Clone() *Instance {
 // variant, IDs, port wiring, and input graph. This is the instance
 // identity used when checking that crossing is an involution. Wiring is
 // compared through NeighborAt, so an implicit canonical wiring equals
-// its materialized expansion.
+// its materialized expansion, and a seeded wiring builds its tables.
 func (in *Instance) Equal(other *Instance) bool {
 	if other == nil || in.knowledge != other.knowledge || in.N() != other.N() {
 		return false

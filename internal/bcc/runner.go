@@ -471,6 +471,9 @@ func (mv *messageVector) deliver(t int) {
 	if mv.received {
 		recvArena = make([]Message, n*(n-1))
 	}
+	if !in.canonical {
+		in.materialize() // a seeded wiring's tables, on first need
+	}
 	for v, node := range mv.nodes {
 		if in.canonical {
 			// Canonical ascending-ID wiring: port p of v carries vertex

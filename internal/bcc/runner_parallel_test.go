@@ -176,7 +176,7 @@ func (n loopNode) Send(int) Message {
 	return Bit(1)
 }
 func (loopNode) Receive(int, []Message)    {}
-func (loopNode) BindPlane(int, []int) bool { return true }
+func (loopNode) BindPlane(int, bool) bool  { return true }
 func (loopNode) SendBit(int) (uint8, bool) { return 1, true }
 
 // TestRunErrorPaths pins the round loop's one error exit on both media
@@ -342,7 +342,7 @@ func (n hearNode) SendBit(t int) (uint8, bool) {
 	m := n.send(t)
 	return uint8(m.Bits), m.Len != 0
 }
-func (hearNode) BindPlane(int, []int) bool             { return true }
+func (hearNode) BindPlane(int, bool) bool              { return true }
 func (n hearNode) Receive(int, []Message)              { n.p.receives.Add(1) }
 func (n hearNode) ReceiveBits(int, []uint64, []uint64) { n.p.receives.Add(1) }
 

@@ -126,9 +126,11 @@ func gridE17() engine.GridSpec {
 		// replicas' private retirement mirrors are all one-per-run now
 		// (DESIGN.md §6.2) — so the ceilings are set by per-run compute
 		// instead of per-replica memory: the sketch's phase decode scans
-		// the whole universe per deposited row (Θ(n²·k) per phase) and
-		// the KT-0 adapter materializes Θ(n²) port tables. boruvka rides
-		// to 16384 and the bit-plane flood-b1 climbs the full ladder.
+		// the whole universe per deposited row (Θ(n²·k) per phase), and
+		// the KT-0 adapter's seeded instance keeps only its input-edge
+		// ports but replays the wiring's Θ(n²) shuffle draws; a cheaper
+		// wiring would change every kt0-exchange row. boruvka rides to
+		// 16384 and the bit-plane flood-b1 climbs the full ladder.
 		SizeCaps:   map[string]int{"sketch-a2": 2048, "kt0-exchange": 8192, "boruvka": 16384},
 		Seeds:      3,
 		QuickSeeds: 2,

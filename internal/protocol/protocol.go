@@ -18,7 +18,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"bcclique/internal/algorithms"
@@ -311,8 +310,7 @@ func (p KT0Exchange) Run(ctx context.Context, g *graph.Graph, seed int64) (*Outc
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
-	in, err := bcc.NewKT0(bcc.SequentialIDs(g.N()), g, bcc.RandomWiring(g.N(), rng))
+	in, err := bcc.NewRandomKT0(bcc.SequentialIDs(g.N()), g, seed)
 	if err != nil {
 		return nil, err
 	}

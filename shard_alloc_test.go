@@ -41,13 +41,22 @@ type shardLoopNode struct{}
 func (shardLoopNode) Send(int) bcc.Message       { return bcc.Word(2, 2) }
 func (shardLoopNode) Receive(int, []bcc.Message) {}
 
+// mallocShardNode is an inert BCC(2) node that drives a mallocProbe.
+type mallocShardNode struct{ p *mallocProbe }
+
+func (n mallocShardNode) Send(t int) bcc.Message {
+	n.p.observe(t)
+	return bcc.Word(2, 2)
+}
+func (mallocShardNode) Receive(int, []bcc.Message) {}
+
 // TestShardedRoundLoopAllocationFree pins the intra-cell parallel
 // loop's 0-allocs steady-state contract, the sharded sibling of
 // TestBitPlaneRoundLoopAllocationFree: with node construction amortized
-// and worker sharding forced on, a run's allocation count is a small
-// constant independent of the round count — the per-run shard group,
-// phase closures, and parked workers are the only overhead, and no
-// allocation happens per round or per phase.
+// and worker sharding forced on, no allocation happens per round or
+// per phase between round 2 and the last round, and a run's allocation
+// count is a small constant — the per-run shard group, phase closures,
+// and parked workers are the only overhead.
 func TestShardedRoundLoopAllocationFree(t *testing.T) {
 	const n = 640 // 3 shards of 256: cursor contention plus a ragged tail
 	g := graph.New(n)
@@ -81,14 +90,25 @@ func TestShardedRoundLoopAllocationFree(t *testing.T) {
 			bcc.Recycle(res)
 		})
 	}
-	short, long := allocsAt(64), allocsAt(4096)
-	if long > short {
-		t.Errorf("allocations grow with the round count (%.1f at 64 rounds, %.1f at 4096): the sharded round loop allocates", short, long)
+	const rounds = 4096
+	perRun := allocsAt(rounds)
+	probe := &mallocProbe{last: rounds}
+	loop := &shardLoopProbe{rounds: rounds, nodes: make([]bcc.Node, n)}
+	for i := range loop.nodes {
+		loop.nodes[i] = shardLoopNode{}
 	}
+	loop.nodes[0] = mallocShardNode{probe}
+	probe.check(t, func() {
+		res, err := bcc.Run(in, loop, bcc.WithoutTranscripts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		bcc.Recycle(res)
+	})
 	// The constant is the per-run overhead: shard group + parked
 	// workers + phase closures + node tables. A per-round
 	// or per-phase regression would add thousands.
-	if long > 48 {
-		t.Errorf("per-run allocation constant is %.1f, want a small constant", long)
+	if perRun > 48 {
+		t.Errorf("per-run allocation constant is %.1f, want a small constant", perRun)
 	}
 }
