@@ -17,10 +17,10 @@ race:
 	$(GO) test -race ./internal/...
 
 # Twenty race-detector passes over the packages whose tests exercise
-# cancellation, concurrent stores and the sharded round loop, and over
-# the root package's round-loop allocation gates, so an
-# ordering-dependent failure shows up here rather than once in a while
-# in CI. The gates count only the allocations inside the round loop,
+# cancellation, concurrent stores and concurrent runs on the pooled
+# media, and over the root package's round-loop allocation gates, so
+# an ordering-dependent failure shows up here rather than once in a
+# while in CI. The gates count only the allocations inside the round loop,
 # so the pooled items the race detector drops at random do not move
 # them.
 stress:
@@ -106,8 +106,9 @@ bench-serving:
 # through the no-transcript sweep path (BENCH_memory.json). These are
 # the numbers the shared-substrate split is accountable to — B/op is
 # machine-independent, so CI gates on it with -bytes. The group runs at
-# -cpu 1: with more Ps, cells at n >= 2048 shard and sync.Pool's
-# per-P caches miss at random (Boruvka 4096 read 644 or 890 KB at -cpu 2).
+# -cpu 1: with more Ps, a run's pooled takes can miss sync.Pool's per-P
+# caches at random (BitplaneFloodTwoCycle1024, measured at the default
+# -cpu, reads 174 or 234 KB/op from run to run on a 2-CPU box).
 bench-memory:
 	$(GO) test -bench 'BenchmarkMemory' -benchmem -benchtime 2x -cpu 1 -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Memory' -out BENCH_memory.json
 
@@ -145,9 +146,9 @@ sweep-large:
 # The ladders to n = 8192 — both grids, so the E18 stress rows
 # (flood-b1 is its promise-free control) are reproducible too. With
 # shared substrates, flood-b1, boruvka and kt0-exchange all climb the
-# 8192 rung (one 8192-vertex flood run on two-cycle is ~1 s of
-# word-packed simulation on a 2-CPU box). For the full declared
-# ladders to 32768, see sweep-xxl.
+# 8192 rung (the E17 flood-b1 × two-cycle cell at 8192, three seeds,
+# takes under 0.1 s on a 2-CPU box). For the full declared ladders to
+# 32768, see sweep-xxl.
 sweep-xl:
 	$(GO) run ./cmd/experiments -sweep E17 -sizes 16,32,64,128,256,512,1024,2048,4096,8192
 	$(GO) run ./cmd/experiments -sweep E18 -sizes 16,32,64,256,1024,4096,8192
@@ -155,10 +156,11 @@ sweep-xl:
 # The full ladders to n = 32768 — both grids at every declared size,
 # with each protocol stopping at its SizeCap (flood-b1 32768, boruvka
 # 16384, kt0-exchange 8192, sketch 2048). Shared per-cell substrates
-# keep the top rungs inside single-digit GB; expect the top flood-b1
-# cells to dominate (a 32768-vertex bit-plane seed is minutes of
-# simulation on one core, and a seeds×families tier multiplies that).
-# Budget hours for a cold cache; re-runs only pay for missing cells.
+# keep the top rungs inside single-digit GB. flood-b1 writes each round
+# from two rows, so its top rung is cheap (the two-cycle cell at 32768,
+# three seeds, takes under a second on a 2-CPU box); the Θ(n²)
+# kt0-exchange wiring draws and sketch's decode dominate instead.
+# Re-runs only pay for missing cells.
 sweep-xxl:
 	$(GO) run ./cmd/experiments -sweep E17
 	$(GO) run ./cmd/experiments -sweep E18
@@ -173,22 +175,27 @@ sweep-smoke:
 		-format csv -out sweep-smoke.csv
 	@cat sweep-smoke.csv
 
-# Rows are identical at any worker count: two cold E17 sweeps, each at
-# -parallel 1 and -parallel 2, compared byte for byte. The second
-# sweep's n = 2048 cells reach the intra-cell threshold, so it pins the
-# sharded round loop too. CI's sweep-smoke job runs it.
+# Rows are pinned: three cold E17 sweeps, each at -parallel 1 and
+# -parallel 2, must agree byte for byte and match the md5s checked in
+# at testdata/sweep-rows.md5. The sweeps are every protocol to
+# n = 1024, sweep-large's n = 2048 cells, and flood-b1 × two-cycle at
+# n = 8192, the largest plane cell (under 0.1 s). A change that alters
+# rows on purpose updates the md5 file and says why. CI's sweep-smoke
+# job runs it.
 sweep-rows-identical:
-	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	@set -e; root=$$(pwd); dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/experiments" ./cmd/experiments; \
 	for p in 1 2; do \
 		"$$dir/experiments" -sweep E17 -sizes 16,32,64,128,256,512,1024 \
 			-format csv -cache-dir none -parallel $$p > "$$dir/ladder-$$p.csv"; \
 		"$$dir/experiments" -sweep E17 -sizes 2048 -families two-cycle,grid \
-			-format csv -cache-dir none -parallel $$p > "$$dir/sharded-$$p.csv"; \
+			-format csv -cache-dir none -parallel $$p > "$$dir/large-$$p.csv"; \
+		"$$dir/experiments" -sweep E17 -sizes 8192 -protocols flood-b1 -families two-cycle \
+			-format csv -cache-dir none -parallel $$p > "$$dir/flood-8192-$$p.csv"; \
 	done; \
-	cmp "$$dir/ladder-1.csv" "$$dir/ladder-2.csv"; \
-	cmp "$$dir/sharded-1.csv" "$$dir/sharded-2.csv"; \
-	echo "sweep rows identical at -parallel 1 and 2"
+	for f in ladder large flood-8192; do cmp "$$dir/$$f-1.csv" "$$dir/$$f-2.csv"; done; \
+	(cd "$$dir" && md5sum -c "$$root/testdata/sweep-rows.md5"); \
+	echo "sweep rows identical at -parallel 1 and 2 and pinned by testdata/sweep-rows.md5"
 
 # Traced sweep smoke: run a small E17 sweep with tracing on, write the
 # Chrome trace_event file, and assert it is non-empty and well-formed

@@ -76,11 +76,12 @@ func (p *mallocProbe) check(t *testing.T, run func()) {
 // primeWaitRecords fills the runtime's caches of channel-wait records
 // (sudogs) by parking 512 goroutines on one channel at once and then
 // waking them all. A goroutine that parks takes a record from its P's
-// cache and returns it to the cache of the P it wakes on, so the
-// sharded loop's parked helpers slowly drain one P's cache into
-// another's. A GC cycle empties the shared overflow cache, and from
-// then on a dry P makes the runtime allocate a record: once in about
-// 40 unprimed sharded runs at n = 640.
+// cache, and a GC cycle empties the shared overflow cache, so after
+// check's collection a P with a dry cache makes the runtime allocate a
+// record whenever something parks. That allocation is the runtime's,
+// not the loop's, yet it can land inside a window: unprimed, the short
+// BitSender window (4096 rounds of a few words each) caught one in 3 of
+// 100 runs; primed, none of 100 did.
 func primeWaitRecords() {
 	const goroutines = 512
 	var parked, done sync.WaitGroup
@@ -114,12 +115,37 @@ func (n mallocBitNode) SendBit(t int) (uint8, bool) {
 }
 func (mallocBitNode) ReceiveBits(int, []uint64, []uint64) {}
 
+// senderLoopProbe is an inert bound BCC(1) run that writes each
+// round's plane words itself (bcc.BitSender), so the plane never asks
+// its nodes for a bit. A non-nil probe is driven from SendBits.
+type senderLoopProbe struct {
+	bitLoopProbe
+	probe *mallocProbe
+}
+
+var (
+	_ bcc.RunBinder = (*senderLoopProbe)(nil)
+	_ bcc.BitSender = (*senderLoopProbe)(nil)
+)
+
+func (p *senderLoopProbe) BindRun(*bcc.Instance, int) bcc.BoundRun { return p }
+func (p *senderLoopProbe) Hear(int, []bcc.Message)                 {}
+func (p *senderLoopProbe) HearBits(int, []uint64, []uint64)        {}
+func (p *senderLoopProbe) ReleaseRun()                             {}
+func (p *senderLoopProbe) SendBits(t int, value, spoke []uint64) {
+	if p.probe != nil {
+		p.probe.observe(t)
+	}
+	value[0], spoke[0] = 1, 1
+}
+
 // TestBitPlaneRoundLoopAllocationFree pins the bit plane's 0-allocs
 // steady-state contract the direct way: with node construction
 // amortized (preallocated inert nodes) and the arena pools warm, the
 // round loop itself (send, plane clear, popcount, delivery) allocates
 // nothing between round 2 and the last round, and a whole run's
-// allocation count is a small constant.
+// allocation count is a small constant. It holds for both senders: the
+// nodes' SendBit on an unbound run, and a bound run's SendBits.
 func TestBitPlaneRoundLoopAllocationFree(t *testing.T) {
 	const n = 256
 	g := graph.New(n)
@@ -173,4 +199,24 @@ func TestBitPlaneRoundLoopAllocationFree(t *testing.T) {
 	if perRun > 16 {
 		t.Errorf("per-run allocation constant is %.1f, want a small constant", perRun)
 	}
+	sender := &senderLoopProbe{bitLoopProbe: bitLoopProbe{rounds: rounds, nodes: make([]bcc.Node, n)}}
+	for i := range sender.nodes {
+		sender.nodes[i] = bitLoopNode{}
+	}
+	sendRun := func() {
+		res, err := bcc.Run(in, sender, bcc.WithoutTranscripts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.BitPlane || res.TotalBits != rounds {
+			t.Fatalf("sender probe: bit plane %v, %d bits; want the plane and %d bits", res.BitPlane, res.TotalBits, rounds)
+		}
+		bcc.Recycle(res)
+	}
+	sendRun()
+	if perRun := testing.AllocsPerRun(10, sendRun); perRun > 16 {
+		t.Errorf("BitSender run: per-run allocation constant is %.1f, want a small constant", perRun)
+	}
+	sender.probe = &mallocProbe{last: rounds}
+	sender.probe.check(t, sendRun)
 }

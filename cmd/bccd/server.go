@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bcclique/internal/bcc"
 	"bcclique/internal/engine"
 	"bcclique/internal/obs"
 	"bcclique/internal/report"
@@ -156,8 +155,6 @@ func (s *server) initMetrics() {
 		func() float64 { return float64(s.eng.Executions()) })
 	m.CounterFunc("bccd_cell_executions_total", "Sweep-grid cells actually computed (cache hits excluded).",
 		func() float64 { return float64(s.eng.CellExecutions()) })
-	m.GaugeFunc("bccd_intracell_shards_inflight", "Replica shards of intra-cell round loops executing right now.",
-		func() float64 { return float64(bcc.IntraCellShardsInFlight()) })
 	m.GaugeFunc("bccd_cells_running", "Sweep-grid cells computing right now (cache hits excluded).",
 		func() float64 { return float64(engine.RunningCells()) })
 	m.GaugeFunc("bccd_cell_peak_resident_bytes", "High-water mark of heap bytes per concurrently running cell since start.",

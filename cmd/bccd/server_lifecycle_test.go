@@ -347,10 +347,9 @@ func TestMetricsMatchObservedRun(t *testing.T) {
 		"bccd_queue_capacity 3",
 		"bccd_queue_depth 0",
 		"bccd_jobs_inflight 0",
-		// The intra-cell residency gauges: idle between requests, both
-		// shard and cell counts read zero; the peak-resident watermark is
-		// merely present (its value depends on what already ran in-process).
-		"bccd_intracell_shards_inflight 0",
+		// The cell residency gauges: idle between requests, the running
+		// cell count reads zero; the peak-resident watermark is merely
+		// present (its value depends on what already ran in-process).
 		"bccd_cells_running 0",
 		"bccd_cell_peak_resident_bytes",
 	} {

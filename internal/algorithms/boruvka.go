@@ -96,9 +96,9 @@ func (a *Boruvka) BindRun(in *bcc.Instance, _ int) bcc.BoundRun {
 // boruvkaRun is the run-shared substrate plus broadcast mirror: the
 // frozen ID indexer and one union-find replica standing in for all n.
 // labels[v] is the rank of the smallest member of v's component, kept
-// current eagerly at the end of every apply so Send never touches the
-// union-find (Find mutates paths; Send runs concurrently across
-// shards). A bare NewNode builds an unpooled one-replica run.
+// current eagerly at the end of every apply, so Send reads labels and
+// never touches the union-find. A bare NewNode builds an unpooled
+// one-replica run.
 type boruvkaRun struct {
 	*Boruvka
 	ix         *indexer

@@ -16,9 +16,13 @@ import (
 // are measured against in experiment E12.
 //
 // At b = 1 flood is the bit plane's flagship rider: the row lives in a
-// bitset, SendBit is one shift, and HearBits consumes 64 adjacency
-// claims per word by trailing-zero iteration straight into the
-// incremental union-find.
+// bitset, and HearBits consumes 64 adjacency claims per word by
+// trailing-zero iteration straight into the incremental union-find. A
+// bound run writes each round's plane words itself from two rows
+// (SendBits, O(n/64) a round), so a run costs O(n²/64) word operations,
+// not n² SendBit calls. SendBit, one shift, stays the per-node reference
+// that SendBits is tested against; Send serves the Message-vector
+// oracle and bare replicas.
 //
 // That union-find is a pure function of the broadcast transcript, so
 // under the runner's RunBinder protocol the n per-replica replicas
@@ -211,6 +215,48 @@ func (r *floodRun) HearBits(round int, value, _ []uint64) {
 			w &= w - 1
 			r.comp.Union(u, rowTarget(u, pos))
 		}
+	}
+}
+
+// SendBits implements bcc.BitSender. In round t vertex u sends bit t−1
+// of its row: its claim on rank t when u < t, on rank t−1 when u ≥ t.
+// Adjacency is symmetric, so that claim is bit u of rank t's row, or
+// bit u−1 of rank t−1's row. The value words are therefore rank t's row
+// below bit t and rank t−1's row shifted up one bit from bit t on:
+// O(n/64) a round. The plane engages only when every node accepted the
+// canonical plane, so plane indices are ranks, and so are the row
+// arena's vertex indices. Every vertex speaks in rounds 1..n−1; later
+// rounds, and every round of a run whose nodes are all broken (no
+// sorted IDs), stay silent.
+func (r *floodRun) SendBits(t int, value, spoke []uint64) {
+	if r.ix == nil || t > r.rowLen {
+		return
+	}
+	n := r.rowLen + 1
+	for i := range spoke {
+		spoke[i] = ^uint64(0)
+	}
+	if n&63 != 0 {
+		spoke[len(spoke)-1] = 1<<uint(n&63) - 1
+	}
+	below := r.rowArena[t*r.rowWords : (t+1)*r.rowWords]
+	above := r.rowArena[(t-1)*r.rowWords : t*r.rowWords]
+	w := t >> 6
+	copy(value[:w], below[:w])
+	var carry uint64
+	if w > 0 {
+		carry = above[w-1] >> 63
+	}
+	for i := w; i < len(value); i++ {
+		var a uint64
+		if i < len(above) {
+			a = above[i]
+		}
+		value[i] = a<<1 | carry
+		carry = a >> 63
+	}
+	if m := uint64(1)<<uint(t&63) - 1; m != 0 {
+		value[w] = value[w]&^m | below[w]&m
 	}
 }
 
@@ -455,6 +501,7 @@ var (
 	_ bcc.BoundRun     = (*floodRun)(nil)
 	_ bcc.BitAlgorithm = (*floodRun)(nil)
 	_ bcc.BitHearer    = (*floodRun)(nil)
+	_ bcc.BitSender    = (*floodRun)(nil)
 	_ bcc.Decider      = (*floodNode)(nil)
 	_ bcc.Labeler      = (*floodNode)(nil)
 	_ bcc.BitNode      = (*floodNode)(nil)

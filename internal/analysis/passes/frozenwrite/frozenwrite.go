@@ -2,8 +2,8 @@
 // documented immutable after construction (a CSR-backed graph.Graph,
 // the run-shared RunBinder substrates) whose aliasing discipline the
 // whole memory model leans on — a frozen graph's adjacency rows alias
-// one shared arena, and a run substrate is read by every replica shard
-// concurrently.
+// one shared arena, and a run substrate is read by every replica of the
+// run.
 //
 // The contract is declared in the source: a type whose doc comment
 // carries

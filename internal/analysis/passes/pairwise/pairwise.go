@@ -13,10 +13,10 @@
 //     half-open state it wedges the breaker: the lone trial slot never
 //     reports, so the breaker can never close again;
 //   - a bcc pool acquisition (acquireVector/acquirePlane for the round
-//     loop's two media, acquireShardGroup, takeInts) must flow back
-//     through its release/recycle or escape into an owner that
-//     releases later — a leaked medium or group is a pool that never
-//     warms, and the round loop allocates per run again.
+//     loop's two media, takeInts) must flow back through its
+//     release/recycle or escape into an owner that releases later — a
+//     leaked medium is a pool that never warms, and the round loop
+//     allocates per run again.
 //
 // The check is a structured walk of the acquiring function: on every
 // path from the acquisition to a return (or the function's end) the
@@ -75,7 +75,6 @@ var pairs = []pairSpec{
 	{pkg: "results", recv: "Health", fn: "Allow", result: 0, resource: "breaker probe", methods: []string{"Done"}},
 	{pkg: "bcc", fn: "acquireVector", result: 0, resource: "pooled Message vector", methods: []string{"release"}},
 	{pkg: "bcc", fn: "acquirePlane", result: 0, resource: "pooled bit plane", methods: []string{"release"}},
-	{pkg: "bcc", fn: "acquireShardGroup", result: 0, resource: "pooled shard group", methods: []string{"release"}},
 	{pkg: "bcc", fn: "takeInts", result: 0, resource: "pooled []int", funcs: []string{"recycleInts"}},
 }
 
@@ -449,7 +448,7 @@ func (t *tracker) usesRelease(call *ast.CallExpr) bool {
 }
 
 // readsField reports whether e is a basic-typed field of the tracked
-// resource (sg.numShards): a copied value, not the resource itself.
+// resource (mv.b): a copied value, not the resource itself.
 func (t *tracker) readsField(e ast.Expr) bool {
 	sel, ok := e.(*ast.SelectorExpr)
 	if !ok || !t.isObj(sel.X) {

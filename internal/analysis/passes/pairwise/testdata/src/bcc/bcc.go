@@ -3,7 +3,10 @@
 // carries both the pairs and their callers in one package.
 package bcc
 
-type messageVector struct{ sends []int }
+type messageVector struct {
+	b     int
+	sends []int
+}
 
 func (*messageVector) release() {}
 
@@ -13,15 +16,9 @@ func (*bitPlane) release() {}
 
 func (*bitPlane) bind() bool { return true }
 
-type shardGroup struct{ workers int }
-
-func (*shardGroup) release() {}
-
-func acquireVector(n int) *messageVector { return &messageVector{sends: make([]int, n)} }
+func acquireVector(n int) *messageVector { return &messageVector{b: 1, sends: make([]int, n)} }
 
 func acquirePlane(n int) *bitPlane { return &bitPlane{value: make([]uint64, n)} }
-
-func acquireShardGroup(n int) *shardGroup { return &shardGroup{workers: n} }
 
 func takeInts(n int) []int { return make([]int, n) }
 
@@ -43,18 +40,18 @@ func planeLeak(n int) {
 	}
 }
 
-// groupLeak releases on the sharded arm only.
-func groupLeak(n int, sharded bool) {
-	sg := acquireShardGroup(n) // want `pooled shard group from acquireShardGroup does not reach release on every path`
-	if sharded {
-		sg.release()
+// vectorLeak releases on one arm only.
+func vectorLeak(n int, bound bool) {
+	mv := acquireVector(n) // want `pooled Message vector from acquireVector does not reach release on every path`
+	if bound {
+		mv.release()
 	}
 }
 
-// fieldLeak copies a field out of the group, which hands nothing off.
+// fieldLeak copies a field out of the vector, which hands nothing off.
 func fieldLeak(n int) {
-	sg := acquireShardGroup(n) // want `pooled shard group from acquireShardGroup does not reach release on every path`
-	report(sg.workers)
+	mv := acquireVector(n) // want `pooled Message vector from acquireVector does not reach release on every path`
+	report(mv.b)
 }
 
 func report(int) {}
@@ -71,9 +68,9 @@ func branchLeak(n int, keep bool) {
 
 // deferred releases on every exit: clean.
 func deferred(n int) int {
-	sg := acquireShardGroup(n)
-	defer sg.release()
-	return sg.workers
+	mv := acquireVector(n)
+	defer mv.release()
+	return mv.b
 }
 
 // straightLine releases before the only exit: clean.

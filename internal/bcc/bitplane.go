@@ -46,9 +46,9 @@ type BitAlgorithm interface {
 
 // BitNode is the send half of a plane node, the word-parallel
 // counterpart of Node.Send. The runner calls BindPlane once before
-// round 1, then SendBit instead of Send. Nodes must keep both
-// consistent: the equivalence suite pins SendBit against Send trit by
-// trit.
+// round 1, then SendBit instead of Send, unless the bound run writes
+// the round itself (BitSender). Nodes must keep both consistent: the
+// equivalence suite pins SendBit against Send trit by trit.
 type BitNode interface {
 	// BindPlane hands the node its simulation bookkeeping: self is the
 	// node's plane index (= vertex index), and canonical reports the
@@ -82,6 +82,18 @@ type BitHearer interface {
 	HearBits(round int, value, spoke []uint64)
 }
 
+// BitSender is the send half of a bound run that can write a round's
+// broadcasts itself. When the bound run implements it, the plane clears
+// the round's words and calls SendBits once instead of every node's
+// SendBit. The words take the layout HearBits reads: spoke bit v is set
+// iff plane index v speaks, and value bit v is its bit (0 when silent).
+// Every node has still accepted its binding, so the run knows what a
+// plane index is; the nodes' SendBit remains the reference that
+// SendBits must match bit for bit.
+type BitSender interface {
+	SendBits(round int, value, spoke []uint64)
+}
+
 // tritPlane is the packed transcript of a bit-plane run: one flat arena
 // of 2-bit trit codes (tritZero/tritOne/tritSilent — the same codes
 // TranscriptKey uses), vertex-major: the code of (v, round t) sits at
@@ -98,6 +110,27 @@ func newTritPlane(n, rounds int) *tritPlane {
 func (tp *tritPlane) set(v, t int, code uint64) {
 	i := v*tp.rounds + t - 1
 	tp.codes[i>>5] |= code << uint(2*(i&31))
+}
+
+// record writes round t's codes from the round's finished words over n
+// vertices: tritOne for a speaker's 1 and tritSilent for a silent
+// vertex. tritZero is code 0, which the zero-initialized arena already
+// holds.
+func (tp *tritPlane) record(t, n int, value, spoke []uint64) {
+	for wi, w := range spoke {
+		ones, silent := value[wi], ^w
+		if rest := n - wi<<6; rest < 64 {
+			silent &= 1<<uint(rest) - 1
+		}
+		for ones != 0 {
+			tp.set(wi<<6+bits.TrailingZeros64(ones), t, tritOne)
+			ones &= ones - 1
+		}
+		for silent != 0 {
+			tp.set(wi<<6+bits.TrailingZeros64(silent), t, tritSilent)
+			silent &= silent - 1
+		}
+	}
 }
 
 func (tp *tritPlane) code(v, t int) uint64 {
@@ -150,16 +183,14 @@ func (tp *tritPlane) tritKey(v int) (TranscriptKey, error) {
 
 // bitPlane is the medium of a 1-bit run: the round's broadcasts as the
 // value/spoke word pair, plus the trit arena in transcript mode. Pooled
-// like messageVector; shardSize is a multiple of 64, so concurrent
-// shards clear and fill disjoint plane words, and a shard's first trit
-// slot, shardSize·rounds, is a multiple of the arena's 32 codes per
-// word, so shards never share a trit word either.
+// like messageVector.
 type bitPlane struct {
-	nodes []planeNode
-	run   BitHearer // a bound run hears each round once
-	value []uint64
-	spoke []uint64
-	trits *tritPlane // nil under WithoutTranscripts
+	nodes  []planeNode
+	run    BitHearer // a bound run hears each round once
+	sender BitSender // a bound run that writes each round's words itself
+	value  []uint64
+	spoke  []uint64
+	trits  *tritPlane // nil under WithoutTranscripts
 }
 
 // planeNode is one vertex on the plane: its send half and, in an
@@ -197,6 +228,7 @@ func (p *bitPlane) bind(in *Instance, run BoundRun, nodes []Node, rounds int, o 
 			return false
 		}
 		p.run = h
+		p.sender, _ = run.(BitSender)
 	}
 	for v, node := range nodes {
 		bn, ok := node.(BitNode)
@@ -220,33 +252,32 @@ func (p *bitPlane) bind(in *Instance, run BoundRun, nodes []Node, rounds int, o 
 	return true
 }
 
-// send clears and fills the plane words of vertices [first, limit),
-// records their trits, and pops the round's bits out of the spoke words.
-func (p *bitPlane) send(t, first, limit int) (int, error) {
-	value, spoke, tp := p.value, p.spoke, p.trits
-	wf, wl := first>>6, (limit+63)>>6
-	clear(value[wf:wl])
-	clear(spoke[wf:wl])
-	for i, node := range p.nodes[first:limit] {
-		bit, speak := node.SendBit(t)
-		v := first + i
-		if speak {
-			w, m := v>>6, uint64(1)<<uint(v&63)
-			spoke[w] |= m
-			if bit&1 != 0 {
-				value[w] |= m
-				if tp != nil {
-					tp.set(v, t, tritOne)
+// send clears the plane words and fills them: from the bound run's
+// SendBits when it has one, otherwise from every node's SendBit. Then
+// it records the round's trits from the finished words and pops the
+// round's bits out of the spoke words.
+func (p *bitPlane) send(t int) (int, error) {
+	value, spoke := p.value, p.spoke
+	clear(value)
+	clear(spoke)
+	if p.sender != nil {
+		p.sender.SendBits(t, value, spoke)
+	} else {
+		for v, node := range p.nodes {
+			if bit, speak := node.SendBit(t); speak {
+				w, m := v>>6, uint64(1)<<uint(v&63)
+				spoke[w] |= m
+				if bit&1 != 0 {
+					value[w] |= m
 				}
 			}
-			// tritZero is code 0: the zero-initialized arena
-			// already encodes it.
-		} else if tp != nil {
-			tp.set(v, t, tritSilent)
 		}
 	}
+	if p.trits != nil {
+		p.trits.record(t, len(p.nodes), value, spoke)
+	}
 	rb := 0
-	for _, w := range spoke[wf:wl] {
+	for _, w := range spoke {
 		rb += bits.OnesCount64(w)
 	}
 	return rb, nil
@@ -272,7 +303,7 @@ func (p *bitPlane) finish(res *Result) {
 // release drops the run, its nodes and trit arena and pools the words.
 func (p *bitPlane) release() {
 	clear(p.nodes)
-	p.run, p.trits = nil, nil
+	p.run, p.sender, p.trits = nil, nil, nil
 	planePool.Put(p)
 }
 

@@ -113,11 +113,9 @@ type Node interface {
 // the broadcast mirror every replica would otherwise replicate), so n
 // replicas shrink to compact per-replica residue.
 //
-// Implementing RunBinder also opts the algorithm into the intra-cell
-// replica-parallel round loop: it declares that distinct nodes of one
-// run may execute Send (or SendBit) concurrently. The bound run must
-// implement BitAlgorithm and BitHearer whenever the original algorithm
-// implements BitAlgorithm.
+// The bound run must implement BitAlgorithm and BitHearer whenever the
+// original algorithm implements BitAlgorithm; it may also implement
+// BitSender, to write each round's plane words itself.
 type RunBinder interface {
 	BindRun(in *Instance, rounds int) BoundRun
 }
@@ -125,7 +123,7 @@ type RunBinder interface {
 // BoundRun is the per-run algorithm BindRun returns. In BCC every
 // vertex hears the same broadcast vector, so the run hears each round
 // once on behalf of all its nodes, and the runner never delivers to
-// the nodes themselves. After round t's send barrier the runner calls
+// the nodes themselves. After round t's sends the runner calls
 // Hear(t, sends) exactly once, on its own goroutine, with the round's
 // broadcasts indexed by vertex (every vertex's own entry included); the
 // slice is runner-owned and reused between rounds, so the run must not
@@ -294,8 +292,7 @@ func RunContext(ctx context.Context, in *Instance, algo Algorithm, opts ...Optio
 
 	// Shared-substrate algorithms bind once per run; the bound run owns
 	// the run's shared state, is what nodes are built from, and hears
-	// every round. Binding also opts the run into intra-cell sharding at
-	// large n.
+	// every round.
 	bindSpan := span.Child("bind")
 	runAlgo := algo
 	var run BoundRun
@@ -320,16 +317,10 @@ func RunContext(ctx context.Context, in *Instance, algo Algorithm, opts ...Optio
 	// writes every slot, so stale pool contents are inert.
 	res := &Result{Rounds: rounds, RoundBits: takeInts(rounds)}
 
-	// The medium carries the run's broadcasts; the shard group drives
-	// its send phase. A bound run at large n splits each send phase into
-	// fixed replica shards over helpers drawn from the same process-wide
-	// budget as RunGrid's cell fan-out; every other run is the group's
-	// one-shard case. The round is heard on this goroutine, after the
-	// send barrier.
+	// The medium carries the run's broadcasts: each round it collects
+	// every vertex's send, then the round is heard.
 	m := bindMedium(in, runAlgo, run, nodes, b, res, o)
 	defer m.release()
-	sg := acquireShardGroup(m, n, run != nil && n >= intraCellThreshold())
-	defer sg.release()
 
 	roundsSpan := span.Child("rounds")
 	var err error
@@ -338,7 +329,7 @@ func RunContext(ctx context.Context, in *Instance, algo Algorithm, opts ...Optio
 			break
 		}
 		var bits int
-		if bits, err = sg.send(t); err != nil {
+		if bits, err = m.send(t); err != nil {
 			break
 		}
 		res.RoundBits[t-1] = bits
@@ -351,7 +342,7 @@ func RunContext(ctx context.Context, in *Instance, algo Algorithm, opts ...Optio
 		return nil, err
 	}
 	m.finish(res)
-	annotateRounds(roundsSpan, res, sg.numShards)
+	annotateRounds(roundsSpan, res)
 	assembleSpan := span.Child("assemble")
 	finishOutputs(res, nodes)
 	assembleSpan.End()
@@ -359,15 +350,12 @@ func RunContext(ctx context.Context, in *Instance, algo Algorithm, opts ...Optio
 }
 
 // medium is what differs between the round loop's two paths: how a
-// round's broadcasts are collected, counted and heard. RunContext's
-// loop drives its send phase a shard of vertices at a time — send
-// touches only the vertices in [first, limit) and state no other shard
-// writes — and hears each round whole, on the calling goroutine. Both
+// round's broadcasts are collected, counted and heard. Both
 // implementations are pooled and drop the run's nodes on release.
 type medium interface {
-	// send collects round t's broadcasts from vertices [first, limit)
-	// and returns how many bits they broadcast.
-	send(t, first, limit int) (int, error)
+	// send collects round t's broadcasts and returns how many bits
+	// they total.
+	send(t int) (int, error)
 	// deliver hands round t's broadcasts to the run: once to a bound
 	// run, or to every node of an unbound one.
 	deliver(t int)
@@ -439,12 +427,11 @@ func acquireVector(in *Instance, run BoundRun, nodes []Node, b int, res *Result,
 	return mv
 }
 
-func (mv *messageVector) send(t, first, limit int) (int, error) {
+func (mv *messageVector) send(t int) (int, error) {
 	b, sends, transcripts := mv.b, mv.sends, mv.transcripts
 	rb := 0
-	for i, node := range mv.nodes[first:limit] {
+	for v, node := range mv.nodes {
 		m := node.Send(t)
-		v := first + i
 		if int(m.Len) > b {
 			return 0, fmt.Errorf("bcc: vertex %d broadcast %d bits in round %d, bandwidth is %d", v, m.Len, t, b)
 		}
@@ -515,11 +502,11 @@ func (mv *messageVector) release() {
 }
 
 // annotateRounds summarizes a finished round loop onto its span and
-// ends it: round/bit totals, which medium served the run, the shard
-// count of a sharded run, and a coarse per-round-window bit profile
-// derived from the already-recorded RoundBits series — all computed
-// after the loop, so the hot path never touches the tracer.
-func annotateRounds(s *obs.Span, res *Result, shards int) {
+// ends it: round/bit totals, which medium served the run, and a coarse
+// per-round-window bit profile derived from the already-recorded
+// RoundBits series — all computed after the loop, so the hot path never
+// touches the tracer.
+func annotateRounds(s *obs.Span, res *Result) {
 	if s == nil {
 		return
 	}
@@ -527,9 +514,6 @@ func annotateRounds(s *obs.Span, res *Result, shards int) {
 	s.SetNum("total_bits", float64(res.TotalBits))
 	if res.BitPlane {
 		s.SetNum("bit_plane", 1)
-	}
-	if shards > 1 {
-		s.SetNum("shards", float64(shards))
 	}
 	s.SetStr("round_windows", roundWindows(res.RoundBits))
 	s.End()

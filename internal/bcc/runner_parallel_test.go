@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"bcclique/internal/obs"
@@ -147,9 +146,8 @@ func TestEstimateErrorParallelMatchesSequential(t *testing.T) {
 }
 
 // loopProbe is a run-bound BCC(1) algorithm that rides either medium,
-// hearing each round itself, so its runs shard whenever the threshold
-// allows. Vertices listed in greedy broadcast two bits on the Message
-// vector.
+// hearing each round itself. Vertices listed in greedy broadcast two
+// bits on the Message vector.
 type loopProbe struct {
 	plane  bool
 	greedy map[int]bool
@@ -179,95 +177,73 @@ func (loopNode) Receive(int, []Message)    {}
 func (loopNode) BindPlane(int, bool) bool  { return true }
 func (loopNode) SendBit(int) (uint8, bool) { return 1, true }
 
-// TestRunErrorPaths pins the round loop's one error exit on both media
-// and both shard layouts: a ctx cancelled before round 1 returns
-// context.Canceled and no Result, and on the Message vector a bandwidth
-// violation names the same vertex sharded and unsharded. A clean traced
-// run first checks that each case takes the medium and layout it names.
+// TestRunErrorPaths pins the round loop's one error exit on both media:
+// a ctx cancelled before round 1 returns context.Canceled and no
+// Result, and on the Message vector a bandwidth violation names the
+// lowest offending vertex. A clean traced run first checks that each
+// case takes the medium it names.
 func TestRunErrorPaths(t *testing.T) {
-	const n = 300 // two shards when sharded
+	const n = 300
 	in, err := NewKT1(SequentialIDs(n), cycleInput(t, n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel.SetLimit(3)
-	defer parallel.SetLimit(0)
-	defer SetIntraCellMinN(SetIntraCellMinN(0))
-	layouts := []struct {
-		name   string
-		minN   int
-		shards int
-	}{{"one-shard", 1 << 30, 0}, {"sharded", 1, 2}}
-	bandwidthErrs := make([]string, len(layouts))
-	for li, layout := range layouts {
-		SetIntraCellMinN(layout.minN)
-		for _, plane := range []bool{false, true} {
-			name := fmt.Sprintf("%s/plane=%v", layout.name, plane)
-			algo := loopProbe{plane: plane}
+	for _, plane := range []bool{false, true} {
+		name := fmt.Sprintf("plane=%v", plane)
+		algo := loopProbe{plane: plane}
 
-			tr := obs.New(64)
-			ctx, root := tr.Root(context.Background(), "run", name)
-			res, err := RunContext(ctx, in, algo)
-			root.End()
-			if err != nil {
-				t.Fatalf("%s: clean run: %v", name, err)
+		tr := obs.New(64)
+		ctx, root := tr.Root(context.Background(), "run", name)
+		res, err := RunContext(ctx, in, algo)
+		root.End()
+		if err != nil {
+			t.Fatalf("%s: clean run: %v", name, err)
+		}
+		if res.BitPlane != plane {
+			t.Fatalf("%s: BitPlane = %v", name, res.BitPlane)
+		}
+		found := false
+		for _, rec := range tr.Trace(name) {
+			if rec.Name != "rounds" {
+				continue
 			}
-			if res.BitPlane != plane {
-				t.Fatalf("%s: BitPlane = %v", name, res.BitPlane)
-			}
-			found := false
-			for _, rec := range tr.Trace(name) {
-				if rec.Name != "rounds" {
-					continue
-				}
-				found = true
-				a, ok := rec.Attr("shards")
-				if got := int(a.Num); ok != (layout.shards > 0) || got != layout.shards {
-					t.Fatalf("%s: rounds span shards attr = %v (present %v), want %d", name, got, ok, layout.shards)
-				}
-			}
-			if !found {
-				t.Fatalf("%s: no rounds span recorded", name)
-			}
-
-			cancelled, cancel := context.WithCancel(context.Background())
-			cancel()
-			res, err = RunContext(cancelled, in, algo)
-			if !errors.Is(err, context.Canceled) || res != nil {
-				t.Fatalf("%s: cancelled run returned (%v, %v), want (nil, context.Canceled)", name, res, err)
+			found = true
+			if _, ok := rec.Attr("bit_plane"); ok != plane {
+				t.Fatalf("%s: rounds span bit_plane attr present = %v", name, ok)
 			}
 		}
-		// Greedy vertices in both shards: the lowest one is reported.
-		_, err := Run(in, loopProbe{greedy: map[int]bool{5: true, 290: true}})
-		if err == nil {
-			t.Fatalf("%s: over-budget broadcast succeeded", layout.name)
+		if !found {
+			t.Fatalf("%s: no rounds span recorded", name)
 		}
-		bandwidthErrs[li] = err.Error()
+
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
+		res, err = RunContext(cancelled, in, algo)
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Fatalf("%s: cancelled run returned (%v, %v), want (nil, context.Canceled)", name, res, err)
+		}
 	}
-	if bandwidthErrs[0] != bandwidthErrs[1] {
-		t.Fatalf("bandwidth error differs:\none-shard: %s\nsharded:   %s", bandwidthErrs[0], bandwidthErrs[1])
+	_, err = Run(in, loopProbe{greedy: map[int]bool{5: true, 290: true}})
+	if err == nil {
+		t.Fatal("over-budget broadcast succeeded")
 	}
-	if want := "vertex 5 broadcast 2 bits in round 1"; !strings.Contains(bandwidthErrs[0], want) {
-		t.Fatalf("bandwidth error %q does not name %q", bandwidthErrs[0], want)
-	}
-	if got := IntraCellShardsInFlight(); got != 0 {
-		t.Fatalf("%d shards still in flight after every run ended", got)
+	if want := "vertex 5 broadcast 2 bits in round 1"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("bandwidth error %q does not name %q", err, want)
 	}
 }
 
 // hearProbe is a bound BCC(1) run that logs what the round loop does
-// to it. Its nodes count their sends and receives in atomic counters,
-// and each send checks that the previous round was already heard; the
-// run records every round it hears, with the send count at that moment
-// and whether the broadcasts it heard match hearMsg. It rides either
-// medium.
+// to it. Its nodes count their sends and receives, and each send checks
+// that the previous round was already heard; the run records every
+// round it hears, with the send count at that moment and whether the
+// broadcasts it heard match hearMsg. It rides either medium.
 type hearProbe struct {
 	plane     bool
 	n         int
-	sends     atomic.Int64
-	receives  atomic.Int64
-	early     atomic.Int64 // sends of round t made before round t−1 was heard
-	lastHeard int          // written by the run, read by every send
+	sends     int64
+	receives  int64
+	early     int64 // sends of round t made before round t−1 was heard
+	lastHeard int
 	heard     []hearing
 }
 
@@ -291,6 +267,19 @@ func hearMsg(v, t int) Message {
 	return Silence
 }
 
+// heardWords reports whether value/spoke carry every vertex's hearMsg
+// for round t.
+func heardWords(n, t int, value, spoke []uint64) bool {
+	for u := 0; u < n; u++ {
+		m := hearMsg(u, t)
+		w, bit := u>>6, uint(u&63)
+		if spoke[w]>>bit&1 != uint64(m.Len) || value[w]>>bit&1 != m.Bits {
+			return false
+		}
+	}
+	return true
+}
+
 func (p *hearProbe) Name() string                    { return "hear-probe" }
 func (p *hearProbe) Bandwidth() int                  { return 1 }
 func (p *hearProbe) Rounds(int) int                  { return 5 }
@@ -308,17 +297,11 @@ func (p *hearProbe) Hear(t int, sends []Message) {
 }
 
 func (p *hearProbe) HearBits(t int, value, spoke []uint64) {
-	ok := true
-	for u := 0; u < p.n; u++ {
-		m := hearMsg(u, t)
-		w, bit := u>>6, uint(u&63)
-		ok = ok && spoke[w]>>bit&1 == uint64(m.Len) && value[w]>>bit&1 == m.Bits
-	}
-	p.record(t, true, ok)
+	p.record(t, true, heardWords(p.n, t, value, spoke))
 }
 
 func (p *hearProbe) record(t int, bits, ok bool) {
-	p.heard = append(p.heard, hearing{round: t, sends: p.sends.Load(), bits: bits, ok: ok})
+	p.heard = append(p.heard, hearing{round: t, sends: p.sends, bits: bits, ok: ok})
 	p.lastHeard = t
 }
 
@@ -331,9 +314,9 @@ type hearNode struct {
 
 func (n hearNode) send(t int) Message {
 	if n.p.lastHeard != t-1 {
-		n.p.early.Add(1)
+		n.p.early++
 	}
-	n.p.sends.Add(1)
+	n.p.sends++
 	return hearMsg(n.v, t)
 }
 
@@ -343,101 +326,182 @@ func (n hearNode) SendBit(t int) (uint8, bool) {
 	return uint8(m.Bits), m.Len != 0
 }
 func (hearNode) BindPlane(int, bool) bool              { return true }
-func (n hearNode) Receive(int, []Message)              { n.p.receives.Add(1) }
-func (n hearNode) ReceiveBits(int, []uint64, []uint64) { n.p.receives.Add(1) }
+func (n hearNode) Receive(int, []Message)              { n.p.receives++ }
+func (n hearNode) ReceiveBits(int, []uint64, []uint64) { n.p.receives++ }
 
 // TestBoundRunHearsOncePerRound pins the BoundRun contract on both
-// media and both shard layouts, and on a received-transcript run: the
-// run hears rounds 1..R exactly once each, in order; when it hears
-// round t all n·t sends of rounds 1..t have happened and none of round
-// t+1; the broadcasts it hears are the ones sent; no node receives
-// anything; and every recorded inbox slot is the Sent entry of the
-// vertex behind that port. The wiring is a rotation, so ports and
-// vertices differ. Under -race (make stress), the sends' plain read of
-// lastHeard also checks that each hearing happens before the next
-// sharded send phase.
+// media, and on a received-transcript run: the run hears rounds 1..R
+// exactly once each, in order; when it hears round t all n·t sends of
+// rounds 1..t have happened and none of round t+1; the broadcasts it
+// hears are the ones sent; no node receives anything; and every
+// recorded inbox slot is the Sent entry of the vertex behind that port.
+// The wiring is a rotation, so ports and vertices differ.
 func TestBoundRunHearsOncePerRound(t *testing.T) {
-	const n = 300 // two shards when sharded
+	const n = 300
 	in, err := NewKT0(SequentialIDs(n), cycleInput(t, n), RotationWiring(n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel.SetLimit(3)
-	defer parallel.SetLimit(0)
-	defer SetIntraCellMinN(SetIntraCellMinN(0))
-	layouts := []struct {
-		name   string
-		minN   int
-		shards int
-	}{{"one-shard", 1 << 30, 0}, {"sharded", 1, 2}}
 	cases := []struct {
 		name            string
 		plane, received bool
 	}{{"vector", false, false}, {"plane", true, false}, {"vector-received", false, true}}
-	for _, layout := range layouts {
-		SetIntraCellMinN(layout.minN)
-		for _, c := range cases {
-			name := layout.name + "/" + c.name
-			probe := &hearProbe{plane: c.plane, n: n}
-			var opts []Option
-			if c.received {
-				opts = append(opts, WithReceivedTranscripts())
+	for _, c := range cases {
+		name := c.name
+		probe := &hearProbe{plane: c.plane, n: n}
+		var opts []Option
+		if c.received {
+			opts = append(opts, WithReceivedTranscripts())
+		}
+		res, err := Run(in, probe, opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.BitPlane != c.plane {
+			t.Fatalf("%s: BitPlane = %v", name, res.BitPlane)
+		}
+		if len(probe.heard) != res.Rounds {
+			t.Fatalf("%s: heard %d rounds, want %d", name, len(probe.heard), res.Rounds)
+		}
+		for i, h := range probe.heard {
+			if want := i + 1; h.round != want {
+				t.Fatalf("%s: hearing %d was round %d, want %d", name, i, h.round, want)
 			}
-			tr := obs.New(64)
-			ctx, root := tr.Root(context.Background(), "run", name)
-			res, err := RunContext(ctx, in, probe, opts...)
-			root.End()
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+			if want := int64(n * h.round); h.sends != want {
+				t.Fatalf("%s: round %d heard after %d sends, want %d", name, h.round, h.sends, want)
 			}
-			if res.BitPlane != c.plane {
-				t.Fatalf("%s: BitPlane = %v", name, res.BitPlane)
+			if h.bits != c.plane {
+				t.Fatalf("%s: round %d heard through HearBits = %v", name, h.round, h.bits)
 			}
-			shards := -1
-			for _, rec := range tr.Trace(name) {
-				if rec.Name == "rounds" {
-					a, _ := rec.Attr("shards")
-					shards = int(a.Num)
-				}
+			if !h.ok {
+				t.Fatalf("%s: round %d heard broadcasts that were not sent", name, h.round)
 			}
-			if shards != layout.shards {
-				t.Fatalf("%s: rounds span shards = %d, want %d", name, shards, layout.shards)
-			}
-			if len(probe.heard) != res.Rounds {
-				t.Fatalf("%s: heard %d rounds, want %d", name, len(probe.heard), res.Rounds)
-			}
-			for i, h := range probe.heard {
-				if want := i + 1; h.round != want {
-					t.Fatalf("%s: hearing %d was round %d, want %d", name, i, h.round, want)
-				}
-				if want := int64(n * h.round); h.sends != want {
-					t.Fatalf("%s: round %d heard after %d sends, want %d", name, h.round, h.sends, want)
-				}
-				if h.bits != c.plane {
-					t.Fatalf("%s: round %d heard through HearBits = %v", name, h.round, h.bits)
-				}
-				if !h.ok {
-					t.Fatalf("%s: round %d heard broadcasts that were not sent", name, h.round)
-				}
-			}
-			if got := probe.early.Load(); got != 0 {
-				t.Fatalf("%s: %d sends ran before the previous round was heard", name, got)
-			}
-			if got := probe.receives.Load(); got != 0 {
-				t.Fatalf("%s: nodes of a bound run received %d times", name, got)
-			}
-			if !c.received {
-				continue
-			}
-			for v := 0; v < n; v++ {
-				for r := 0; r < res.Rounds; r++ {
-					for p, got := range res.Transcripts[v].Received[r] {
-						u := in.NeighborAt(v, p)
-						if want := res.Transcripts[u].Sent[r]; got != want {
-							t.Fatalf("%s: vertex %d round %d port %d received %v, vertex %d sent %v", name, v, r+1, p, got, u, want)
-						}
+		}
+		if probe.early != 0 {
+			t.Fatalf("%s: %d sends ran before the previous round was heard", name, probe.early)
+		}
+		if probe.receives != 0 {
+			t.Fatalf("%s: nodes of a bound run received %d times", name, probe.receives)
+		}
+		if !c.received {
+			continue
+		}
+		for v := 0; v < n; v++ {
+			for r := 0; r < res.Rounds; r++ {
+				for p, got := range res.Transcripts[v].Received[r] {
+					u := in.NeighborAt(v, p)
+					if want := res.Transcripts[u].Sent[r]; got != want {
+						t.Fatalf("%s: vertex %d round %d port %d received %v, vertex %d sent %v", name, v, r+1, p, got, u, want)
 					}
 				}
+			}
+		}
+	}
+}
+
+// senderProbe is a bound BCC(1) run that writes every round's plane
+// words itself (BitSender): vertex v broadcasts hearMsg(v, t). Its
+// nodes fail the test if the plane asks them for a bit.
+type senderProbe struct {
+	t     *testing.T
+	n     int
+	heard int // rounds whose words matched hearMsg when heard
+}
+
+var (
+	_ RunBinder = (*senderProbe)(nil)
+	_ BitSender = (*senderProbe)(nil)
+)
+
+func (p *senderProbe) Name() string                    { return "sender-probe" }
+func (p *senderProbe) Bandwidth() int                  { return 1 }
+func (p *senderProbe) Rounds(int) int                  { return 7 }
+func (p *senderProbe) BitPlane() bool                  { return true }
+func (p *senderProbe) BindRun(*Instance, int) BoundRun { return p }
+func (p *senderProbe) NewNode(View, *Coin) Node        { return senderNode{p.t} }
+func (p *senderProbe) Hear(int, []Message)             { p.t.Error("a plane run heard the Message vector") }
+func (p *senderProbe) ReleaseRun()                     {}
+
+func (p *senderProbe) SendBits(t int, value, spoke []uint64) {
+	for v := 0; v < p.n; v++ {
+		if m := hearMsg(v, t); m.Len != 0 {
+			spoke[v>>6] |= 1 << uint(v&63)
+			value[v>>6] |= m.Bits << uint(v&63)
+		}
+	}
+}
+
+func (p *senderProbe) HearBits(t int, value, spoke []uint64) {
+	if heardWords(p.n, t, value, spoke) {
+		p.heard++
+	}
+}
+
+type senderNode struct{ t *testing.T }
+
+func (senderNode) Send(int) Message         { return Silence }
+func (senderNode) Receive(int, []Message)   {}
+func (senderNode) BindPlane(int, bool) bool { return true }
+func (n senderNode) SendBit(int) (uint8, bool) {
+	n.t.Error("the plane called SendBit on a BitSender run")
+	return 0, false
+}
+
+// TestBitSenderWritesTheRound pins the plane's BitSender path with and
+// without transcripts: the run's SendBits replaces every node's
+// SendBit, the run hears exactly the words it wrote, and RoundBits and
+// the trit transcripts are taken from those words.
+func TestBitSenderWritesTheRound(t *testing.T) {
+	const n = 130 // just over two plane words
+	in, err := NewKT1(SequentialIDs(n), cycleInput(t, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, transcripts := range []bool{true, false} {
+		probe := &senderProbe{t: t, n: n}
+		var opts []Option
+		if !transcripts {
+			opts = append(opts, WithoutTranscripts())
+		}
+		res, err := Run(in, probe, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.BitPlane {
+			t.Fatalf("transcripts=%v: the probe did not ride the plane", transcripts)
+		}
+		if probe.heard != res.Rounds {
+			t.Fatalf("transcripts=%v: %d of %d rounds heard the words SendBits wrote", transcripts, probe.heard, res.Rounds)
+		}
+		labels, err := SentTritLabels(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if transcripts {
+			want = n
+		}
+		if len(labels) != want {
+			t.Fatalf("transcripts=%v: %d trit labels, want %d", transcripts, len(labels), want)
+		}
+		for r := 1; r <= res.Rounds; r++ {
+			bits := 0
+			for v := 0; v < n; v++ {
+				m := hearMsg(v, r)
+				bits += int(m.Len)
+				if len(labels) == 0 {
+					continue
+				}
+				trit := byte('_')
+				if m.Len != 0 {
+					trit = '0' + byte(m.Bits)
+				}
+				if got := labels[v][r-1]; got != trit {
+					t.Fatalf("vertex %d round %d: trit %q, want %q", v, r, got, trit)
+				}
+			}
+			if res.RoundBits[r-1] != bits {
+				t.Fatalf("transcripts=%v: round %d bits %d, want %d", transcripts, r, res.RoundBits[r-1], bits)
 			}
 		}
 	}

@@ -1,10 +1,10 @@
 // Package equiv pins the shared-substrate protocols' central contract:
-// outputs are bit-identical between the sequential round loop and the
-// intra-cell replica-parallel one at every worker count, between vector
-// and per-port delivery, between the bit plane and the generic loop,
-// and between run-bound (shared mirror) and bare (private mirror)
-// nodes. Verdicts, labels, RoundBits, and per-vertex transcripts must
-// all match — the sweep grids' cached content addresses depend on it.
+// outputs are bit-identical between vector and per-port delivery,
+// between the bit plane (with a bound run's own SendBits where it has
+// one) and the generic loop, and between run-bound (shared mirror) and
+// bare (private mirror) nodes. Verdicts, labels, RoundBits, and
+// per-vertex transcripts must all match — the sweep grids' cached
+// content addresses depend on it.
 package equiv_test
 
 import (
@@ -16,7 +16,6 @@ import (
 	"bcclique/internal/bcc"
 	"bcclique/internal/family"
 	"bcclique/internal/graph"
-	"bcclique/internal/parallel"
 	"bcclique/internal/sketch"
 )
 
@@ -192,23 +191,6 @@ func buildInstance(t *testing.T, pc protoCase, fam string, n int, scrambled bool
 	return in, maxDegreeOf(g)
 }
 
-// sequentially runs f with intra-cell sharding disabled.
-func sequentially(f func()) {
-	prev := bcc.SetIntraCellMinN(1 << 30)
-	defer bcc.SetIntraCellMinN(prev)
-	f()
-}
-
-// inParallel runs f with intra-cell sharding forced on at the given
-// worker budget, regardless of instance size.
-func inParallel(workers int, f func()) {
-	prev := bcc.SetIntraCellMinN(1)
-	defer bcc.SetIntraCellMinN(prev)
-	parallel.SetLimit(workers)
-	defer parallel.SetLimit(0)
-	f()
-}
-
 // compareResults asserts every observable output of two runs matches:
 // rounds, verdicts, labels, per-round bit counts, and per-vertex sent
 // transcripts (as trit strings when both runs rode the bit plane).
@@ -269,9 +251,9 @@ func compareResults(t *testing.T, label string, want, got *bcc.Result) {
 
 // TestReplicaParallelMatchesSequential is the tentpole pin: for every
 // protocol, family, ID assignment, size, and truncation point, the
-// replica-parallel round loop at several worker counts — and the
-// per-port inbox and generic (plane-off) delivery flavors — produce
-// results identical to the sequential vector path.
+// per-port inbox and generic (plane-off) delivery flavors produce
+// results identical to the default run (the bit plane for 1-bit
+// protocols, where flood-b1's run writes its own plane words).
 func TestReplicaParallelMatchesSequential(t *testing.T) {
 	for _, pc := range protoCases() {
 		pc := pc
@@ -294,45 +276,22 @@ func TestReplicaParallelMatchesSequential(t *testing.T) {
 								continue
 							}
 							label := fmt.Sprintf("%s/%s/n=%d/scrambled=%v/rounds=%d", pc.name, fam, n, scrambled, rounds)
-							var seq *bcc.Result
-							var seqErr error
-							sequentially(func() {
-								seq, seqErr = bcc.Run(in, algo, bcc.WithRounds(rounds))
-							})
-							if seqErr != nil {
-								t.Fatalf("%s: %v", label, seqErr)
-							}
-							for _, workers := range []int{2, 5} {
-								var par *bcc.Result
-								var parErr error
-								inParallel(workers, func() {
-									par, parErr = bcc.Run(in, algo, bcc.WithRounds(rounds))
-								})
-								if parErr != nil {
-									t.Fatalf("%s workers=%d: %v", label, workers, parErr)
-								}
-								compareResults(t, fmt.Sprintf("%s workers=%d", label, workers), seq, par)
+							seq, err := bcc.Run(in, algo, bcc.WithRounds(rounds))
+							if err != nil {
+								t.Fatalf("%s: %v", label, err)
 							}
 							// Per-port inbox delivery (received transcripts
 							// force the classic Receive path).
-							var recv *bcc.Result
-							var recvErr error
-							sequentially(func() {
-								recv, recvErr = bcc.Run(in, algo, bcc.WithRounds(rounds), bcc.WithReceivedTranscripts())
-							})
-							if recvErr != nil {
-								t.Fatalf("%s inbox: %v", label, recvErr)
+							recv, err := bcc.Run(in, algo, bcc.WithRounds(rounds), bcc.WithReceivedTranscripts())
+							if err != nil {
+								t.Fatalf("%s inbox: %v", label, err)
 							}
 							compareResults(t, label+" inbox", seq, recv)
 							// Generic loop with the bit plane disabled.
 							if seq.BitPlane {
-								var gen *bcc.Result
-								var genErr error
-								sequentially(func() {
-									gen, genErr = bcc.Run(in, algo, bcc.WithRounds(rounds), bcc.WithoutBitPlane())
-								})
-								if genErr != nil {
-									t.Fatalf("%s no-plane: %v", label, genErr)
+								gen, err := bcc.Run(in, algo, bcc.WithRounds(rounds), bcc.WithoutBitPlane())
+								if err != nil {
+									t.Fatalf("%s no-plane: %v", label, err)
 								}
 								compareResults(t, label+" no-plane", seq, gen)
 							}
@@ -357,11 +316,7 @@ func TestBareNodesMatchRunner(t *testing.T) {
 					in, maxDeg := buildInstance(t, pc, fam, n, true)
 					algo := pc.make(t, 2*(n-1)+3, maxDeg)
 					rounds := algo.Rounds(n)
-					var want *bcc.Result
-					var err error
-					sequentially(func() {
-						want, err = bcc.Run(in, algo)
-					})
+					want, err := bcc.Run(in, algo)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -415,10 +370,10 @@ func TestBareNodesMatchRunner(t *testing.T) {
 	}
 }
 
-// TestReplicaParallelXLSmoke runs one cell at the new SizeCaps per
-// cheap protocol — boruvka at its raised 16384 ceiling, kt0-exchange at
-// 8192, sketch at 2048 — and pins parallel-vs-sequential equality at
-// full scale. flood-b1 at 32768 is covered by the grid ladder tests.
+// TestReplicaParallelXLSmoke runs one cell at the SizeCaps per cheap
+// protocol — boruvka at its 16384 ceiling, kt0-exchange at 8192, sketch
+// at 2048 — and pins each verdict at full scale. flood-b1 at 32768 is
+// covered by the grid ladder tests.
 func TestReplicaParallelXLSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("xl smoke skipped in -short")
@@ -455,22 +410,10 @@ func TestReplicaParallelXLSmoke(t *testing.T) {
 		t.Run(fmt.Sprintf("%s-%d", c.pc.name, c.n), func(t *testing.T) {
 			in, maxDeg := buildInstance(t, c.pc, c.fam, c.n, false)
 			algo := c.pc.make(t, 2*(c.n-1)+3, maxDeg)
-			var seq *bcc.Result
-			var err error
-			sequentially(func() {
-				seq, err = bcc.Run(in, algo, bcc.WithoutTranscripts())
-			})
+			seq, err := bcc.Run(in, algo, bcc.WithoutTranscripts())
 			if err != nil {
 				t.Fatal(err)
 			}
-			var par *bcc.Result
-			inParallel(4, func() {
-				par, err = bcc.Run(in, algo, bcc.WithoutTranscripts())
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareResults(t, fmt.Sprintf("%s@%d", c.pc.name, c.n), seq, par)
 			wantVerdict := bcc.VerdictYes
 			if c.fam == "two-cycle" {
 				wantVerdict = bcc.VerdictNo

@@ -65,29 +65,6 @@ func acquireHelper() bool {
 
 func releaseHelper() { helpers.Add(-1) }
 
-// Acquire reserves up to want slots of the process-wide helper budget —
-// the same budget ForEach draws its workers from — and returns how many
-// it got (possibly zero). Long-lived worker pools (the intra-cell shard
-// runner in internal/bcc) use Acquire/Release instead of ForEach so
-// cell-level fan-out and intra-cell parallelism share one limit: a
-// helper goroutine is a helper goroutine no matter which layer owns it.
-// Callers must pair every Acquire with a Release of the same count.
-func Acquire(want int) int {
-	got := 0
-	for got < want && acquireHelper() {
-		got++
-	}
-	return got
-}
-
-// Release returns n slots previously obtained from Acquire to the
-// global helper budget.
-func Release(n int) {
-	for i := 0; i < n; i++ {
-		releaseHelper()
-	}
-}
-
 // ForEach runs fn(i) for every i in [0, n) on the calling goroutine plus
 // up to Limit−1 helpers from the global budget. All n tasks are
 // attempted even after a failure; the returned error is the one from the

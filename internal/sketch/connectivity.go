@@ -150,8 +150,7 @@ type sketchRun struct {
 	universe   []int // nil → run invalid, every node broken
 	vertexRank []int32
 	// rows[v] is the sketch vertex v is transmitting this phase (nil if
-	// silent), written by each replica into its own slot at phase start
-	// — disjoint writes, safe across shards.
+	// silent), written by each replica into its own slot at phase start.
 	rows         [][]uint64
 	retired      []bool // by universe rank
 	retiredCount int
