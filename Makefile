@@ -112,14 +112,18 @@ bench-serving:
 bench-memory:
 	$(GO) test -bench 'BenchmarkMemory' -benchmem -benchtime 2x -cpu 1 -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Memory' -out BENCH_memory.json
 
-# Regression gate: re-measure the Scale, Bitplane, Serving and Memory
-# groups into fresh baselines and compare against the checked-in ones.
-# Exits non-zero on a >25% ns/op or allocs/op regression (and, for
-# Memory, B/op). COMPARE_FLAGS=-allocs-only restricts the gate to the
-# machine-independent allocation counts — what CI uses, since the
-# checked-in ns/op numbers come from a different machine than the
-# runner.
+# Regression gate: re-measure the E, Sweep, Scale, Bitplane, Serving
+# and Memory groups into fresh baselines and compare against the
+# checked-in ones. Exits non-zero on a >25% ns/op or allocs/op
+# regression (and, for Memory, B/op). COMPARE_FLAGS=-allocs-only
+# restricts the gate to the machine-independent allocation counts —
+# what CI uses, since the checked-in ns/op numbers come from a
+# different machine than the runner.
 bench-compare:
+	$(GO) test -bench 'BenchmarkE' -benchmem -benchtime 20x -run '^$$' . | $(GO) run ./cmd/benchjson -out /tmp/bench_engine_fresh.json
+	$(GO) run ./cmd/benchjson -compare -tolerance 25 $(COMPARE_FLAGS) BENCH_engine.json /tmp/bench_engine_fresh.json
+	$(GO) test -bench 'BenchmarkSweep' -benchmem -benchtime 20x -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Sweep' -out /tmp/bench_sweeps_fresh.json
+	$(GO) run ./cmd/benchjson -compare -tolerance 25 $(COMPARE_FLAGS) BENCH_sweeps.json /tmp/bench_sweeps_fresh.json
 	$(GO) test -bench 'BenchmarkScale' -benchmem -benchtime 20x -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Scale' -out /tmp/bench_scale_fresh.json
 	$(GO) run ./cmd/benchjson -compare -tolerance 25 $(COMPARE_FLAGS) BENCH_scale.json /tmp/bench_scale_fresh.json
 	$(GO) test -bench 'BenchmarkBitplane' -benchmem -benchtime 5x -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Bitplane' -out /tmp/bench_bitplane_fresh.json

@@ -2,7 +2,9 @@ package bcc
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -130,9 +132,11 @@ func NewKT0(ids []int, input *graph.Graph, wiring [][]int) (*Instance, error) {
 //
 //	NewKT0(ids, input, RandomWiring(n, rand.New(rand.NewSource(seed))))
 //
-// in O(n + m) memory: it replays the same draws and keeps only the
-// ports of input edges. The draws stay Θ(n²). The full port tables are
-// built from the seed on first need (see Instance).
+// in O(n + m) memory: it replays RandomWiring's draws and keeps only the
+// ports of input edges. The draws stay Θ(n²), but each is O(1): vertex
+// v follows only its input neighbours through its rand.Shuffle, not
+// the whole permutation. The full port tables are built from the seed
+// on first need (see Instance).
 //
 //bccvet:thaws Instance
 func NewRandomKT0(ids []int, input *graph.Graph, seed int64) (*Instance, error) {
@@ -147,56 +151,94 @@ func NewRandomKT0(ids []int, input *graph.Graph, seed int64) (*Instance, error) 
 		s.off[v+1] = s.off[v] + g.Degree(v)
 	}
 	s.nbrPort, s.ports, s.nbrs = make([]int, s.off[n]), make([]int, s.off[n]), make([]int, s.off[n])
-	slot := make([]int, n) // 1 + u's index in v's neighbour row; 0 for a non-neighbour
-	replayWiring(n, rand.New(rand.NewSource(seed)), func(v int, order []int) {
+	rng := rand.New(rand.NewSource(seed))
+	at := make([]int32, n-1) // at[p] = 1 + the row index of the input neighbour at port p; 0 for none
+	for v := 0; v < n; v++ {
+		// Before the shuffle, port p leads to vertex p (p < v) or p+1.
 		nbrs := g.NeighborSlice(v)
+		pos := s.nbrPort[s.off[v]:s.off[v+1]]
 		for i, u := range nbrs {
-			slot[u] = i + 1
-		}
-		k, end := s.off[v], s.off[v+1]
-		for p, u := range order {
-			if k == end {
-				break
+			p := u
+			if u > v {
+				p--
 			}
-			if i := slot[u]; i != 0 {
-				s.nbrPort[s.off[v]+i-1] = p
-				s.ports[k], s.nbrs[k] = p, u
-				k++
+			pos[i], at[p] = p, int32(i+1)
+		}
+		// rand.Shuffle's draws over the n−1 ports, swapping only the
+		// slots that hold an input neighbour.
+		for i := n - 2; i > 0; i-- {
+			j := int(int31n(rng, int32(i+1)))
+			if a, b := at[i], at[j]; a|b != 0 {
+				at[i], at[j] = b, a
+				if b != 0 {
+					pos[b-1] = i
+				}
+				if a != 0 {
+					pos[a-1] = j
+				}
 			}
 		}
-		for _, u := range nbrs {
-			slot[u] = 0
+		// Ports ascending in O(min(d log d, n)): sort the d ports, or
+		// walk all n−1 slots for a vertex dense enough that the sort
+		// would cost more. Both clear at for the next vertex.
+		ports, behind := s.ports[s.off[v]:s.off[v+1]], s.nbrs[s.off[v]:s.off[v+1]]
+		if d := len(nbrs); d*bits.Len(uint(d)) <= n {
+			copy(ports, pos)
+			slices.Sort(ports)
+			for k, p := range ports {
+				behind[k] = nbrs[at[p]-1]
+				at[p] = 0
+			}
+		} else {
+			k := 0
+			for p, a := range at {
+				if a != 0 {
+					ports[k], behind[k] = p, nbrs[a-1]
+					at[p] = 0
+					k++
+				}
+			}
 		}
-	})
+	}
 	in.seeded = s
 	return in, nil
 }
 
-// RandomWiring returns a uniformly random port wiring for n vertices.
-func RandomWiring(n int, rng *rand.Rand) [][]int {
-	wiring := make([][]int, n)
-	replayWiring(n, rng, func(v int, order []int) { wiring[v] = append([]int(nil), order...) })
-	return wiring
+// int31n is math/rand's unexported (*Rand).int31n, Lemire's method over
+// rng.Uint32, which rand.Shuffle calls for every draw below 2³¹−1:
+// NewRandomKT0 makes Shuffle's draws without its swap callback.
+func int31n(rng *rand.Rand, n int32) int32 {
+	v := rng.Uint32()
+	prod := uint64(v) * uint64(n)
+	low := uint32(prod)
+	if low < uint32(n) {
+		thresh := uint32(-n) % uint32(n)
+		for low < thresh {
+			v = rng.Uint32()
+			prod = uint64(v) * uint64(n)
+			low = uint32(prod)
+		}
+	}
+	return int32(prod >> 32)
 }
 
-// replayWiring makes RandomWiring's draws: for v = 0..n−1 in turn, the
-// other n−1 vertices in ascending order, shuffled by rng, handed to
-// visit in one reused scratch. Every vertex draws, whether or not visit
-// uses its order, so each order depends only on the seed.
-func replayWiring(n int, rng *rand.Rand, visit func(v int, order []int)) {
-	order := make([]int, 0, n)
-	for v := 0; v < n; v++ {
-		order = order[:0]
+// RandomWiring returns a uniformly random port wiring for n vertices:
+// for v = 0..n−1 in turn, the other n−1 vertices in ascending order,
+// shuffled by rng.Shuffle. NewRandomKT0 replays these draws, and the
+// tests hold it to this function.
+func RandomWiring(n int, rng *rand.Rand) [][]int {
+	wiring := make([][]int, n)
+	for v := range wiring {
+		w := make([]int, 0, n-1)
 		for u := 0; u < n; u++ {
 			if u != v {
-				order = append(order, u)
+				w = append(w, u)
 			}
 		}
-		rng.Shuffle(len(order), func(i, j int) {
-			order[i], order[j] = order[j], order[i]
-		})
-		visit(v, order)
+		rng.Shuffle(len(w), func(i, j int) { w[i], w[j] = w[j], w[i] })
+		wiring[v] = w
 	}
+	return wiring
 }
 
 // RotationWiring returns the deterministic wiring where port p of vertex v

@@ -125,10 +125,12 @@ func gridE17() engine.GridSpec {
 		// merge state, the KT-0 full-information universes, the sketch
 		// replicas' private retirement mirrors are all one-per-run now
 		// (DESIGN.md §6.2) — so the ceilings are set by per-run compute
-		// instead of per-replica memory: the sketch's phase decode scans
-		// the whole universe per deposited row (Θ(n²·k) per phase), and
-		// the KT-0 adapter's seeded instance keeps only its input-edge
-		// ports but replays the wiring's Θ(n²) shuffle draws; a cheaper
+		// instead of per-replica memory. The sketch decodes a row of at
+		// most two elements in closed form, but a row of c ≥ 3 (grid and
+		// er-threshold inputs) still scans the whole universe (Θ(n²·k)
+		// per phase). The KT-0 adapter's seeded instance keeps only its
+		// input-edge ports and follows only them through each shuffle,
+		// but the wiring's shuffle draws are still Θ(n²); a cheaper
 		// wiring would change every kt0-exchange row. boruvka rides to
 		// 16384 and the bit-plane flood-b1 climbs the full ladder.
 		SizeCaps:   map[string]int{"sketch-a2": 2048, "kt0-exchange": 8192, "boruvka": 16384},

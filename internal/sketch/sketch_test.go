@@ -3,6 +3,7 @@ package sketch
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -93,6 +94,120 @@ func TestRecovererRejectsOutsideUniverse(t *testing.T) {
 	if _, ok := rec.Decode(sums, []int{1, 2, 3}); ok {
 		t.Error("decoded an element missing from the universe")
 	}
+}
+
+// TestRecovererRejectsCorruptCountWord feeds count words beyond k, the
+// largest of which turn negative as an int; each must be rejected, not
+// panic in the allocation sized by the count.
+func TestRecovererRejectsCorruptCountWord(t *testing.T) {
+	rec, err := NewRecoverer(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, count := range []uint64{4, 1<<31 - 1, 1 << 63, 1<<64 - 1} {
+		sums, err := rec.Encode([]int{2, 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sums[0] = count
+		if set, ok := rec.Decode(sums, []int{1, 2, 3, 4, 5}); ok {
+			t.Errorf("count word %d: decoded %v", count, set)
+		}
+	}
+}
+
+// decodeByScan is Decode with the universe scan for every set size:
+// the reference the closed form for c ≤ 2 must match.
+func decodeByScan(r *Recoverer, sums []uint64, universe []int) ([]int, bool) {
+	e, ok := r.elementary(sums)
+	if !ok || e == nil {
+		return nil, ok
+	}
+	set := r.scanRoots(e, universe)
+	if set == nil || !r.verify(set, sums) {
+		return nil, false
+	}
+	return set, true
+}
+
+// TestDecodeClosedFormMatchesScan is the differential test of the
+// closed form against the scan: for k = 1..4 and sorted and unsorted
+// universes of distinct elements, Decode must return the scan's set, in
+// the same order, and the same ok. The sketches cover sets drawn from
+// the universe, sets partly outside it, random count-1 and count-2
+// sums (most have no root in GF(p), half of the count-2 ones a
+// discriminant that is not a square), forged {x, x} sums (a zero
+// discriminant), corrupted words and oversize sets.
+func TestDecodeClosedFormMatchesScan(t *testing.T) {
+	const p = 1<<31 - 1
+	rng := rand.New(rand.NewSource(18))
+	decoded := 0 // ok results with two elements
+	for i := 0; i < 40000; i++ {
+		k := 1 + i%4
+		rec, err := NewRecoverer(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Distinct elements, a few near the top of the field.
+		size := 1 + rng.Intn(24)
+		universe := rng.Perm(3 * size)[:size]
+		if rng.Intn(8) == 0 {
+			universe[rng.Intn(size)] = p - 1 - rng.Intn(8*size)
+		}
+		if rng.Intn(2) == 0 {
+			slices.Sort(universe)
+		}
+		outside := 3*size + rng.Intn(size+1) // in no universe above
+		var sums []uint64
+		switch kind := rng.Intn(6); kind {
+		case 0, 1: // a set from the universe, oversize for c > k
+			c := rng.Intn(min(k, 2) + 2)
+			sums, err = rec.Encode(sampleDistinct(rng, universe, c))
+		case 2: // partly outside the universe
+			set := append(sampleDistinct(rng, universe, rng.Intn(2)), outside)
+			sums, err = rec.Encode(set)
+		case 3: // random count-1/2 sums
+			sums = make([]uint64, rec.Len())
+			sums[0] = uint64(1 + rng.Intn(2))
+			for j := 1; j < len(sums); j++ {
+				sums[j] = uint64(rng.Int63n(p))
+			}
+		case 4: // forged {x, x}
+			x := universe[rng.Intn(size)]
+			sums, err = rec.Encode([]int{x, x})
+		case 5: // a valid sketch with one word corrupted
+			sums, err = rec.Encode(sampleDistinct(rng, universe, rng.Intn(min(k, 2)+1)))
+			j := rng.Intn(len(sums))
+			sums[j] = (sums[j] + 1 + uint64(rng.Int63n(p-1))) % p
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotOK := rec.Decode(sums, universe)
+		want, wantOK := decodeByScan(rec, sums, universe)
+		if gotOK != wantOK || !slices.Equal(got, want) {
+			t.Fatalf("case %d: k=%d universe %v sums %v: Decode = %v, %v; scan = %v, %v",
+				i, k, universe, sums, got, gotOK, want, wantOK)
+		}
+		if gotOK && len(got) == 2 {
+			decoded++
+		}
+	}
+	if decoded < 1000 {
+		t.Fatalf("only %d two-element decodes: the cases miss the closed form's main path", decoded)
+	}
+}
+
+// sampleDistinct returns c distinct elements of universe in random order.
+func sampleDistinct(rng *rand.Rand, universe []int, c int) []int {
+	set := make([]int, 0, c)
+	for _, i := range rng.Perm(len(universe)) {
+		if len(set) == c {
+			break
+		}
+		set = append(set, universe[i])
+	}
+	return set
 }
 
 func TestRecovererLinearity(t *testing.T) {

@@ -11,6 +11,7 @@ package sketch
 
 import (
 	"fmt"
+	"slices"
 
 	"bcclique/internal/linalg"
 )
@@ -79,18 +80,47 @@ func (r *Recoverer) Add(a, b []uint64) ([]uint64, error) {
 	return out, nil
 }
 
-// Decode recovers the encoded set from a sketch, trying candidates from
-// the given universe as polynomial roots. It reports ok = false when the
-// sketch does not correspond to a ≤ k-subset of the universe (too many
-// elements, elements outside the universe, or corruption).
+// Decode recovers the encoded set from a sketch. It reports ok = false
+// when the sketch does not correspond to a ≤ k-subset of the universe
+// (too many elements, elements outside the universe, or corruption).
+// The universe lists distinct elements in any order, and the set comes
+// back in universe order.
+//
+// Newton's identities turn the power sums into the set's elementary
+// symmetric polynomials, which fix the set as the roots of
+// z^c − e1·z^{c−1} + e2·z^{c−2} − … (the [MT16] reconstruction). For
+// c ≤ 2 the roots have a closed form and Decode looks each one up in the
+// universe; for c ≥ 3 it evaluates the polynomial at every universe
+// element. Either way it re-encodes the set and compares every sum.
 func (r *Recoverer) Decode(sums []uint64, universe []int) (set []int, ok bool) {
+	e, ok := r.elementary(sums)
+	switch {
+	case !ok:
+		return nil, false
+	case e == nil:
+		return nil, true
+	case len(e) <= 3:
+		set = r.closedRoots(e, universe)
+	default:
+		set = r.scanRoots(e, universe)
+	}
+	if set == nil || !r.verify(set, sums) {
+		return nil, false
+	}
+	return set, true
+}
+
+// elementary checks the sketch's length and count word c and returns
+// the elementary symmetric polynomials e_0..e_c of the encoded set, by
+// Newton's identities: m·e_m = Σ_{i=1..m} (−1)^{i−1} e_{m−i} p_i. The
+// count word is range-checked before it becomes an int, so a corrupted
+// one cannot turn negative. An empty set (c = 0) must have every power
+// sum zero, and its e is nil.
+func (r *Recoverer) elementary(sums []uint64) (e []uint64, ok bool) {
 	if len(sums) != r.Len() {
 		return nil, false
 	}
-	f := r.field
-	c := int(sums[0])
-	if c == 0 {
-		// Empty set: all power sums must vanish.
+	if sums[0] == 0 {
 		for _, s := range sums {
 			if s != 0 {
 				return nil, false
@@ -98,11 +128,12 @@ func (r *Recoverer) Decode(sums []uint64, universe []int) (set []int, ok bool) {
 		}
 		return nil, true
 	}
-	if c > r.k {
+	if sums[0] > uint64(r.k) {
 		return nil, false
 	}
-	// Newton's identities: m·e_m = Σ_{i=1..m} (−1)^{i−1} e_{m−i} p_i.
-	e := make([]uint64, c+1)
+	f := r.field
+	c := int(sums[0])
+	e = make([]uint64, c+1)
 	e[0] = 1
 	for m := 1; m <= c; m++ {
 		var acc uint64
@@ -120,33 +151,84 @@ func (r *Recoverer) Decode(sums []uint64, universe []int) (set []int, ok bool) {
 		}
 		e[m] = f.Mul(acc, inv)
 	}
-	// The set is the root multiset of z^c − e1·z^{c−1} + e2·z^{c−2} − …
-	// Try every universe candidate.
+	return e, true
+}
+
+// closedRoots solves z − e1 or z² − e1·z + e2 in closed form and returns
+// its roots in universe order, or nil unless it has c distinct roots,
+// all in the universe. For c = 2 the discriminant D = e1² − 4e2 must be
+// a non-zero square: p = 2³¹−1 ≡ 3 (mod 4), so its square root, if
+// any, is D^((p+1)/4), and the roots are (e1 ± √D)/2. D = 0 is a double
+// root, which no set of distinct elements has.
+func (r *Recoverer) closedRoots(e []uint64, universe []int) []int {
+	f := r.field
+	if len(e) == 2 {
+		if i := position(universe, e[1]); i >= 0 {
+			return []int{universe[i]}
+		}
+		return nil
+	}
+	d := f.Sub(f.Mul(e[1], e[1]), f.Mul(4, e[2]))
+	if d == 0 {
+		return nil
+	}
+	s := f.Pow(d, (f.P()+1)/4)
+	if f.Mul(s, s) != d {
+		return nil // D is not a square: no root in GF(p)
+	}
+	half := (f.P() + 1) / 2 // 2⁻¹
+	i := position(universe, f.Mul(f.Add(e[1], s), half))
+	j := position(universe, f.Mul(f.Sub(e[1], s), half))
+	if i < 0 || j < 0 {
+		return nil
+	}
+	if i > j {
+		i, j = j, i
+	}
+	return []int{universe[i], universe[j]}
+}
+
+// position returns the index of x in universe, or −1: a binary search
+// for a sorted universe, then a linear one for an unsorted universe or
+// an x it does not hold.
+func position(universe []int, x uint64) int {
+	if i, found := slices.BinarySearch(universe, int(x)); found {
+		return i
+	}
+	return slices.Index(universe, int(x))
+}
+
+// scanRoots evaluates the polynomial at every universe element and
+// returns the roots in universe order, or nil unless there are exactly
+// c of them. It costs Θ(n·c) a sketch.
+func (r *Recoverer) scanRoots(e []uint64, universe []int) []int {
+	c := len(e) - 1
+	var set []int
 	for _, x := range universe {
-		if x < 0 || uint64(x) >= f.P() {
+		if x < 0 || uint64(x) >= r.field.P() {
 			continue
 		}
 		if r.evalPoly(e, c, uint64(x)) == 0 {
 			set = append(set, x)
 			if len(set) > c {
-				return nil, false
+				return nil
 			}
 		}
 	}
 	if len(set) != c {
-		return nil, false
+		return nil
 	}
-	// Verify against every power sum (guards against |set| > k aliasing).
+	return set
+}
+
+// verify re-encodes set and compares every power sum (guards against
+// |set| > k aliasing).
+func (r *Recoverer) verify(set []int, sums []uint64) bool {
 	check, err := r.Encode(set)
 	if err != nil {
-		return nil, false
+		return false
 	}
-	for i := range sums {
-		if check[i] != sums[i] {
-			return nil, false
-		}
-	}
-	return set, true
+	return slices.Equal(check, sums)
 }
 
 // evalPoly evaluates z^c + Σ_{m=1..c} (−1)^m e_m z^{c−m} at z = x.
