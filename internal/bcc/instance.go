@@ -2,9 +2,7 @@ package bcc
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
-	"slices"
 	"sort"
 	"sync"
 
@@ -132,11 +130,11 @@ func NewKT0(ids []int, input *graph.Graph, wiring [][]int) (*Instance, error) {
 //
 //	NewKT0(ids, input, RandomWiring(n, rand.New(rand.NewSource(seed))))
 //
-// in O(n + m) memory: it replays RandomWiring's draws and keeps only the
-// ports of input edges. The draws stay Θ(n²), but each is O(1): vertex
-// v follows only its input neighbours through its rand.Shuffle, not
-// the whole permutation. The full port tables are built from the seed
-// on first need (see Instance).
+// in O(n + m) memory: it makes RandomWiring's rand.Shuffle draws and
+// keeps only the ports of input edges. Each vertex shuffles an n−1
+// slot scratch that marks only its input neighbours, so nothing fills
+// or searches a permutation; the draws stay Θ(n²). The full port
+// tables are built from the seed on first need (see Instance).
 //
 //bccvet:thaws Instance
 func NewRandomKT0(ids []int, input *graph.Graph, seed int64) (*Instance, error) {
@@ -156,47 +154,25 @@ func NewRandomKT0(ids []int, input *graph.Graph, seed int64) (*Instance, error) 
 	for v := 0; v < n; v++ {
 		// Before the shuffle, port p leads to vertex p (p < v) or p+1.
 		nbrs := g.NeighborSlice(v)
-		pos := s.nbrPort[s.off[v]:s.off[v+1]]
 		for i, u := range nbrs {
 			p := u
 			if u > v {
 				p--
 			}
-			pos[i], at[p] = p, int32(i+1)
+			at[p] = int32(i + 1)
 		}
-		// rand.Shuffle's draws over the n−1 ports, swapping only the
-		// slots that hold an input neighbour.
+		// rng.Shuffle(n−1, …)'s draws, without a callback per draw.
 		for i := n - 2; i > 0; i-- {
-			j := int(int31n(rng, int32(i+1)))
-			if a, b := at[i], at[j]; a|b != 0 {
-				at[i], at[j] = b, a
-				if b != 0 {
-					pos[b-1] = i
-				}
-				if a != 0 {
-					pos[a-1] = j
-				}
-			}
+			j := int31n(rng, int32(i+1))
+			at[i], at[j] = at[j], at[i]
 		}
-		// Ports ascending in O(min(d log d, n)): sort the d ports, or
-		// walk all n−1 slots for a vertex dense enough that the sort
-		// would cost more. Both clear at for the next vertex.
-		ports, behind := s.ports[s.off[v]:s.off[v+1]], s.nbrs[s.off[v]:s.off[v+1]]
-		if d := len(nbrs); d*bits.Len(uint(d)) <= n {
-			copy(ports, pos)
-			slices.Sort(ports)
-			for k, p := range ports {
-				behind[k] = nbrs[at[p]-1]
+		// Walk the ports ascending, clearing at for the next vertex.
+		k, pos := s.off[v], s.nbrPort[s.off[v]:s.off[v+1]]
+		for p, a := range at {
+			if a != 0 {
+				s.ports[k], s.nbrs[k], pos[a-1] = p, nbrs[a-1], p
 				at[p] = 0
-			}
-		} else {
-			k := 0
-			for p, a := range at {
-				if a != 0 {
-					ports[k], behind[k] = p, nbrs[a-1]
-					at[p] = 0
-					k++
-				}
+				k++
 			}
 		}
 	}
@@ -205,8 +181,9 @@ func NewRandomKT0(ids []int, input *graph.Graph, seed int64) (*Instance, error) 
 }
 
 // int31n is math/rand's unexported (*Rand).int31n, Lemire's method over
-// rng.Uint32, which rand.Shuffle calls for every draw below 2³¹−1:
-// NewRandomKT0 makes Shuffle's draws without its swap callback.
+// rng.Uint32, which rand.Shuffle calls for every draw below 2³¹−1.
+// NewRandomKT0 draws with it because Shuffle's swap callback, an
+// indirect call per draw, cost about a third of its time.
 func int31n(rng *rand.Rand, n int32) int32 {
 	v := rng.Uint32()
 	prod := uint64(v) * uint64(n)
@@ -224,7 +201,7 @@ func int31n(rng *rand.Rand, n int32) int32 {
 
 // RandomWiring returns a uniformly random port wiring for n vertices:
 // for v = 0..n−1 in turn, the other n−1 vertices in ascending order,
-// shuffled by rng.Shuffle. NewRandomKT0 replays these draws, and the
+// shuffled by rng.Shuffle. NewRandomKT0 makes the same draws, and the
 // tests hold it to this function.
 func RandomWiring(n int, rng *rand.Rand) [][]int {
 	wiring := make([][]int, n)

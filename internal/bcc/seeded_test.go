@@ -14,10 +14,9 @@ import (
 // while every later vertex has degree ≥ 3 (a circulant with offsets 1
 // and 2 on vertices 1..n−1), G(n, 0.1), and up to n = 65 G(n, 0.5) and
 // the complete graph G(n, 1). The isolated vertex catches a constructor
-// that skips the draws of a vertex with no input edge. The G(n, p)
-// inputs track many ports per vertex: G(n, 0.1) orders them by sorting,
-// G(n, 0.5) and G(n, 1) by walking every port. At n = 2 the single edge
-// stands in for the rest.
+// that skips the draws of a vertex with no input edge; the G(n, p)
+// inputs mark many of a vertex's n−1 slots at once. At n = 2 the single
+// edge stands in for the rest.
 func seededInputs(t *testing.T, n int) map[string]*graph.Graph {
 	t.Helper()
 	out := map[string]*graph.Graph{"empty": graph.New(n)}
@@ -130,62 +129,44 @@ func TestRandomKT0MatchesRandomWiring(t *testing.T) {
 // number of values Shuffle takes from the source. A Shuffle of size
 // 3·2²⁹ draws first from [0, 3·2²⁹), where Lemire's method rejects a
 // quarter of the values; that first draw, cut off by a panic in swap,
-// covers the rejection loop no small shuffle reaches.
+// covers the retry loop no small shuffle reaches.
 func TestInt31nMatchesShuffle(t *testing.T) {
-	for _, size := range []int{2, 3, 64, 1000} {
-		for seed := int64(0); seed < 8; seed++ {
-			shuffled := rand.New(rand.NewSource(seed))
-			var js []int
-			shuffled.Shuffle(size, func(_, j int) { js = append(js, j) })
-			replay := rand.New(rand.NewSource(seed))
-			for k, i := 0, size-1; i > 0; k, i = k+1, i-1 {
-				if got := int(int31n(replay, int32(i+1))); got != js[k] {
-					t.Fatalf("size %d seed %d: draw %d = %d, Shuffle swapped with %d", size, seed, k, got, js[k])
-				}
-			}
-			if shuffled.Uint32() != replay.Uint32() {
+	type stop struct{}
+	for _, size := range []int{2, 3, 64, 1000, 3 << 29} {
+		retries := 0
+		for seed := int64(0); seed < 64; seed++ {
+			shuffled, replay := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			func() {
+				defer func() {
+					if r := recover(); r != nil && r != (stop{}) {
+						panic(r)
+					}
+				}()
+				shuffled.Shuffle(size, func(i, j int) {
+					if got := int(int31n(replay, int32(i+1))); got != j {
+						t.Fatalf("size %d seed %d: int31n(%d) = %d, Shuffle swapped with %d", size, seed, i+1, got, j)
+					}
+					if size > 1<<20 {
+						panic(stop{})
+					}
+				})
+			}()
+			next := replay.Uint32()
+			if shuffled.Uint32() != next {
 				t.Fatalf("size %d seed %d: int31n took a different number of values than Shuffle", size, seed)
 			}
+			if size > 1<<20 {
+				fresh := rand.New(rand.NewSource(seed))
+				fresh.Uint32()
+				if fresh.Uint32() != next {
+					retries++ // the first draw took more than one value
+				}
+			}
+		}
+		if size > 1<<20 && (retries == 0 || retries == 64) {
+			t.Fatalf("%d of 64 first draws retried; want some, not all", retries)
 		}
 	}
-	const size = 3 << 29
-	rejected := 0
-	for seed := int64(0); seed < 64; seed++ {
-		shuffled := rand.New(rand.NewSource(seed))
-		want := firstShuffleDraw(shuffled, size)
-		replay := rand.New(rand.NewSource(seed))
-		if got := int(int31n(replay, size)); got != want {
-			t.Fatalf("seed %d: int31n(3·2²⁹) = %d, Shuffle swapped with %d", seed, got, want)
-		}
-		next := replay.Uint32()
-		if shuffled.Uint32() != next {
-			t.Fatalf("seed %d: int31n took a different number of values than Shuffle", seed)
-		}
-		fresh := rand.New(rand.NewSource(seed))
-		fresh.Uint32()
-		if fresh.Uint32() != next {
-			rejected++ // int31n took more than one value
-		}
-	}
-	if rejected == 0 || rejected == 64 {
-		t.Fatalf("%d of 64 first draws rejected a value; want about a quarter", rejected)
-	}
-}
-
-// firstShuffleDraw returns the j of the first swap of rng.Shuffle(size),
-// which it stops there by a panic.
-func firstShuffleDraw(rng *rand.Rand, size int) (j int) {
-	type stop struct{}
-	defer func() {
-		if r := recover(); r != nil && r != (stop{}) {
-			panic(r)
-		}
-	}()
-	rng.Shuffle(size, func(_, jj int) {
-		j = jj
-		panic(stop{})
-	})
-	return -1
 }
 
 // TestRandomKT0TablesBuildOnce has 8 goroutines read non-input ports of
