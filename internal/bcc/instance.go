@@ -133,8 +133,10 @@ func NewKT0(ids []int, input *graph.Graph, wiring [][]int) (*Instance, error) {
 // in O(n + m) memory: it makes RandomWiring's rand.Shuffle draws and
 // keeps only the ports of input edges. Each vertex shuffles an n−1
 // slot scratch that marks only its input neighbours, so nothing fills
-// or searches a permutation; the draws stay Θ(n²). The full port
-// tables are built from the seed on first need (see Instance).
+// or searches a permutation. The draws stay Θ(n²); a lagged replay of
+// the seeded source makes them in one loop, with no call per draw. The
+// full port tables are built from the seed on first need (see
+// Instance).
 //
 //bccvet:thaws Instance
 func NewRandomKT0(ids []int, input *graph.Graph, seed int64) (*Instance, error) {
@@ -149,7 +151,8 @@ func NewRandomKT0(ids []int, input *graph.Graph, seed int64) (*Instance, error) 
 		s.off[v+1] = s.off[v] + g.Degree(v)
 	}
 	s.nbrPort, s.ports, s.nbrs = make([]int, s.off[n]), make([]int, s.off[n]), make([]int, s.off[n])
-	rng := rand.New(rand.NewSource(seed))
+	var src lagged
+	src.seed(seed)
 	at := make([]int32, n-1) // at[p] = 1 + the row index of the input neighbour at port p; 0 for none
 	for v := 0; v < n; v++ {
 		// Before the shuffle, port p leads to vertex p (p < v) or p+1.
@@ -161,11 +164,7 @@ func NewRandomKT0(ids []int, input *graph.Graph, seed int64) (*Instance, error) 
 			}
 			at[p] = int32(i + 1)
 		}
-		// rng.Shuffle(n−1, …)'s draws, without a callback per draw.
-		for i := n - 2; i > 0; i-- {
-			j := int31n(rng, int32(i+1))
-			at[i], at[j] = at[j], at[i]
-		}
+		src.shuffle(at)
 		// Walk the ports ascending, clearing at for the next vertex.
 		k, pos := s.off[v], s.nbrPort[s.off[v]:s.off[v+1]]
 		for p, a := range at {
@@ -180,23 +179,68 @@ func NewRandomKT0(ids []int, input *graph.Graph, seed int64) (*Instance, error) 
 	return in, nil
 }
 
-// int31n is math/rand's unexported (*Rand).int31n, Lemire's method over
-// rng.Uint32, which rand.Shuffle calls for every draw below 2³¹−1.
-// NewRandomKT0 draws with it because Shuffle's swap callback, an
-// indirect call per draw, cost about a third of its time.
-func int31n(rng *rand.Rand, n int32) int32 {
-	v := rng.Uint32()
-	prod := uint64(v) * uint64(n)
-	low := uint32(prod)
-	if low < uint32(n) {
-		thresh := uint32(-n) % uint32(n)
-		for low < thresh {
-			v = rng.Uint32()
-			prod = uint64(v) * uint64(n)
-			low = uint32(prod)
-		}
+// lagged replays the source rand.NewSource returns: math/rand's
+// additive lagged-Fibonacci generator x_k = x_{k−607} + x_{k−273}
+// (mod 2⁶⁴), whose Source64.Uint64 outputs are the x_k themselves. Any
+// 607 consecutive outputs are its whole state, so after seeding reads
+// the first 607 through math/rand, which also normalises the seed,
+// every later output is replayed here.
+type lagged struct {
+	x   [607]uint64 // 607 consecutive outputs
+	pos int         // x[pos] is the next output to draw; len(x) once all are drawn
+}
+
+// seed loads the first 607 outputs of rand.NewSource(seed).
+func (r *lagged) seed(seed int64) {
+	src := rand.NewSource(seed).(rand.Source64)
+	for i := range r.x {
+		r.x[i] = src.Uint64()
 	}
-	return int32(prod >> 32)
+	r.pos = 0
+}
+
+// refill replaces the block by the next 607 outputs, in place:
+// x_{k+607} = x_k + x_{k+334}, and x_{k+334} is in the old block for
+// the first 273 and in the new one after them.
+func (r *lagged) refill() {
+	x := &r.x
+	for i := 0; i < 273; i++ {
+		x[i] += x[i+334]
+	}
+	for i := 273; i < len(x); i++ {
+		x[i] += x[i-273]
+	}
+}
+
+// shuffle permutes a as rand.New(src).Shuffle(len(a), swap) would on
+// the replayed source: the same draws, swaps and number of outputs
+// taken. It requires len(a) ≤ 2³¹−1, where Shuffle draws every j with
+// Rand.int31n: Lemire's method over Rand.Uint32, which is
+// uint32(x >> 31) of an output x (Int63 clears bit 63, and the
+// truncation drops it anyway). The block position stays in a local for
+// the loop, which is what makes it fast.
+func (r *lagged) shuffle(a []int32) {
+	x, pos := &r.x, r.pos
+	for i := len(a) - 1; i > 0; i-- {
+		n := uint32(i + 1)
+		var prod uint64
+		for {
+			if pos == len(x) {
+				r.refill()
+				pos = 0
+			}
+			prod = uint64(uint32(x[pos]>>31)) * uint64(n)
+			pos++
+			// Accept unless the low word is below (2³² − n) mod n; that
+			// bound is < n, so the division runs only when low < n.
+			if low := uint32(prod); low >= n || low >= -n%n {
+				break
+			}
+		}
+		j := prod >> 32
+		a[i], a[j] = a[j], a[i]
+	}
+	r.pos = pos
 }
 
 // RandomWiring returns a uniformly random port wiring for n vertices:

@@ -2,6 +2,7 @@ package bcc
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -124,47 +125,75 @@ func TestRandomKT0MatchesRandomWiring(t *testing.T) {
 	}
 }
 
-// TestInt31nMatchesShuffle pins the int31n copy to the j that
-// rand.Shuffle hands its swap callback, draw for draw, and to the
-// number of values Shuffle takes from the source. A Shuffle of size
-// 3·2²⁹ draws first from [0, 3·2²⁹), where Lemire's method rejects a
-// quarter of the values; that first draw, cut off by a panic in swap,
-// covers the retry loop no small shuffle reaches.
-func TestInt31nMatchesShuffle(t *testing.T) {
-	type stop struct{}
-	for _, size := range []int{2, 3, 64, 1000, 3 << 29} {
-		retries := 0
-		for seed := int64(0); seed < 64; seed++ {
-			shuffled, replay := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-			func() {
-				defer func() {
-					if r := recover(); r != nil && r != (stop{}) {
-						panic(r)
-					}
-				}()
-				shuffled.Shuffle(size, func(i, j int) {
-					if got := int(int31n(replay, int32(i+1))); got != j {
-						t.Fatalf("size %d seed %d: int31n(%d) = %d, Shuffle swapped with %d", size, seed, i+1, got, j)
-					}
-					if size > 1<<20 {
-						panic(stop{})
-					}
-				})
-			}()
-			next := replay.Uint32()
-			if shuffled.Uint32() != next {
-				t.Fatalf("size %d seed %d: int31n took a different number of values than Shuffle", size, seed)
-			}
-			if size > 1<<20 {
-				fresh := rand.New(rand.NewSource(seed))
-				fresh.Uint32()
-				if fresh.Uint32() != next {
-					retries++ // the first draw took more than one value
-				}
+// next returns the replay's next Rand.Uint32 value, drawn the way
+// shuffle draws it.
+func (r *lagged) next() uint32 {
+	if r.pos == len(r.x) {
+		r.refill()
+		r.pos = 0
+	}
+	r.pos++
+	return uint32(r.x[r.pos-1] >> 31)
+}
+
+// TestLaggedMatchesMathRand pins the replay to math/rand's seeded
+// source across many refills, for seeds its seeding normalises
+// (0 and 2³¹−1 both become 89482311; negative seeds wrap).
+func TestLaggedMatchesMathRand(t *testing.T) {
+	for _, seed := range []int64{0, 1, -3, 1<<31 - 1, 1 << 40, math.MinInt64} {
+		var r lagged
+		r.seed(seed)
+		src := rand.New(rand.NewSource(seed))
+		for k := 0; k < 100_000; k++ {
+			if got, want := r.next(), src.Uint32(); got != want {
+				t.Fatalf("seed %d: value %d is %#x, math/rand's Uint32 is %#x", seed, k, got, want)
 			}
 		}
-		if size > 1<<20 && (retries == 0 || retries == 64) {
-			t.Fatalf("%d of 64 first draws retried; want some, not all", retries)
+	}
+}
+
+// TestShuffleMatchesRandShuffle pins shuffle to rand.Shuffle on an
+// identity slice: the same permutation, and the same number of values
+// taken, so the next value of both sources agrees. A shuffle of 2¹⁷
+// retries a Lemire draw about once; it is the retry loop's pin, so at
+// least one seed must retry, which shows as a shuffle that took more
+// than len−1 values.
+func TestShuffleMatchesRandShuffle(t *testing.T) {
+	for _, size := range []int{1, 2, 3, 64, 1000, 2047, 1 << 17} {
+		seeds, retried := 2, 0
+		if size == 1<<17 {
+			seeds = 8
+		}
+		for seed := int64(0); seed < int64(seeds); seed++ {
+			var r lagged
+			r.seed(seed)
+			got := make([]int32, size)
+			want := make([]int32, size)
+			for i := range got {
+				got[i], want[i] = int32(i), int32(i)
+			}
+			r.shuffle(got)
+			rng := rand.New(rand.NewSource(seed))
+			rng.Shuffle(size, func(i, j int) { want[i], want[j] = want[j], want[i] })
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("size %d seed %d: slot %d holds %d, rand.Shuffle put %d there", size, seed, i, got[i], want[i])
+				}
+			}
+			next := rng.Uint32()
+			if r.next() != next {
+				t.Fatalf("size %d seed %d: shuffle took a different number of values than rand.Shuffle", size, seed)
+			}
+			fresh := rand.New(rand.NewSource(seed))
+			for i := 1; i < size; i++ {
+				fresh.Uint32()
+			}
+			if fresh.Uint32() != next {
+				retried++
+			}
+		}
+		if size == 1<<17 && retried == 0 {
+			t.Fatalf("no shuffle of %d retried a draw in %d seeds", size, seeds)
 		}
 	}
 }

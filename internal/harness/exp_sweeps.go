@@ -130,9 +130,12 @@ func gridE17() engine.GridSpec {
 		// er-threshold inputs) still scans the whole universe (Θ(n²·k)
 		// per phase). The KT-0 adapter's seeded instance keeps only its
 		// input-edge ports and follows only them through each shuffle,
-		// but the wiring's shuffle draws are still Θ(n²); a cheaper
-		// wiring would change every kt0-exchange row. boruvka rides to
-		// 16384 and the bit-plane flood-b1 climbs the full ladder.
+		// and it replays math/rand's source in one loop, but the
+		// wiring's shuffle draws are still Θ(n²) (the one-cycle cell at
+		// 8192, three seeds, takes about 0.8 s on a 2-CPU box); a
+		// cheaper wiring would change every kt0-exchange row. boruvka
+		// rides to 16384 and the bit-plane flood-b1 climbs the full
+		// ladder.
 		SizeCaps:   map[string]int{"sketch-a2": 2048, "kt0-exchange": 8192, "boruvka": 16384},
 		Seeds:      3,
 		QuickSeeds: 2,

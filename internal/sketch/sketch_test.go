@@ -269,6 +269,25 @@ func TestRecovererRandom(t *testing.T) {
 	}
 }
 
+// TestRecovererInverses holds the table of 1/m that NewRecoverer makes
+// once to Field.Inv.
+func TestRecovererInverses(t *testing.T) {
+	const k = 1000
+	rec, err := NewRecoverer(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m := 1; m <= k; m++ {
+		want, err := rec.field.Inv(uint64(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.inv[m] != want {
+			t.Fatalf("inv[%d] = %d, Field.Inv gives %d", m, rec.inv[m], want)
+		}
+	}
+}
+
 func TestRecovererValidation(t *testing.T) {
 	if _, err := NewRecoverer(0); err == nil {
 		t.Error("NewRecoverer(0) succeeded")

@@ -25,6 +25,7 @@ import (
 type Recoverer struct {
 	field linalg.Field
 	k     int
+	inv   []uint64 // inv[m] = 1/m for m = 1..k, Newton's identities' divisors
 }
 
 // NewRecoverer returns a k-sparse recoverer over GF(2³¹−1).
@@ -36,7 +37,14 @@ func NewRecoverer(k int) (*Recoverer, error) {
 	if uint64(k) >= f.P() {
 		return nil, fmt.Errorf("sketch: sparsity %d too large for the field", k)
 	}
-	return &Recoverer{field: f, k: k}, nil
+	// 1/m = −⌊p/m⌋ · 1/(p mod m), since p = ⌊p/m⌋·m + p mod m; the
+	// remainder is below m, and not 0 because p is prime and m < p.
+	inv := make([]uint64, k+1)
+	inv[1] = 1
+	for m := uint64(2); m <= uint64(k); m++ {
+		inv[m] = f.Mul(f.P()-f.P()/m, inv[f.P()%m])
+	}
+	return &Recoverer{field: f, k: k, inv: inv}, nil
 }
 
 // K returns the sparsity bound.
@@ -112,10 +120,11 @@ func (r *Recoverer) Decode(sums []uint64, universe []int) (set []int, ok bool) {
 
 // elementary checks the sketch's length and count word c and returns
 // the elementary symmetric polynomials e_0..e_c of the encoded set, by
-// Newton's identities: m·e_m = Σ_{i=1..m} (−1)^{i−1} e_{m−i} p_i. The
-// count word is range-checked before it becomes an int, so a corrupted
-// one cannot turn negative. An empty set (c = 0) must have every power
-// sum zero, and its e is nil.
+// Newton's identities: m·e_m = Σ_{i=1..m} (−1)^{i−1} e_{m−i} p_i, each
+// divided by m through the table of 1/m NewRecoverer makes. The count
+// word is range-checked before it becomes an int, so a corrupted one
+// cannot turn negative. An empty set (c = 0) must have every power sum
+// zero, and its e is nil.
 func (r *Recoverer) elementary(sums []uint64) (e []uint64, ok bool) {
 	if len(sums) != r.Len() {
 		return nil, false
@@ -145,11 +154,7 @@ func (r *Recoverer) elementary(sums []uint64) (e []uint64, ok bool) {
 				acc = f.Sub(acc, term)
 			}
 		}
-		inv, err := f.Inv(uint64(m) % f.P())
-		if err != nil {
-			return nil, false
-		}
-		e[m] = f.Mul(acc, inv)
+		e[m] = f.Mul(acc, r.inv[m])
 	}
 	return e, true
 }
