@@ -158,14 +158,15 @@ sweep-xl:
 	$(GO) run ./cmd/experiments -sweep E18 -sizes 16,32,64,256,1024,4096,8192
 
 # The full ladders to n = 32768 — both grids at every declared size,
-# with each protocol stopping at its SizeCap (flood-b1 32768, boruvka
-# 16384, kt0-exchange 8192, sketch 2048). Shared per-cell substrates
-# keep the top rungs inside single-digit GB. flood-b1 writes each round
-# from two rows, so its top rung is cheap (the two-cycle cell at 32768,
-# three seeds, takes under a second on a 2-CPU box); the Θ(n²)
-# kt0-exchange wiring draws (the one-cycle cell at 8192, about 0.8 s,
-# drawn in one loop over a replay of math/rand's source) and sketch's
-# decode of rows of three or more dominate instead.
+# with each protocol stopping at its SizeCap (boruvka 16384, sketch
+# 2048; flood-b1 and kt0-exchange climb to the top). Shared per-cell
+# substrates keep the top rungs inside single-digit GB. flood-b1
+# writes each round from two rows and kt0-exchange draws only its
+# input-edge ports, so their top rungs are cheap (the two-cycle
+# flood-b1 cell at 32768, three seeds, takes under a second on a 2-CPU
+# box, the one-cycle kt0-exchange cell about 0.3 s); flood-b1's
+# er-threshold cell at 32768 (about 12 s) and sketch's decode of rows
+# of three or more dominate instead.
 # Re-runs only pay for missing cells.
 sweep-xxl:
 	$(GO) run ./cmd/experiments -sweep E17
@@ -181,16 +182,14 @@ sweep-smoke:
 		-format csv -out sweep-smoke.csv
 	@cat sweep-smoke.csv
 
-# Rows are pinned: four cold E17 sweeps, each at -parallel 1 and
+# Rows are pinned: five cold E17 sweeps, each at -parallel 1 and
 # -parallel 2, must agree byte for byte and match the md5s checked in
 # at testdata/sweep-rows.md5. The sweeps are every protocol to
 # n = 1024, sweep-large's n = 2048 cells, flood-b1 × two-cycle at
 # n = 8192, the largest plane cell (under 0.1 s), and kt0-exchange ×
-# one-cycle at n = 8192, kt0's cap (about 1 s): there an instance's
-# wiring draws retry Lemire's method about 30 times, against about
-# once in two instances at n = 2048, so the retry surely runs. A change
-# that alters rows on purpose updates the md5 file and says why. CI's
-# sweep-smoke job runs it.
+# one-cycle at n = 8192 and at n = 32768, the ladder's top (about
+# 0.3 s). A change that alters rows on purpose updates the md5 file
+# and says why. CI's sweep-smoke job runs it.
 sweep-rows-identical:
 	@set -e; root=$$(pwd); dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/experiments" ./cmd/experiments; \
@@ -203,8 +202,10 @@ sweep-rows-identical:
 			-format csv -cache-dir none -parallel $$p > "$$dir/flood-8192-$$p.csv"; \
 		"$$dir/experiments" -sweep E17 -sizes 8192 -protocols kt0-exchange -families one-cycle \
 			-format csv -cache-dir none -parallel $$p > "$$dir/kt0-8192-$$p.csv"; \
+		"$$dir/experiments" -sweep E17 -sizes 32768 -protocols kt0-exchange -families one-cycle \
+			-format csv -cache-dir none -parallel $$p > "$$dir/kt0-32768-$$p.csv"; \
 	done; \
-	for f in ladder large flood-8192 kt0-8192; do cmp "$$dir/$$f-1.csv" "$$dir/$$f-2.csv"; done; \
+	for f in ladder large flood-8192 kt0-8192 kt0-32768; do cmp "$$dir/$$f-1.csv" "$$dir/$$f-2.csv"; done; \
 	(cd "$$dir" && md5sum -c "$$root/testdata/sweep-rows.md5"); \
 	echo "sweep rows identical at -parallel 1 and 2 and pinned by testdata/sweep-rows.md5"
 

@@ -3,6 +3,7 @@ package bcc
 import (
 	"fmt"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"sort"
 	"sync"
 
@@ -47,11 +48,12 @@ func (k Knowledge) String() string {
 // ascending in vertex-index order (SequentialIDs, and any other sorted
 // assignment) use the canonical wiring: port p of vertex v provably
 // leads to vertex p (p < v) or p+1 (p ≥ v). Seeded KT-0 instances
-// (NewRandomKT0) keep only the ports of their input edges, which is all
-// a vertex's view and a bound run read. This is what lets large-n sweep
-// cells build instances in O(n + m) memory; the tables appear lazily,
-// once, for a caller that reads a non-input port of a seeded wiring,
-// delivers per-port inboxes, compares, clones or rewires.
+// (NewRandomKT0) draw and keep only the ports of their input edges,
+// which is all a vertex's view and a bound run read. This is what lets
+// large-n sweep cells build instances in O(n + m) time and memory; the
+// tables appear lazily, once, for a caller that reads a non-input port
+// of a seeded wiring, delivers per-port inboxes, compares, clones or
+// rewires.
 //
 //bccvet:frozen
 type Instance struct {
@@ -67,10 +69,10 @@ type Instance struct {
 }
 
 // seededPorts is what a seeded KT-0 instance keeps of its wiring: the
-// seed that replays it, and the ports of the input edges. Vertex v's
-// input edges occupy [off[v], off[v+1]) of each array.
+// ports of the input edges, and the stream that draws the other ports.
+// Vertex v's input edges occupy [off[v], off[v+1]) of each array.
 type seededPorts struct {
-	seed    int64
+	rest    randv2.PCG // the stream as the input-port draws left it
 	off     []int
 	nbrPort []int // port of v to its i-th input neighbour, NeighborSlice order
 	ports   []int // v's input ports ascending
@@ -126,17 +128,14 @@ func NewKT0(ids []int, input *graph.Graph, wiring [][]int) (*Instance, error) {
 	return newInstance(KT0, ids, input, wiring)
 }
 
-// NewRandomKT0 builds the KT-0 instance
-//
-//	NewKT0(ids, input, RandomWiring(n, rand.New(rand.NewSource(seed))))
-//
-// in O(n + m) memory: it makes RandomWiring's rand.Shuffle draws and
-// keeps only the ports of input edges. Each vertex shuffles an n−1
-// slot scratch that marks only its input neighbours, so nothing fills
-// or searches a permutation. The draws stay Θ(n²); a lagged replay of
-// the seeded source makes them in one loop, with no call per draw. The
-// full port tables are built from the seed on first need (see
-// Instance).
+// NewRandomKT0 builds a KT-0 instance over a uniformly random wiring
+// drawn from seed, in O(n + m) memory: it draws only the ports of input
+// edges and keeps them. One PCG stream gives each vertex's input
+// neighbours, in turn, distinct ports uniform over [0, n−1) (a port the
+// vertex already gave out is drawn again), so the draws are expected
+// O(m) on sparse inputs and O(n log n) for a complete row. The full port
+// tables are built from the same stream, continued, on first need (see
+// Instance and materialize).
 //
 //bccvet:thaws Instance
 func NewRandomKT0(ids []int, input *graph.Graph, seed int64) (*Instance, error) {
@@ -146,107 +145,37 @@ func NewRandomKT0(ids []int, input *graph.Graph, seed int64) (*Instance, error) 
 	n := len(ids)
 	in := bareInstance(KT0, ids, input)
 	g := in.input
-	s := &seededPorts{seed: seed, off: make([]int, n+1)}
+	s := &seededPorts{rest: *randv2.NewPCG(uint64(seed), 0), off: make([]int, n+1)}
 	for v := 0; v < n; v++ {
 		s.off[v+1] = s.off[v] + g.Degree(v)
 	}
 	s.nbrPort, s.ports, s.nbrs = make([]int, s.off[n]), make([]int, s.off[n]), make([]int, s.off[n])
-	var src lagged
-	src.seed(seed)
+	rng := randv2.New(&s.rest)
 	at := make([]int32, n-1) // at[p] = 1 + the row index of the input neighbour at port p; 0 for none
 	for v := 0; v < n; v++ {
-		// Before the shuffle, port p leads to vertex p (p < v) or p+1.
-		nbrs := g.NeighborSlice(v)
-		for i, u := range nbrs {
-			p := u
-			if u > v {
-				p--
+		lo, hi := s.off[v], s.off[v+1]
+		nbrs, pos, ports := g.NeighborSlice(v), s.nbrPort[lo:hi], s.ports[lo:hi]
+		for i := range nbrs {
+			p := rng.IntN(n - 1)
+			for at[p] != 0 { // v gave p out already
+				p = rng.IntN(n - 1)
 			}
-			at[p] = int32(i + 1)
+			at[p], pos[i] = int32(i+1), p
 		}
-		src.shuffle(at)
-		// Walk the ports ascending, clearing at for the next vertex.
-		k, pos := s.off[v], s.nbrPort[s.off[v]:s.off[v+1]]
-		for p, a := range at {
-			if a != 0 {
-				s.ports[k], s.nbrs[k], pos[a-1] = p, nbrs[a-1], p
-				at[p] = 0
-				k++
-			}
+		copy(ports, pos)
+		sort.Ints(ports)
+		for k, p := range ports {
+			s.nbrs[lo+k] = nbrs[at[p]-1]
+			at[p] = 0
 		}
 	}
 	in.seeded = s
 	return in, nil
 }
 
-// lagged replays the source rand.NewSource returns: math/rand's
-// additive lagged-Fibonacci generator x_k = x_{k−607} + x_{k−273}
-// (mod 2⁶⁴), whose Source64.Uint64 outputs are the x_k themselves. Any
-// 607 consecutive outputs are its whole state, so after seeding reads
-// the first 607 through math/rand, which also normalises the seed,
-// every later output is replayed here.
-type lagged struct {
-	x   [607]uint64 // 607 consecutive outputs
-	pos int         // x[pos] is the next output to draw; len(x) once all are drawn
-}
-
-// seed loads the first 607 outputs of rand.NewSource(seed).
-func (r *lagged) seed(seed int64) {
-	src := rand.NewSource(seed).(rand.Source64)
-	for i := range r.x {
-		r.x[i] = src.Uint64()
-	}
-	r.pos = 0
-}
-
-// refill replaces the block by the next 607 outputs, in place:
-// x_{k+607} = x_k + x_{k+334}, and x_{k+334} is in the old block for
-// the first 273 and in the new one after them.
-func (r *lagged) refill() {
-	x := &r.x
-	for i := 0; i < 273; i++ {
-		x[i] += x[i+334]
-	}
-	for i := 273; i < len(x); i++ {
-		x[i] += x[i-273]
-	}
-}
-
-// shuffle permutes a as rand.New(src).Shuffle(len(a), swap) would on
-// the replayed source: the same draws, swaps and number of outputs
-// taken. It requires len(a) ≤ 2³¹−1, where Shuffle draws every j with
-// Rand.int31n: Lemire's method over Rand.Uint32, which is
-// uint32(x >> 31) of an output x (Int63 clears bit 63, and the
-// truncation drops it anyway). The block position stays in a local for
-// the loop, which is what makes it fast.
-func (r *lagged) shuffle(a []int32) {
-	x, pos := &r.x, r.pos
-	for i := len(a) - 1; i > 0; i-- {
-		n := uint32(i + 1)
-		var prod uint64
-		for {
-			if pos == len(x) {
-				r.refill()
-				pos = 0
-			}
-			prod = uint64(uint32(x[pos]>>31)) * uint64(n)
-			pos++
-			// Accept unless the low word is below (2³² − n) mod n; that
-			// bound is < n, so the division runs only when low < n.
-			if low := uint32(prod); low >= n || low >= -n%n {
-				break
-			}
-		}
-		j := prod >> 32
-		a[i], a[j] = a[j], a[i]
-	}
-	r.pos = pos
-}
-
 // RandomWiring returns a uniformly random port wiring for n vertices:
 // for v = 0..n−1 in turn, the other n−1 vertices in ascending order,
-// shuffled by rng.Shuffle. NewRandomKT0 makes the same draws, and the
-// tests hold it to this function.
+// shuffled by rng.Shuffle.
 func RandomWiring(n int, rng *rand.Rand) [][]int {
 	wiring := make([][]int, n)
 	for v := range wiring {
@@ -470,10 +399,10 @@ func (in *Instance) InputPorts(v int) []int {
 
 // materialize builds the explicit port tables of an implicit wiring,
 // once: the canonical formula's, so rewiring primitives can mutate
-// them, or a seeded wiring's, replayed from its seed. Instances are
-// shared read-only across goroutines, and a seeded wiring builds its
-// tables on a reader's first need, hence the sync.Once. Only a rewiring
-// materializes a canonical wiring, so no reader races its flag.
+// them, or a seeded wiring's. Instances are shared read-only across
+// goroutines, and a seeded wiring builds its tables on a reader's first
+// need, hence the sync.Once. Only a rewiring materializes a canonical
+// wiring, so no reader races its flag.
 //
 //bccvet:thaws Instance
 func (in *Instance) materialize() {
@@ -491,7 +420,7 @@ func (in *Instance) materialize() {
 			}
 			in.canonical = false
 		case in.seeded != nil:
-			ports = RandomWiring(n, rand.New(rand.NewSource(in.seeded.seed)))
+			ports = in.seeded.wiring(in.input)
 		default:
 			return
 		}
@@ -499,6 +428,45 @@ func (in *Instance) materialize() {
 			panic(err) // a permutation by construction
 		}
 	})
+}
+
+// wiring builds a seeded instance's full port table over its input g.
+// Each row keeps its input ports and shuffles the other n−1−d vertices
+// into its free ports, drawing from a copy of rest, so each row is
+// uniform over the (n−1)! orders and two builds agree.
+func (s *seededPorts) wiring(g *graph.Graph) [][]int {
+	n := g.N()
+	src := s.rest
+	rng := randv2.New(&src)
+	ports, rest := make([][]int, n), make([]int, 0, n-1)
+	for v := range ports {
+		row := make([]int, n-1)
+		for p := range row {
+			row[p] = -1
+		}
+		for k := s.off[v]; k < s.off[v+1]; k++ {
+			row[s.ports[k]] = s.nbrs[k]
+		}
+		rest = rest[:0]
+		nbrs := g.NeighborSlice(v)
+		for u := 0; u < n; u++ {
+			if len(nbrs) > 0 && nbrs[0] == u {
+				nbrs = nbrs[1:]
+			} else if u != v {
+				rest = append(rest, u)
+			}
+		}
+		rng.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
+		i := 0
+		for p := range row {
+			if row[p] < 0 {
+				row[p] = rest[i]
+				i++
+			}
+		}
+		ports[v] = row
+	}
+	return ports
 }
 
 // unseed builds a seeded wiring's tables and drops its kept ports,

@@ -2,7 +2,6 @@ package bcc
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -59,8 +58,8 @@ func seededInputs(t *testing.T, n int) map[string]*graph.Graph {
 	return out
 }
 
-// seededPair builds the seeded instance and its NewKT0(RandomWiring)
-// twin over the same input and seed.
+// seededPair builds the seeded instance and its twin: NewKT0 over the
+// tables of a second seeded instance built from the same input and seed.
 func seededPair(t *testing.T, g *graph.Graph, seed int64) (seeded, twin *Instance) {
 	t.Helper()
 	n := g.N()
@@ -68,41 +67,47 @@ func seededPair(t *testing.T, g *graph.Graph, seed int64) (seeded, twin *Instanc
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin, err = NewKT0(SequentialIDs(n), g, RandomWiring(n, rand.New(rand.NewSource(seed))))
+	other, err := NewRandomKT0(SequentialIDs(n), g, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.materialize()
+	twin, err = NewKT0(SequentialIDs(n), g, other.ports)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return seeded, twin
 }
 
-// TestRandomKT0MatchesRandomWiring pins the seeded constructor to the
-// wiring RandomWiring draws from the same seed. kt0-exchange rows
-// report rounds, bits and correctness, none of which depends on which
-// port leads where, so identical rows cannot show the wiring unchanged;
-// this test is what keeps the adapter's v=2 key honest. Every input
-// port must answer from the kept ports alone, with the tables still
-// unbuilt, and a bound plane run must not build them either; only then
-// does Equal compare every port both ways.
+// TestRandomKT0MatchesRandomWiring holds the seeded constructor to what
+// a RandomWiring row gives a vertex: each input neighbour behind its own
+// port, so the kept ports are strictly ascending in [0, n−1) and
+// NeighborAt and PortOf invert each other on them. Every input port
+// must answer from the kept ports alone, with the tables still unbuilt,
+// and a bound plane run must not build them either. The tables built
+// afterwards must keep every input port where it was drawn, and two
+// builds from one seed must be Equal both ways.
 func TestRandomKT0MatchesRandomWiring(t *testing.T) {
 	for _, n := range []int{2, 3, 64, 65, 513} {
 		for name, g := range seededInputs(t, n) {
 			for _, seed := range []int64{0, 1, -3, 1 << 40} {
 				t.Run(fmt.Sprintf("n=%d/%s/seed=%d", n, name, seed), func(t *testing.T) {
 					seeded, twin := seededPair(t, g, seed)
+					kept := make([][]int, n) // kept[v][i] = the vertex behind v's i-th input port
 					for v := 0; v < n; v++ {
-						got, want := seeded.InputPorts(v), twin.InputPorts(v)
-						if !intsEqual(got, want) {
-							t.Fatalf("InputPorts(%d) = %v, want %v", v, got, want)
+						ports := seeded.InputPorts(v)
+						if len(ports) != g.Degree(v) {
+							t.Fatalf("InputPorts(%d) = %v for degree %d", v, ports, g.Degree(v))
 						}
-						for _, p := range want {
-							if got, want := seeded.NeighborAt(v, p), twin.NeighborAt(v, p); got != want {
-								t.Fatalf("NeighborAt(%d, %d) = %d, want %d", v, p, got, want)
+						for i, p := range ports {
+							if p < 0 || p >= n-1 || i > 0 && p <= ports[i-1] {
+								t.Fatalf("InputPorts(%d) = %v, want strictly ascending in [0, %d)", v, ports, n-1)
 							}
-						}
-						for _, u := range g.NeighborSlice(v) {
-							if got, want := seeded.PortOf(v, u), twin.PortOf(v, u); got != want {
-								t.Fatalf("PortOf(%d, %d) = %d, want %d", v, u, got, want)
+							u := seeded.NeighborAt(v, p)
+							if !g.HasEdge(v, u) || seeded.PortOf(v, u) != p {
+								t.Fatalf("port %d of %d leads to %d, which is no input neighbour behind that port", p, v, u)
 							}
+							kept[v] = append(kept[v], u)
 						}
 					}
 					res, err := Run(seeded, loopProbe{plane: true}, WithoutTranscripts())
@@ -117,7 +122,15 @@ func TestRandomKT0MatchesRandomWiring(t *testing.T) {
 						t.Fatal("input-port reads or a bound plane run built the port tables")
 					}
 					if !seeded.Equal(twin) || !twin.Equal(seeded) {
-						t.Fatal("seeded instance differs from its NewKT0(RandomWiring) twin")
+						t.Fatal("two seeded instances from one seed differ")
+					}
+					seeded.materialize()
+					for v := 0; v < n; v++ {
+						for i, p := range seeded.InputPorts(v) {
+							if u := seeded.ports[v][p]; u != kept[v][i] || seeded.portTo[v][u] != p {
+								t.Fatalf("tables put vertex %d behind port %d of %d; the kept ports put %d there", u, p, v, kept[v][i])
+							}
+						}
 					}
 				})
 			}
@@ -125,75 +138,41 @@ func TestRandomKT0MatchesRandomWiring(t *testing.T) {
 	}
 }
 
-// next returns the replay's next Rand.Uint32 value, drawn the way
-// shuffle draws it.
-func (r *lagged) next() uint32 {
-	if r.pos == len(r.x) {
-		r.refill()
-		r.pos = 0
-	}
-	r.pos++
-	return uint32(r.x[r.pos-1] >> 31)
-}
-
-// TestLaggedMatchesMathRand pins the replay to math/rand's seeded
-// source across many refills, for seeds its seeding normalises
-// (0 and 2³¹−1 both become 89482311; negative seeds wrap).
-func TestLaggedMatchesMathRand(t *testing.T) {
-	for _, seed := range []int64{0, 1, -3, 1<<31 - 1, 1 << 40, math.MinInt64} {
-		var r lagged
-		r.seed(seed)
-		src := rand.New(rand.NewSource(seed))
-		for k := 0; k < 100_000; k++ {
-			if got, want := r.next(), src.Uint32(); got != want {
-				t.Fatalf("seed %d: value %d is %#x, math/rand's Uint32 is %#x", seed, k, got, want)
-			}
+// TestRandomKT0PortsUniform checks that a seeded row is uniform over
+// the (n−1)! port orders, as a RandomWiring row is: at n = 5, vertex
+// 0's materialized row over fixed seeds, with no, two and four input
+// neighbours (a row all shuffled, half drawn and half shuffled, all
+// drawn). Each χ² statistic over the 24 orders must stay below 49.7,
+// the p = 0.001 critical value at 23 degrees of freedom.
+func TestRandomKT0PortsUniform(t *testing.T) {
+	const n, perOrder = 5, 200
+	complete := graph.New(n)
+	for u := 0; u < n; u++ {
+		for w := u + 1; w < n; w++ {
+			complete.MustAddEdge(u, w)
 		}
 	}
-}
-
-// TestShuffleMatchesRandShuffle pins shuffle to rand.Shuffle on an
-// identity slice: the same permutation, and the same number of values
-// taken, so the next value of both sources agrees. A shuffle of 2¹⁷
-// retries a Lemire draw about once; it is the retry loop's pin, so at
-// least one seed must retry, which shows as a shuffle that took more
-// than len−1 values.
-func TestShuffleMatchesRandShuffle(t *testing.T) {
-	for _, size := range []int{1, 2, 3, 64, 1000, 2047, 1 << 17} {
-		seeds, retried := 2, 0
-		if size == 1<<17 {
-			seeds = 8
+	for name, g := range map[string]*graph.Graph{"empty": graph.New(n), "one-cycle": cycleInput(t, n), "complete": complete} {
+		counts := map[[n - 1]int]int{}
+		for seed := int64(0); seed < 24*perOrder; seed++ {
+			in, err := NewRandomKT0(SequentialIDs(n), g, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var row [n - 1]int
+			for p := range row {
+				row[p] = in.NeighborAt(0, p)
+			}
+			counts[row]++
 		}
-		for seed := int64(0); seed < int64(seeds); seed++ {
-			var r lagged
-			r.seed(seed)
-			got := make([]int32, size)
-			want := make([]int32, size)
-			for i := range got {
-				got[i], want[i] = int32(i), int32(i)
-			}
-			r.shuffle(got)
-			rng := rand.New(rand.NewSource(seed))
-			rng.Shuffle(size, func(i, j int) { want[i], want[j] = want[j], want[i] })
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("size %d seed %d: slot %d holds %d, rand.Shuffle put %d there", size, seed, i, got[i], want[i])
-				}
-			}
-			next := rng.Uint32()
-			if r.next() != next {
-				t.Fatalf("size %d seed %d: shuffle took a different number of values than rand.Shuffle", size, seed)
-			}
-			fresh := rand.New(rand.NewSource(seed))
-			for i := 1; i < size; i++ {
-				fresh.Uint32()
-			}
-			if fresh.Uint32() != next {
-				retried++
-			}
+		chi2 := 0.0
+		for _, c := range counts {
+			d := float64(c - perOrder)
+			chi2 += d * d / perOrder
 		}
-		if size == 1<<17 && retried == 0 {
-			t.Fatalf("no shuffle of %d retried a draw in %d seeds", size, seeds)
+		chi2 += float64(24-len(counts)) * perOrder // orders never drawn
+		if chi2 >= 49.7 {
+			t.Errorf("%s: χ² = %.1f over %d of 24 orders, want < 49.7", name, chi2, len(counts))
 		}
 	}
 }

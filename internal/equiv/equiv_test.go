@@ -370,9 +370,9 @@ func TestBareNodesMatchRunner(t *testing.T) {
 	}
 }
 
-// TestReplicaParallelXLSmoke runs one cell at the SizeCaps per cheap
-// protocol — boruvka at its 16384 ceiling, kt0-exchange at 8192, sketch
-// at 2048 — and pins each verdict at full scale. flood-b1 at 32768 is
+// TestReplicaParallelXLSmoke runs one large cell per cheap protocol —
+// boruvka at its 16384 ceiling, kt0-exchange at 8192, sketch at 2048 —
+// and pins each verdict at full scale. flood-b1 at 32768 is
 // covered by the grid ladder tests.
 func TestReplicaParallelXLSmoke(t *testing.T) {
 	if testing.Short() {

@@ -128,15 +128,10 @@ func gridE17() engine.GridSpec {
 		// instead of per-replica memory. The sketch decodes a row of at
 		// most two elements in closed form, but a row of c ≥ 3 (grid and
 		// er-threshold inputs) still scans the whole universe (Θ(n²·k)
-		// per phase). The KT-0 adapter's seeded instance keeps only its
-		// input-edge ports and follows only them through each shuffle,
-		// and it replays math/rand's source in one loop, but the
-		// wiring's shuffle draws are still Θ(n²) (the one-cycle cell at
-		// 8192, three seeds, takes about 0.8 s on a 2-CPU box); a
-		// cheaper wiring would change every kt0-exchange row. boruvka
-		// rides to 16384 and the bit-plane flood-b1 climbs the full
-		// ladder.
-		SizeCaps:   map[string]int{"sketch-a2": 2048, "kt0-exchange": 8192, "boruvka": 16384},
+		// per phase). boruvka rides to 16384. The bit-plane flood-b1
+		// and kt0-exchange, whose seeded instance draws only its
+		// input-edge ports, climb the full ladder.
+		SizeCaps:   map[string]int{"sketch-a2": 2048, "boruvka": 16384},
 		Seeds:      3,
 		QuickSeeds: 2,
 		Headers:    []string{"family", "protocol", "n", "b", "rounds", "total bits", "bits/round", "rounds/log₂n", "correct"},

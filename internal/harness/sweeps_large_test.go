@@ -113,7 +113,7 @@ func TestGridSizeLadders(t *testing.T) {
 		tops       map[string]int // expected per-protocol ladder top
 	}{
 		{"E17", []int{16, 32, 64}, map[string]int{
-			"flood-b1": 32768, "boruvka": 16384, "kt0-exchange": 8192, "sketch-a2": 2048,
+			"flood-b1": 32768, "boruvka": 16384, "kt0-exchange": 32768, "sketch-a2": 2048,
 		}},
 		// E18's ladder has no 2048 rung, so the sketch protocols (cap
 		// 2048) top out at its 1024 rung.

@@ -299,7 +299,7 @@ type KT0Exchange struct{}
 func (KT0Exchange) Name() string { return "kt0-exchange" }
 
 // Key implements Protocol.
-func (KT0Exchange) Key() string { return "protocol=kt0-exchange;v=2;deg=auto;wiring=random" }
+func (KT0Exchange) Key() string { return "protocol=kt0-exchange;v=3;deg=auto;wiring=random" }
 
 // Bandwidth implements Protocol.
 func (KT0Exchange) Bandwidth(int) int { return 1 }

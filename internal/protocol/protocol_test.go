@@ -177,6 +177,30 @@ func TestKT0ExchangeWideStreams(t *testing.T) {
 	}
 }
 
+// TestKT0ExchangeIgnoresWiring pins why the KT-0 adapter may change
+// how it draws its wiring without changing a row: on fixed inputs of
+// every E17 family, the whole Outcome is equal across wiring seeds,
+// labels and per-round bits included.
+func TestKT0ExchangeIgnoresWiring(t *testing.T) {
+	for _, fam := range []string{"one-cycle", "two-cycle", "crossed-two-cycle", "er-threshold", "grid"} {
+		for _, n := range []int{64, 512} {
+			g := build(t, fam, n, 7)
+			var first *Outcome
+			for _, seed := range []int64{1, 2, 3} {
+				out, err := KT0Exchange{}.Run(context.Background(), g, seed)
+				if err != nil {
+					t.Fatalf("%s@%d seed %d: %v", fam, n, seed, err)
+				}
+				if first == nil {
+					first = out
+				} else if !reflect.DeepEqual(out, first) {
+					t.Errorf("%s@%d: wiring seed %d changes the outcome", fam, n, seed)
+				}
+			}
+		}
+	}
+}
+
 // TestKeyGolden pins the canonical cache-key encoding of every
 // protocol. These strings feed the content-addressed result cache;
 // change an adapter's parameters or version deliberately, then update
@@ -184,7 +208,7 @@ func TestKT0ExchangeWideStreams(t *testing.T) {
 func TestKeyGolden(t *testing.T) {
 	want := map[string]string{
 		"neighborhood": "protocol=neighborhood;v=1;deg=auto",
-		"kt0-exchange": "protocol=kt0-exchange;v=2;deg=auto;wiring=random",
+		"kt0-exchange": "protocol=kt0-exchange;v=3;deg=auto;wiring=random",
 		"boruvka":      "protocol=boruvka;v=1;idbits=ceil(log2(n))",
 		"flood-b1":     "protocol=flood;v=1;b=1",
 		"sketch-a1":    "protocol=sketch;v=1;a=1",

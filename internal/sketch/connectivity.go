@@ -48,6 +48,7 @@ import (
 type Connectivity struct {
 	// Arboricity is the promised arboricity bound a.
 	Arboricity int
+	rec        *Recoverer // 4a-sparse, immutable, shared by every run and node
 }
 
 // NewConnectivity returns the algorithm for arboricity ≤ a.
@@ -55,10 +56,11 @@ func NewConnectivity(a int) (*Connectivity, error) {
 	if a < 1 {
 		return nil, fmt.Errorf("sketch: arboricity %d < 1", a)
 	}
-	if _, err := NewRecoverer(4 * a); err != nil {
+	rec, err := NewRecoverer(4 * a)
+	if err != nil {
 		return nil, err
 	}
-	return &Connectivity{Arboricity: a}, nil
+	return &Connectivity{Arboricity: a, rec: rec}, nil
 }
 
 // Name implements bcc.Algorithm.
@@ -93,14 +95,12 @@ func (c *Connectivity) BindRun(in *bcc.Instance, _ int) bcc.BoundRun {
 	r.labelsDone = false
 	r.nextNode = 0
 	r.nodes = r.nodes[:0]
-	rec, err := NewRecoverer(4 * c.Arboricity)
 	ids := in.SortedIDs()
-	if err != nil || ids == nil {
+	if ids == nil {
 		r.universe = nil
 		return r
 	}
 	n := len(ids)
-	r.rec = rec
 	r.universe = ids
 	if r.comp == nil {
 		r.comp = dsu.NewCompact(n)
@@ -141,12 +141,11 @@ func rankIn(universe []int, id int) int {
 }
 
 // sketchRun is the run-shared substrate and retirement mirror: the
-// sorted universe, the shared recoverer, the per-phase row table every
-// transmitting replica deposits its sketch into, and the replicated
-// retired/union-find state computed once per phase.
+// sorted universe, the per-phase row table every transmitting replica
+// deposits its sketch into, and the replicated retired/union-find
+// state computed once per phase.
 type sketchRun struct {
 	*Connectivity
-	rec        *Recoverer
 	universe   []int // nil → run invalid, every node broken
 	vertexRank []int32
 	// rows[v] is the sketch vertex v is transmitting this phase (nil if
@@ -177,6 +176,7 @@ func (r *sketchRun) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
 	}
 	node.run = r
 	node.a = r.Arboricity
+	node.rec = r.rec
 	if r.universe == nil || view.Knowledge != bcc.KT1 || view.AllIDs == nil {
 		node.broken = true
 		return node
@@ -195,7 +195,6 @@ func (r *sketchRun) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
 // ReleaseRun implements bcc.BoundRun.
 func (r *sketchRun) ReleaseRun() {
 	r.Connectivity = nil
-	r.rec = nil
 	r.universe = nil
 	for v := range r.rows {
 		r.rows[v] = nil
@@ -264,13 +263,7 @@ func (r *sketchRun) finishLabels() {
 // classic self-contained replica with per-port accumulation and its own
 // union-find.
 func (c *Connectivity) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
-	node := &sketchNode{a: c.Arboricity}
-	rec, err := NewRecoverer(4 * c.Arboricity)
-	if err != nil {
-		node.broken = true
-		return node
-	}
-	node.rec = rec
+	node := &sketchNode{a: c.Arboricity, rec: c.rec}
 	if view.Knowledge != bcc.KT1 || view.AllIDs == nil {
 		node.broken = true
 		return node
@@ -307,8 +300,8 @@ type sketchNode struct {
 	selfRank int32 // shared mode: universe rank
 	liveNbrs []int // IDs of not-yet-retired input neighbours
 	sketch   []uint64
+	rec      *Recoverer
 	// Private-mode state.
-	rec         *Recoverer
 	universe    []int // all IDs, ascending; rank queries binary-search it
 	view        bcc.View
 	retired     []bool // by universe rank; replicated identically everywhere
@@ -344,7 +337,7 @@ func (n *sketchNode) Send(round int) bcc.Message {
 		// Phase start: decide whether to transmit this phase.
 		n.sketch = nil
 		if !n.selfRetired && len(n.liveNbrs) <= 4*n.a {
-			s, err := n.encoder().Encode(n.liveNbrs)
+			s, err := n.rec.Encode(n.liveNbrs)
 			if err == nil {
 				n.sketch = s
 			}
@@ -358,13 +351,6 @@ func (n *sketchNode) Send(round int) bcc.Message {
 		return bcc.Silence
 	}
 	return bcc.Word(n.sketch[pos], 31)
-}
-
-func (n *sketchNode) encoder() *Recoverer {
-	if n.run != nil {
-		return n.run.rec
-	}
-	return n.rec
 }
 
 // syncRetired re-syncs a bound replica's private residue from the
