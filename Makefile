@@ -88,11 +88,11 @@ bench-scale:
 
 # Record the bit-plane baseline: the flood-b1×two-cycle@1024 cell on
 # the word-packed plane vs. the generic Message oracle, a plane-riding
-# O(log n) protocol at 4096, the steady-state round loop's allocation
+# O(log n) protocol at 1024, the steady-state round loop's allocation
 # profile, and a small flood ladder through the grid scheduler
 # (BENCH_bitplane.json). benchtime 5x: the generic oracle is the
-# before number (~15 ms per op on a 2-CPU box; the neighborhood
-# entry, ~0.5 s per op, dominates the group).
+# before number (~15 ms per op on a 2-CPU box, the group's slowest
+# entry).
 bench-bitplane:
 	$(GO) test -bench 'BenchmarkBitplane' -benchmem -benchtime 5x -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Bitplane' -out BENCH_bitplane.json
 

@@ -501,10 +501,9 @@ func BenchmarkBitplaneFloodTwoCycle1024Generic(b *testing.B) {
 
 // BenchmarkBitplaneNeighborhood1024 measures a logarithmic BCC(1)
 // protocol riding the plane at n = 1024: 2⌈log₂ n⌉ = 20 rounds of
-// two-word-plane delivery on a Hamiltonian cycle. (The op is still
-// dominated by neighborhood's own Θ(n²)-per-node claim-graph decode at
-// verdict time — the reason it is not on the E17 ladder — so this
-// benchmark tracks the whole run, not just delivery.)
+// two-word-plane delivery on a Hamiltonian cycle, each heard once by
+// the bound run, which then decides every replica from one partition.
+// It times the whole run: binding, the rounds and the output step.
 func BenchmarkBitplaneNeighborhood1024(b *testing.B) {
 	const n = 1024
 	seq := make([]int, n)
@@ -537,10 +536,10 @@ func BenchmarkBitplaneNeighborhood1024(b *testing.B) {
 	}
 }
 
-// bitLoopProbe is an inert BCC(1) bit algorithm whose nodes are
+// bitLoopProbe is an inert bound BCC(1) run whose nodes are
 // preallocated, so a Run's allocations are exactly the runner's own —
 // the benchmark isolates the steady-state round loop (send, popcount,
-// deliver) from node construction. The companion unit test
+// hear) from node construction. The companion unit test
 // TestBitPlaneRoundLoopAllocationFree pins allocations independent of
 // the round count.
 type bitLoopProbe struct {
@@ -549,10 +548,15 @@ type bitLoopProbe struct {
 	next   int
 }
 
-func (p *bitLoopProbe) Name() string   { return "bit-loop-probe" }
-func (p *bitLoopProbe) Bandwidth() int { return 1 }
-func (p *bitLoopProbe) Rounds(int) int { return p.rounds }
-func (p *bitLoopProbe) BitPlane() bool { return true }
+var _ bcc.RunBinder = (*bitLoopProbe)(nil)
+
+func (p *bitLoopProbe) Name() string                            { return "bit-loop-probe" }
+func (p *bitLoopProbe) Bandwidth() int                          { return 1 }
+func (p *bitLoopProbe) Rounds(int) int                          { return p.rounds }
+func (p *bitLoopProbe) BindRun(*bcc.Instance, int) bcc.BoundRun { return p }
+func (p *bitLoopProbe) Hear(int, []bcc.Message)                 {}
+func (p *bitLoopProbe) HearBits(int, []uint64, []uint64)        {}
+func (p *bitLoopProbe) ReleaseRun()                             {}
 func (p *bitLoopProbe) NewNode(bcc.View, *bcc.Coin) bcc.Node {
 	n := p.nodes[p.next]
 	p.next = (p.next + 1) % len(p.nodes)
@@ -561,11 +565,10 @@ func (p *bitLoopProbe) NewNode(bcc.View, *bcc.Coin) bcc.Node {
 
 type bitLoopNode struct{}
 
-func (bitLoopNode) Send(int) bcc.Message                { return bcc.Bit(1) }
-func (bitLoopNode) Receive(int, []bcc.Message)          {}
-func (bitLoopNode) BindPlane(int, bool) bool            { return true }
-func (bitLoopNode) SendBit(int) (uint8, bool)           { return 1, true }
-func (bitLoopNode) ReceiveBits(int, []uint64, []uint64) {}
+func (bitLoopNode) Send(int) bcc.Message       { return bcc.Bit(1) }
+func (bitLoopNode) Receive(int, []bcc.Message) {}
+func (bitLoopNode) BindPlane(int, bool) bool   { return true }
+func (bitLoopNode) SendBit(int) (uint8, bool)  { return 1, true }
 
 // BenchmarkBitplaneRoundLoop512x4096 measures 4096 steady-state rounds
 // at n = 512 with node construction amortized away: the reported

@@ -113,11 +113,10 @@ func (n mallocBitNode) SendBit(t int) (uint8, bool) {
 	n.p.observe(t)
 	return 1, true
 }
-func (mallocBitNode) ReceiveBits(int, []uint64, []uint64) {}
 
-// senderLoopProbe is an inert bound BCC(1) run that writes each
-// round's plane words itself (bcc.BitSender), so the plane never asks
-// its nodes for a bit. A non-nil probe is driven from SendBits.
+// senderLoopProbe is a bitLoopProbe that writes each round's plane
+// words itself (bcc.BitSender), so the plane never asks its nodes for
+// a bit. A non-nil probe is driven from SendBits.
 type senderLoopProbe struct {
 	bitLoopProbe
 	probe *mallocProbe
@@ -129,9 +128,6 @@ var (
 )
 
 func (p *senderLoopProbe) BindRun(*bcc.Instance, int) bcc.BoundRun { return p }
-func (p *senderLoopProbe) Hear(int, []bcc.Message)                 {}
-func (p *senderLoopProbe) HearBits(int, []uint64, []uint64)        {}
-func (p *senderLoopProbe) ReleaseRun()                             {}
 func (p *senderLoopProbe) SendBits(t int, value, spoke []uint64) {
 	if p.probe != nil {
 		p.probe.observe(t)
@@ -144,8 +140,8 @@ func (p *senderLoopProbe) SendBits(t int, value, spoke []uint64) {
 // amortized (preallocated inert nodes) and the arena pools warm, the
 // round loop itself (send, plane clear, popcount, delivery) allocates
 // nothing between round 2 and the last round, and a whole run's
-// allocation count is a small constant. It holds for both senders: the
-// nodes' SendBit on an unbound run, and a bound run's SendBits.
+// allocation count is a small constant. It holds for both senders of a
+// bound run: the nodes' SendBit, and the run's own SendBits.
 func TestBitPlaneRoundLoopAllocationFree(t *testing.T) {
 	const n = 256
 	g := graph.New(n)

@@ -22,7 +22,7 @@ import (
 	"sort"
 
 	"bcclique/internal/bcc"
-	"bcclique/internal/graph"
+	"bcclique/internal/dsu"
 )
 
 // bitsFor returns ⌈log₂ m⌉ (0 for m ≤ 1).
@@ -86,47 +86,64 @@ func (ix *indexer) rank(id int) int {
 
 func (ix *indexer) id(rank int) int { return ix.sorted[rank] }
 
-// componentOutputs computes the decision and labelling outputs shared by
-// every full-reconstruction algorithm: the verdict is YES iff the claimed
-// graph is connected; the label of a vertex is the smallest ID in its
-// component.
+// componentOutputs are a vertex's decision and labelling outputs in
+// every full-reconstruction algorithm: the verdict is YES iff the
+// claimed graph is connected; the label of a vertex is the smallest ID
+// in its component.
 type componentOutputs struct {
 	verdict bcc.Verdict
 	label   int
 }
 
-func outputsFromGraph(g *graph.Graph, ix *indexer, selfRank int, broken bool) componentOutputs {
-	if broken {
-		return componentOutputs{verdict: bcc.VerdictNo, label: -1}
-	}
-	d := g.Components()
-	verdict := bcc.VerdictYes
-	if d.Sets() != 1 {
-		verdict = bcc.VerdictNo
-	}
-	minID := ix.id(selfRank)
-	for u := 0; u < g.N(); u++ {
-		if d.Same(selfRank, u) && ix.id(u) < minID {
-			minID = ix.id(u)
-		}
-	}
-	return componentOutputs{verdict: verdict, label: minID}
+// partition is the claimed graph of a full-reconstruction algorithm,
+// kept as its components: a union-find over sorted-ID ranks. claim
+// enters one neighbour claim, seal labels every rank with its
+// component's smallest rank, and outputs answers for one rank.
+type partition struct {
+	comp  dsu.Compact
+	least []int32 // rank → smallest rank in its component, once sealed
 }
 
-// claimGraph assembles a graph from per-vertex neighbour claims, ignoring
-// self-claims (the "no neighbour" filler) and deduplicating.
-func claimGraph(n int, claims [][]int) *graph.Graph {
-	g := graph.New(n)
-	for v, list := range claims {
-		for _, u := range list {
-			if u == v || u < 0 || u >= n {
-				continue
-			}
-			if !g.HasEdge(v, u) {
-				// Cannot fail after the guards above.
-				g.MustAddEdge(v, u)
-			}
+// reset empties the partition over n ranks.
+func (p *partition) reset(n int) { p.comp.Reset(n) }
+
+// claim enters rank v's claim that rank u is its neighbour, ignoring
+// self-claims (the "no neighbour" filler) and ranks outside the
+// universe.
+func (p *partition) claim(v, u int) {
+	if u != v && u >= 0 && u < p.comp.Len() {
+		p.comp.Union(v, u)
+	}
+}
+
+// seal labels every rank with the smallest rank in its component.
+// Ascending rank order is ascending ID order, so the first member to
+// reach a root carries the component's smallest ID.
+func (p *partition) seal() {
+	n := p.comp.Len()
+	if cap(p.least) < n {
+		p.least = make([]int32, n)
+	}
+	p.least = p.least[:n]
+	for v := range p.least {
+		p.least[v] = -1
+	}
+	for v := 0; v < n; v++ {
+		if root := p.comp.Find(v); p.least[root] == -1 {
+			p.least[root] = int32(v)
 		}
 	}
-	return g
+	for v := 0; v < n; v++ {
+		p.least[v] = p.least[p.comp.Find(v)]
+	}
+}
+
+// outputs answers for the vertex at rank self of ix from the sealed
+// partition.
+func (p *partition) outputs(ix *indexer, self int) componentOutputs {
+	verdict := bcc.VerdictNo
+	if p.comp.Sets() == 1 {
+		verdict = bcc.VerdictYes
+	}
+	return componentOutputs{verdict: verdict, label: ix.id(int(p.least[self]))}
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"bcclique/internal/bcc"
-	"bcclique/internal/dsu"
 )
 
 // Flood is the naive KT-1 BCC(b) baseline: every vertex broadcasts its
@@ -26,7 +25,7 @@ import (
 //
 // That union-find is a pure function of the broadcast transcript, so
 // under the runner's RunBinder protocol the n per-replica replicas
-// collapse into one run-shared Compact that the run feeds once per
+// collapse into one run-shared partition that the run feeds once per
 // round as it hears it — own bits included, since every vertex's own
 // claims re-arrive through its own broadcast. Per-replica residue is
 // just the vertex's own adjacency row. On a schedule that covers the
@@ -57,11 +56,7 @@ func (a *Flood) Bandwidth() int { return a.B }
 // Rounds implements bcc.Algorithm.
 func (a *Flood) Rounds(n int) int { return (n - 2 + a.B) / a.B } // ⌈(n−1)/B⌉
 
-// BitPlane implements bcc.BitAlgorithm: only the 1-bit configuration
-// rides the plane.
-func (a *Flood) BitPlane() bool { return a.B == 1 }
-
-// floodRunPool recycles the shared union-find, the row arena, and the
+// floodRunPool recycles the shared partition, the row arena, and the
 // node arena across runs.
 var floodRunPool = sync.Pool{New: func() interface{} { return new(floodRun) }}
 
@@ -79,11 +74,7 @@ func (a *Flood) BindRun(in *bcc.Instance, _ int) bcc.BoundRun {
 		n := len(ids)
 		r.ix = newIndexer(ids)
 		r.rowLen = n - 1
-		if r.comp == nil {
-			r.comp = dsu.NewCompact(n)
-		} else {
-			r.comp.Reset(n)
-		}
+		r.part.reset(n)
 		if cap(r.vertexRank) < n {
 			r.vertexRank = make([]int32, n)
 		}
@@ -109,13 +100,13 @@ func (a *Flood) BindRun(in *bcc.Instance, _ int) bcc.BoundRun {
 }
 
 // floodRun is the run-shared substrate: the frozen ID indexer, the
-// vertex→rank table, and one broadcast-fed union-find standing in for
+// vertex→rank table, and one broadcast-fed partition standing in for
 // all n replicas. The row arena backs every replica's own-row residue.
 type floodRun struct {
 	*Flood
 	in         *bcc.Instance
 	ix         *indexer
-	comp       *dsu.Compact // union of every claim heard on the broadcast channel
+	part       partition // every claim heard on the broadcast channel
 	vertexRank []int32
 	rowLen     int
 	rowWords   int
@@ -123,14 +114,12 @@ type floodRun struct {
 	nodes      []floodNode
 	nextNode   int
 	rowArena   []uint64
-	// Shared outputs: full reports whether the schedule covered the
-	// whole row (then comp is every replica's partition and minRank
-	// holds per-rank component labels); scratch serves the truncated
-	// per-replica refinement.
+	// full reports whether the schedule covered the whole row (then part
+	// is every replica's partition, sealed once); scratch serves the
+	// truncated per-replica refinement.
 	finished bool
 	full     bool
-	minRank  []int32
-	scratch  *dsu.Compact
+	scratch  partition
 }
 
 // NewNode implements bcc.Algorithm on the bound run.
@@ -192,7 +181,7 @@ func (r *floodRun) Hear(t int, sends []bcc.Message) {
 				break // trailing bits beyond the row encoding carry nothing
 			}
 			if m.BitAt(i) == 1 {
-				r.comp.Union(speaker, rowTarget(speaker, pos))
+				r.part.claim(speaker, rowTarget(speaker, pos))
 			}
 		}
 	}
@@ -213,7 +202,7 @@ func (r *floodRun) HearBits(round int, value, _ []uint64) {
 		for w != 0 {
 			u := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
-			r.comp.Union(u, rowTarget(u, pos))
+			r.part.claim(u, rowTarget(u, pos))
 		}
 	}
 }
@@ -261,40 +250,22 @@ func (r *floodRun) SendBits(t int, value, spoke []uint64) {
 }
 
 // finishShared decides, once, whether the run covered every row
-// position — in which case the shared partition serves all replicas and
-// per-rank labels are computed in one pass. Callers are sequential (the
-// runner's output epilogue).
+// position — in which case the shared partition serves all replicas
+// and is sealed in one pass; a truncated run's replicas refine it with
+// their own rows. Callers are sequential (the runner's output
+// epilogue).
 func (r *floodRun) finishShared() {
 	if r.finished {
 		return
 	}
 	r.finished = true
-	if r.maxRound*r.B < r.rowLen {
-		return // truncated: replicas refine with their own rows
-	}
-	r.full = true
-	n := r.ix.n()
-	if cap(r.minRank) < n {
-		r.minRank = make([]int32, n)
-	}
-	r.minRank = r.minRank[:n]
-	for v := range r.minRank {
-		r.minRank[v] = -1
-	}
-	// Ascending rank order is ascending ID order: the first member to
-	// reach a root carries the component's smallest ID.
-	for v := 0; v < n; v++ {
-		if root := r.comp.Find(v); r.minRank[root] == -1 {
-			r.minRank[root] = int32(v)
-		}
-	}
-	for v := 0; v < n; v++ {
-		r.minRank[v] = r.minRank[r.comp.Find(v)]
+	if r.full = r.maxRound*r.B >= r.rowLen; r.full {
+		r.part.seal()
 	}
 }
 
 // NewNode implements bcc.Algorithm on the bare (unbound) algorithm: the
-// classic self-contained replica with its own union-find, for callers
+// classic self-contained replica with its own partition, for callers
 // that drive nodes by hand.
 func (a *Flood) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
 	node := &floodNode{b: a.B}
@@ -311,7 +282,8 @@ func (a *Flood) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
 	// instead of buffering heard rows: memory per node is O(n), not
 	// O(n²), and the final decision is a component count. Our own row's
 	// claims are entered up front.
-	node.comp = dsu.NewCompact(nn)
+	node.part = new(partition)
+	node.part.reset(nn)
 	for _, p := range view.InputPorts {
 		nbr := node.ix.rank(view.PortID(p))
 		// row bit i covers sorted index rowTarget(self, i): the
@@ -321,7 +293,7 @@ func (a *Flood) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
 			pos = nbr - 1
 		}
 		node.rowBits[pos>>6] |= 1 << uint(pos&63)
-		node.comp.Union(int(node.self), nbr)
+		node.part.claim(int(node.self), nbr)
 	}
 	// Per-port speaker ranks and bit counters for Receive.
 	node.portRank = make([]int32, view.NumPorts)
@@ -343,7 +315,7 @@ func rowTarget(speaker, pos int) int {
 }
 
 // floodNode is one replica: rank, own adjacency row, and — in private
-// mode only — its own union-find and per-port receive state.
+// mode only — its own partition and per-port receive state.
 type floodNode struct {
 	run     *floodRun // non-nil → run-shared mode
 	b       int
@@ -353,7 +325,7 @@ type floodNode struct {
 
 	// Private-mode state.
 	ix       *indexer
-	comp     *dsu.Compact // union of every adjacency claim heard (plus our own)
+	part     *partition // every adjacency claim heard (plus our own)
 	portRank []int32
 	got      []int32 // got[p] = adjacency-row bits received on port p so far
 	broken   bool
@@ -397,7 +369,7 @@ func (n *floodNode) Receive(_ int, inbox []bcc.Message) {
 				break // trailing bits beyond the row encoding carry nothing
 			}
 			if m.BitAt(i) == 1 {
-				n.comp.Union(speaker, rowTarget(speaker, int(pos)))
+				n.part.claim(speaker, rowTarget(speaker, int(pos)))
 			}
 		}
 		n.got[p] = base + int32(m.Len)
@@ -427,82 +399,48 @@ func (n *floodNode) SendBit(round int) (uint8, bool) {
 	return uint8(n.rowBit(pos)), true
 }
 
-// finalComp returns the partition this replica decides from: its own
-// union-find in private mode; the shared partition on a full-coverage
-// bound run; a scratch refinement (shared claims plus the replica's own
-// full row) on a truncated bound run. Callers are sequential.
-func (n *floodNode) finalComp() *dsu.Compact {
-	r := n.run
-	if r == nil {
-		return n.comp
-	}
-	r.finishShared()
-	if r.full {
-		return r.comp
-	}
-	if r.scratch == nil {
-		r.scratch = dsu.NewCompact(r.ix.n())
-	}
-	r.scratch.CopyFrom(r.comp)
-	for wi, w := range n.rowBits {
-		for w != 0 {
-			pos := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			r.scratch.Union(int(n.self), rowTarget(int(n.self), pos))
-		}
-	}
-	return r.scratch
-}
-
-// Decide implements bcc.Decider.
-func (n *floodNode) Decide() bcc.Verdict {
+// outputs decides from this replica's partition: its own in private
+// mode; the shared one on a full-coverage bound run; a scratch
+// refinement (shared claims plus the replica's own full row) on a
+// truncated bound run. Callers are sequential.
+func (n *floodNode) outputs() componentOutputs {
 	if n.broken {
-		return bcc.VerdictNo
+		return componentOutputs{verdict: bcc.VerdictNo, label: -1}
 	}
-	if n.finalComp().Sets() == 1 {
-		return bcc.VerdictYes
-	}
-	return bcc.VerdictNo
-}
-
-// Label implements bcc.Labeler: the smallest ID in this vertex's
-// component of the reconstructed graph.
-func (n *floodNode) Label() int {
-	if n.broken {
-		return -1
-	}
+	p, ix := n.part, n.ix
 	if r := n.run; r != nil {
 		r.finishShared()
 		if r.full {
-			return r.ix.id(int(r.minRank[n.self]))
+			return r.part.outputs(r.ix, int(n.self))
 		}
-		sc := n.finalComp()
-		minID := r.ix.id(int(n.self))
-		for u := 0; u < r.ix.n(); u++ {
-			if sc.Same(int(n.self), u) && r.ix.id(u) < minID {
-				minID = r.ix.id(u)
+		p, ix = &r.scratch, r.ix
+		p.comp.CopyFrom(&r.part.comp)
+		for wi, w := range n.rowBits {
+			for w != 0 {
+				pos := wi<<6 + bits.TrailingZeros64(w)
+				w &= w - 1
+				p.claim(int(n.self), rowTarget(int(n.self), pos))
 			}
 		}
-		return minID
 	}
-	minID := n.ix.id(int(n.self))
-	for u := 0; u < n.ix.n(); u++ {
-		if n.comp.Same(int(n.self), u) && n.ix.id(u) < minID {
-			minID = n.ix.id(u)
-		}
-	}
-	return minID
+	p.seal()
+	return p.outputs(ix, int(n.self))
 }
 
+// Decide implements bcc.Decider.
+func (n *floodNode) Decide() bcc.Verdict { return n.outputs().verdict }
+
+// Label implements bcc.Labeler: the smallest ID in this vertex's
+// component of the reconstructed graph.
+func (n *floodNode) Label() int { return n.outputs().label }
+
 var (
-	_ bcc.Algorithm    = (*Flood)(nil)
-	_ bcc.BitAlgorithm = (*Flood)(nil)
-	_ bcc.RunBinder    = (*Flood)(nil)
-	_ bcc.BoundRun     = (*floodRun)(nil)
-	_ bcc.BitAlgorithm = (*floodRun)(nil)
-	_ bcc.BitHearer    = (*floodRun)(nil)
-	_ bcc.BitSender    = (*floodRun)(nil)
-	_ bcc.Decider      = (*floodNode)(nil)
-	_ bcc.Labeler      = (*floodNode)(nil)
-	_ bcc.BitNode      = (*floodNode)(nil)
+	_ bcc.Algorithm = (*Flood)(nil)
+	_ bcc.RunBinder = (*Flood)(nil)
+	_ bcc.BoundRun  = (*floodRun)(nil)
+	_ bcc.BitHearer = (*floodRun)(nil)
+	_ bcc.BitSender = (*floodRun)(nil)
+	_ bcc.Decider   = (*floodNode)(nil)
+	_ bcc.Labeler   = (*floodNode)(nil)
+	_ bcc.BitNode   = (*floodNode)(nil)
 )

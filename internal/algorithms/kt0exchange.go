@@ -31,13 +31,13 @@ import (
 // streams each — the Θ(n²) dominating large cells) collapse into one
 // run-shared pair uid[u]/stream(u), filled once per round as the run
 // hears it. On every complete schedule each replica's reconstructed
-// claim graph coincides with the shared one, so verdict and labels are
-// computed once and read per-replica in O(1); only truncated runs,
-// where the replicas' universes genuinely diverge (a partial uid
-// differs from a vertex's own full ID), reconstruct the classic
-// per-replica outputs from the shared streams. Bare NewNode
-// keeps the old self-contained per-node accumulation for callers that
-// drive nodes by hand through Send and Receive.
+// claim graph coincides with the shared one, so one partition is
+// sealed once and read per-replica in O(1); only truncated runs, where
+// the replicas' universes genuinely diverge (a partial uid differs
+// from a vertex's own full ID), reconstruct the classic per-replica
+// outputs from the shared streams. Bare NewNode keeps the old
+// self-contained per-node accumulation for callers that drive nodes by
+// hand through Send and Receive.
 type KT0Exchange struct {
 	// MaxDegree is the degree bound the schedule is provisioned for.
 	MaxDegree int
@@ -71,15 +71,20 @@ func (a *KT0Exchange) Rounds(int) int { return (a.MaxDegree + 1) * a.IDBits }
 func streamWords(maxDegree, idBits int) int { return (maxDegree*idBits + 63) >> 6 }
 
 // record ORs a set bit one sender broadcast in the given round into its
-// announcement: the phase-1 ID word or the phase-2 stream. Bits past
-// the stream's end (a transcript longer than the schedule, as a hand-
-// driven node may be fed) vanish.
+// announcement: the phase-1 ID word or the phase-2 stream.
 func record(id *uint64, stream []uint64, idBits, round int) {
 	if round <= idBits {
 		*id |= 1 << uint(round-1)
 		return
 	}
-	if off := round - idBits - 1; off>>6 < len(stream) {
+	recordBit(stream, round-idBits-1)
+}
+
+// recordBit sets bit off of a slot stream. Bits past the stream's end
+// (a transcript longer than the schedule, as a hand-driven node may be
+// fed) vanish.
+func recordBit(stream []uint64, off int) {
+	if off>>6 < len(stream) {
 		stream[off>>6] |= 1 << uint(off&63)
 	}
 }
@@ -96,11 +101,6 @@ func streamSlot(stream []uint64, s, idBits int) int {
 	return int(v & (1<<uint(idBits) - 1))
 }
 
-// BitPlane implements bcc.BitAlgorithm: the algorithm is BCC(1) in
-// every configuration. Unlike the rank-space KT-1 runs, the shared
-// mirror is vertex-indexed, so it rides the plane under any wiring.
-func (a *KT0Exchange) BitPlane() bool { return true }
-
 // kt0RunPool recycles the run-shared stream tables and node arenas.
 var kt0RunPool = sync.Pool{New: func() interface{} { return new(kt0Run) }}
 
@@ -114,7 +114,7 @@ func (a *KT0Exchange) BindRun(in *bcc.Instance, _ int) bcc.BoundRun {
 	r.in = in
 	r.rounds = 0
 	r.finished = false
-	r.sharedValid = false
+	r.full = false
 	r.nextNode = 0
 	r.words = streamWords(a.MaxDegree, a.IDBits)
 	if cap(r.uid) < n {
@@ -153,13 +153,15 @@ type kt0Run struct {
 	nextNode int
 	nbrs     []int32 // per-node input-neighbour arena
 
-	// Shared outputs, computed lazily after the last round when the
-	// schedule ran to completion (see finishShared).
-	finished    bool
-	sharedValid bool
-	sharedIx    *indexer
-	sharedComp  []int32 // rank → smallest rank in its claim-graph component
-	sharedOne   bool    // claim graph is connected
+	// Shared outputs, computed after the last round (see finishShared):
+	// on a complete schedule, part over ix's ranks is every replica's
+	// partition; scratch serves the truncated per-replica universes.
+	finished bool
+	full     bool
+	ids      []int // uid as ints, the shared universe ix indexes
+	ix       *indexer
+	part     partition
+	scratch  partition
 }
 
 // NewNode implements bcc.Algorithm on the bound run. Nodes come out of
@@ -195,7 +197,7 @@ func (r *kt0Run) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
 func (r *kt0Run) ReleaseRun() {
 	r.KT0Exchange = nil
 	r.in = nil
-	r.sharedIx = nil
+	r.ix = nil
 	kt0RunPool.Put(r)
 }
 
@@ -233,13 +235,13 @@ func (r *kt0Run) accumulate(u int, bit uint8, round int) {
 	}
 }
 
-// finishShared computes the shared claim graph once the run is over.
-// Only meaningful (sharedValid) when the schedule ran to completion:
-// then every non-broken replica's reconstructed universe and claim
-// graph coincide with the shared ones — uid[v] is v's own full ID, and
-// v's announced phase-2 stream decodes to exactly the port claims v
-// would have entered for itself — so one components pass serves all n
-// replicas. Callers are sequential (the runner's output epilogue).
+// finishShared builds the shared partition once the run is over. Only
+// meaningful (full) when the schedule ran to completion: then every
+// non-broken replica's reconstructed universe and claim graph coincide
+// with the shared ones — uid[v] is v's own full ID, and v's announced
+// phase-2 stream decodes to exactly the port claims v would have
+// entered for itself — so one sealed partition serves all n replicas.
+// Callers are sequential (the runner's output epilogue).
 func (r *kt0Run) finishShared() {
 	if r.finished {
 		return
@@ -248,43 +250,20 @@ func (r *kt0Run) finishShared() {
 	if r.rounds < (r.MaxDegree+1)*r.IDBits {
 		return // truncated: universes diverge; replicas take the slow path
 	}
-	n := len(r.uid)
-	allIDs := make([]int, n)
-	for u, bits := range r.uid {
-		allIDs[u] = int(bits)
+	r.ids = r.ids[:0]
+	for _, id := range r.uid {
+		r.ids = append(r.ids, int(id))
 	}
-	ix := newIndexer(allIDs)
-	claims := make([][]int, ix.n())
-	for u := 0; u < n; u++ {
-		v := ix.rank(int(r.uid[u]))
+	r.ix = newIndexer(r.ids)
+	r.part.reset(r.ix.n())
+	for u, id := range r.ids {
+		v := r.ix.rank(id)
 		for s := 0; s < r.MaxDegree; s++ {
-			if w := ix.rank(streamSlot(r.streamOf(u), s, r.IDBits)); w >= 0 {
-				claims[v] = append(claims[v], w)
-			}
+			r.part.claim(v, r.ix.rank(streamSlot(r.streamOf(u), s, r.IDBits)))
 		}
 	}
-	g := claimGraph(ix.n(), claims)
-	d := g.Components()
-	r.sharedOne = d.Sets() == 1
-	if cap(r.sharedComp) < ix.n() {
-		r.sharedComp = make([]int32, ix.n())
-	}
-	r.sharedComp = r.sharedComp[:ix.n()]
-	for v := range r.sharedComp {
-		r.sharedComp[v] = -1
-	}
-	// Ascending rank order is ascending ID order, so the first member
-	// to reach a root carries the component's smallest ID.
-	for v := 0; v < ix.n(); v++ {
-		if root := d.Find(v); r.sharedComp[root] == -1 {
-			r.sharedComp[root] = int32(v)
-		}
-	}
-	for v := 0; v < ix.n(); v++ {
-		r.sharedComp[v] = r.sharedComp[d.Find(v)]
-	}
-	r.sharedIx = ix
-	r.sharedValid = true
+	r.part.seal()
+	r.full = true
 }
 
 // NewNode implements bcc.Algorithm on the bare (unbound) algorithm: the
@@ -322,8 +301,6 @@ type kt0Node struct {
 	rounds     int      // private mode
 	self       int32    // shared mode: vertex index
 	nbrOfSlot  []int32  // shared mode: vertex behind the s-th input port
-	outDone    bool
-	out        componentOutputs
 	broken     bool
 }
 
@@ -334,6 +311,19 @@ func (n *kt0Node) heardID(s int) uint64 {
 		return n.run.uid[n.nbrOfSlot[s]]
 	}
 	return n.portID[n.inputPorts[s]]
+}
+
+// heard returns the phase-1 announcement and phase-2 stream of the i-th
+// of the n−1 other vertices: port i's in private mode, and in a bound
+// run the i-th vertex index other than self.
+func (n *kt0Node) heard(i int) (uint64, []uint64) {
+	if r := n.run; r != nil {
+		if i >= int(n.self) {
+			i++
+		}
+		return r.uid[i], r.streamOf(i)
+	}
+	return n.portID[i], n.portStream(i)
 }
 
 func (n *kt0Node) sendBit(round int) (uint8, bool) {
@@ -404,91 +394,51 @@ func (n *kt0Node) SendBit(round int) (uint8, bool) {
 	return n.sendBit(round)
 }
 
+// outputs decides from the shared partition on a complete bound run;
+// otherwise from the replica's own universe and claims, rebuilt in a
+// fresh partition (the run's scratch one in a bound run). Callers are
+// sequential.
 func (n *kt0Node) outputs() componentOutputs {
 	if n.broken {
 		return componentOutputs{verdict: bcc.VerdictNo, label: -1}
 	}
-	if n.outDone {
-		return n.out
-	}
-	n.outDone = true
-	n.out = n.computeOutputs()
-	return n.out
-}
-
-func (n *kt0Node) computeOutputs() componentOutputs {
+	var p *partition
+	others, rounds := len(n.portID), n.rounds
 	if r := n.run; r != nil {
 		r.finishShared()
-		if r.sharedValid {
-			// Complete schedule: the shared claim graph is every
-			// non-broken replica's claim graph.
-			selfRank := r.sharedIx.rank(n.id)
-			verdict := bcc.VerdictNo
-			if r.sharedOne {
-				verdict = bcc.VerdictYes
-			}
-			return componentOutputs{verdict: verdict, label: r.sharedIx.id(int(r.sharedComp[selfRank]))}
+		if r.full {
+			// Complete schedule: the shared partition is every
+			// non-broken replica's partition.
+			return r.part.outputs(r.ix, r.ix.rank(n.id))
 		}
-		// Truncated schedule: reconstruct the classic per-replica
-		// outputs from the shared streams. The replica's universe is
-		// its own full ID plus everyone else's partial announcements.
-		nn := len(r.uid)
-		allIDs := make([]int, 0, nn)
-		allIDs = append(allIDs, n.id)
-		for u := 0; u < nn; u++ {
-			if u != int(n.self) {
-				allIDs = append(allIDs, int(r.uid[u]))
-			}
-		}
-		ix := newIndexer(allIDs)
-		self := ix.rank(n.id)
-		claims := make([][]int, ix.n())
-		for s := 0; s < n.degree(); s++ {
-			claims[self] = append(claims[self], ix.rank(int(r.uid[n.nbrOfSlot[s]])))
-		}
-		slots := min((r.rounds-n.idBits)/n.idBits, n.maxDegree)
-		for u := 0; u < nn; u++ {
-			if u == int(n.self) {
-				continue
-			}
-			v := ix.rank(int(r.uid[u]))
-			if v < 0 {
-				return componentOutputs{verdict: bcc.VerdictNo, label: -1}
-			}
-			for s := 0; s < slots; s++ {
-				if w := ix.rank(streamSlot(r.streamOf(u), s, n.idBits)); w >= 0 {
-					claims[v] = append(claims[v], w)
-				}
-			}
-		}
-		g := claimGraph(ix.n(), claims)
-		return outputsFromGraph(g, ix, self, false)
+		p, others, rounds = &r.scratch, len(r.uid)-1, r.rounds
+	} else {
+		p = new(partition)
 	}
-	// Private mode: all IDs = own + everything heard in phase 1.
-	allIDs := []int{n.id}
-	for _, pid := range n.portID {
-		allIDs = append(allIDs, int(pid))
+	// The replica's universe is its own full ID plus the (possibly
+	// partial) announcements of everyone else.
+	allIDs := make([]int, 0, others+1)
+	allIDs = append(allIDs, n.id)
+	for i := 0; i < others; i++ {
+		id, _ := n.heard(i)
+		allIDs = append(allIDs, int(id))
 	}
 	ix := newIndexer(allIDs)
 	self := ix.rank(n.id)
-	claims := make([][]int, ix.n())
-	for _, p := range n.inputPorts {
-		claims[self] = append(claims[self], ix.rank(int(n.portID[p])))
+	p.reset(ix.n())
+	for s := 0; s < n.degree(); s++ {
+		p.claim(self, ix.rank(int(n.heardID(s))))
 	}
-	slots := min((n.rounds-n.idBits)/n.idBits, n.maxDegree)
-	for p, pid := range n.portID {
-		v := ix.rank(int(pid))
-		if v < 0 {
-			return componentOutputs{verdict: bcc.VerdictNo, label: -1}
-		}
+	slots := min((rounds-n.idBits)/n.idBits, n.maxDegree)
+	for i := 0; i < others; i++ {
+		id, stream := n.heard(i)
+		v := ix.rank(int(id))
 		for s := 0; s < slots; s++ {
-			if w := ix.rank(streamSlot(n.portStream(p), s, n.idBits)); w >= 0 {
-				claims[v] = append(claims[v], w)
-			}
+			p.claim(v, ix.rank(streamSlot(stream, s, n.idBits)))
 		}
 	}
-	g := claimGraph(ix.n(), claims)
-	return outputsFromGraph(g, ix, self, false)
+	p.seal()
+	return p.outputs(ix, self)
 }
 
 // Decide implements bcc.Decider.
@@ -498,13 +448,11 @@ func (n *kt0Node) Decide() bcc.Verdict { return n.outputs().verdict }
 func (n *kt0Node) Label() int { return n.outputs().label }
 
 var (
-	_ bcc.Algorithm    = (*KT0Exchange)(nil)
-	_ bcc.BitAlgorithm = (*KT0Exchange)(nil)
-	_ bcc.RunBinder    = (*KT0Exchange)(nil)
-	_ bcc.BoundRun     = (*kt0Run)(nil)
-	_ bcc.BitAlgorithm = (*kt0Run)(nil)
-	_ bcc.BitHearer    = (*kt0Run)(nil)
-	_ bcc.Decider      = (*kt0Node)(nil)
-	_ bcc.Labeler      = (*kt0Node)(nil)
-	_ bcc.BitNode      = (*kt0Node)(nil)
+	_ bcc.Algorithm = (*KT0Exchange)(nil)
+	_ bcc.RunBinder = (*KT0Exchange)(nil)
+	_ bcc.BoundRun  = (*kt0Run)(nil)
+	_ bcc.BitHearer = (*kt0Run)(nil)
+	_ bcc.Decider   = (*kt0Node)(nil)
+	_ bcc.Labeler   = (*kt0Node)(nil)
+	_ bcc.BitNode   = (*kt0Node)(nil)
 )

@@ -3,6 +3,7 @@ package algorithms
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"bcclique/internal/bcc"
 )
@@ -16,6 +17,20 @@ import (
 // ConnectedComponents locally. For 2-regular inputs this is 2⌈log₂ n⌉
 // rounds — an O(log n) upper bound against the Ω(log n) lower bounds of
 // Theorems 4.4 and 4.5.
+//
+// A vertex's announcement is a stream of MaxDegree slots of ⌈log₂ n⌉
+// bits, kept in streamWords words as kt0-exchange keeps its phase-2
+// streams, so slots past bit 64 decode whole. Every replica decodes
+// the same n streams, so under the runner's RunBinder protocol the run
+// hears each round once into one vertex-indexed stream table and, after
+// the last round, unions every complete slot into one shared partition
+// — own streams included, since every vertex's own slots re-arrive
+// through its own broadcast. On a complete schedule that partition is
+// every non-broken replica's, so verdict and labels are read per
+// replica in O(1); a truncated run refines a scratch copy with each
+// replica's own slots, as flood's run does. Bare NewNode keeps the
+// self-contained replica with per-port streams, driven by hand through
+// Send and Receive.
 type NeighborhoodBroadcast struct {
 	// MaxDegree is the degree bound the schedule is provisioned for.
 	MaxDegree int
@@ -39,89 +54,203 @@ func (a *NeighborhoodBroadcast) Bandwidth() int { return 1 }
 // Rounds implements bcc.Algorithm: MaxDegree slots of ⌈log₂ n⌉ bits.
 func (a *NeighborhoodBroadcast) Rounds(n int) int { return a.MaxDegree * bitsFor(n) }
 
-// BitPlane implements bcc.BitAlgorithm: the algorithm is BCC(1) in
-// every configuration.
-func (a *NeighborhoodBroadcast) BitPlane() bool { return true }
+// nbRunPool recycles the run-shared stream table, partitions and arenas.
+var nbRunPool = sync.Pool{New: func() interface{} { return new(nbRun) }}
 
-// NewNode implements bcc.Algorithm.
+// BindRun implements bcc.RunBinder: one shared stream table per run.
+func (a *NeighborhoodBroadcast) BindRun(in *bcc.Instance, _ int) bcc.BoundRun {
+	r := nbRunPool.Get().(*nbRun)
+	n := in.N()
+	r.NeighborhoodBroadcast = a
+	r.in = in
+	r.rounds = 0
+	r.finished = false
+	r.nextNode = 0
+	r.idxBits = bitsFor(n)
+	r.words = streamWords(a.MaxDegree, r.idxBits)
+	if cap(r.stream) < n*r.words {
+		r.stream = make([]uint64, n*r.words)
+	}
+	r.stream = r.stream[:n*r.words]
+	clear(r.stream)
+	if cap(r.nodes) < n {
+		r.nodes = make([]nbNode, n)
+	}
+	r.nodes = r.nodes[:n]
+	r.ix = nil
+	if ids := in.SortedIDs(); ids != nil {
+		r.ix = newIndexer(ids)
+		if cap(r.vertexRank) < n {
+			r.vertexRank = make([]int32, n)
+		}
+		r.vertexRank = r.vertexRank[:n]
+		for u := range r.vertexRank {
+			r.vertexRank[u] = int32(r.ix.rank(in.ID(u)))
+		}
+		if cap(r.slotArena) < n*a.MaxDegree {
+			r.slotArena = make([]int32, n*a.MaxDegree)
+		}
+		r.slotArena = r.slotArena[:n*a.MaxDegree]
+	}
+	return r
+}
+
+// nbRun is the run-shared substrate: the frozen ID indexer, the
+// vertex→rank table, every vertex's announced stream as the run heard
+// it, and the partition decoded from them after the last round. The
+// slot arena backs every replica's own slots.
+type nbRun struct {
+	*NeighborhoodBroadcast
+	in         *bcc.Instance
+	ix         *indexer // nil when the instance is not KT-1: every node is broken
+	idxBits    int
+	words      int      // length of one stream
+	stream     []uint64 // n streams, vertex-major
+	rounds     int      // last heard round = the run's actual length
+	vertexRank []int32
+	nodes      []nbNode
+	nextNode   int
+	slotArena  []int32
+	// full reports whether every slot was heard (then part is every
+	// replica's partition, sealed once); scratch serves the truncated
+	// per-replica refinement.
+	finished bool
+	full     bool
+	part     partition
+	scratch  partition
+}
+
+// NewNode implements bcc.Algorithm on the bound run. Nodes come out of
+// the run's arena in vertex order; a node's residue is its rank and own
+// slots.
+func (r *nbRun) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
+	vertex := r.nextNode
+	r.nextNode++
+	node := &r.nodes[vertex]
+	*node = nbNode{run: r}
+	if r.ix == nil || len(view.InputPorts) > r.MaxDegree {
+		node.broken = true
+		return node
+	}
+	node.idxBits = r.idxBits
+	node.self = r.vertexRank[vertex]
+	node.slots = r.slotArena[vertex*r.MaxDegree : (vertex+1)*r.MaxDegree : (vertex+1)*r.MaxDegree]
+	for i := range node.slots {
+		node.slots[i] = node.self
+	}
+	for i, p := range view.InputPorts {
+		node.slots[i] = r.vertexRank[r.in.NeighborAt(vertex, p)]
+	}
+	return node
+}
+
+// ReleaseRun implements bcc.BoundRun.
+func (r *nbRun) ReleaseRun() {
+	r.NeighborhoodBroadcast = nil
+	r.in = nil
+	r.ix = nil
+	nbRunPool.Put(r)
+}
+
+// streamOf returns vertex u's stream in the table.
+func (r *nbRun) streamOf(u int) []uint64 { return r.stream[u*r.words : (u+1)*r.words] }
+
+// Hear implements bcc.BoundRun: the broadcast vector is vertex-indexed
+// with every vertex's own entry present, which is the table's layout.
+// Only set bits matter; zeros and silence leave the stream as it is.
+func (r *nbRun) Hear(round int, sends []bcc.Message) {
+	r.rounds = round
+	for u, m := range sends {
+		if m.BitAt(0) != 0 {
+			recordBit(r.streamOf(u), round-1)
+		}
+	}
+}
+
+// HearBits implements bcc.BitHearer: every set value bit, each vertex's
+// own included, is one stream bit.
+func (r *nbRun) HearBits(round int, value, _ []uint64) {
+	r.rounds = round
+	for wi, w := range value {
+		for w != 0 {
+			u := wi<<6 + bits.TrailingZeros64(w)
+			w &= w - 1
+			recordBit(r.streamOf(u), round-1)
+		}
+	}
+}
+
+// finish unions every complete slot of every stream into the shared
+// partition, once, and seals it when the schedule ran to completion.
+// Only non-broken nodes call it, and those exist only on a KT-1
+// instance. Callers are sequential (the runner's output epilogue).
+func (r *nbRun) finish() {
+	if r.finished {
+		return
+	}
+	r.finished = true
+	slots := min(r.rounds/r.idxBits, r.MaxDegree)
+	r.part.reset(r.ix.n())
+	for u, v := range r.vertexRank {
+		for s := 0; s < slots; s++ {
+			r.part.claim(int(v), streamSlot(r.streamOf(u), s, r.idxBits))
+		}
+	}
+	if r.full = slots == r.MaxDegree; r.full {
+		r.part.seal()
+	}
+}
+
+// NewNode implements bcc.Algorithm on the bare (unbound) algorithm: the
+// classic self-contained replica with per-port streams, for callers
+// that drive nodes by hand.
 func (a *NeighborhoodBroadcast) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
-	node := &nbNode{maxDegree: a.MaxDegree}
-	if view.Knowledge != bcc.KT1 || view.AllIDs == nil {
+	node := &nbNode{}
+	if view.Knowledge != bcc.KT1 || view.AllIDs == nil || len(view.InputPorts) > a.MaxDegree {
 		node.broken = true
 		return node
 	}
 	node.ix = newIndexer(view.AllIDs)
 	node.idxBits = bitsFor(node.ix.n())
-	node.self = node.ix.rank(view.ID)
+	node.self = int32(node.ix.rank(view.ID))
 	// Neighbour slots: the indices of input-edge neighbours, padded with
 	// the vertex's own index ("no neighbour here").
-	node.slots = make([]int, a.MaxDegree)
+	node.slots = make([]int32, a.MaxDegree)
 	for i := range node.slots {
 		node.slots[i] = node.self
 	}
-	if len(view.InputPorts) > a.MaxDegree {
-		node.broken = true // degree exceeds the provisioned schedule
-		return node
-	}
 	for i, p := range view.InputPorts {
-		node.slots[i] = node.ix.rank(view.PortID(p))
+		node.slots[i] = int32(node.ix.rank(view.PortID(p)))
 	}
-	// heard[p] accumulates the bit stream from port p; portRank maps
-	// ports to vertex indices.
-	node.heard = make([]uint64, view.NumPorts)
-	node.portRank = make([]int, view.NumPorts)
-	for p := 0; p < view.NumPorts; p++ {
-		node.portRank[p] = node.ix.rank(view.PortID(p))
+	// heard holds the stream heard on each port; portRank maps ports to
+	// vertex indices.
+	node.heard = make([]uint64, view.NumPorts*streamWords(a.MaxDegree, node.idxBits))
+	node.portRank = make([]int32, view.NumPorts)
+	for p := range node.portRank {
+		node.portRank[p] = int32(node.ix.rank(view.PortID(p)))
 	}
 	return node
 }
 
+// nbNode is one replica: rank and own slots, and — in private mode
+// only — its per-port streams.
 type nbNode struct {
-	maxDegree int
-	idxBits   int
-	ix        *indexer
-	self      int
-	slots     []int
-	heard     []uint64
-	portRank  []int
-	rounds    int
-	broken    bool
+	run     *nbRun // non-nil → run-shared mode
+	idxBits int
+	self    int32
+	slots   []int32 // input-neighbour ranks, padded with self
+	broken  bool
+
+	// Private-mode state.
+	ix       *indexer
+	heard    []uint64 // the stream heard on each port, port-major
+	portRank []int32
+	rounds   int
 }
 
-func (n *nbNode) Send(round int) bcc.Message {
-	if n.broken {
-		return bcc.Silence
-	}
-	slot := (round - 1) / n.idxBits
-	bit := (round - 1) % n.idxBits
-	if slot >= len(n.slots) {
-		return bcc.Silence
-	}
-	return bcc.Bit(uint8(n.slots[slot] >> uint(bit)))
-}
-
-func (n *nbNode) Receive(round int, inbox []bcc.Message) {
-	if n.broken {
-		return
-	}
-	n.rounds = round
-	for p, m := range inbox {
-		n.heard[p] |= uint64(m.BitAt(0)) << uint(round-1)
-	}
-}
-
-// BindPlane implements bcc.BitNode. The per-port bit streams are
-// rank-addressed under the canonical wiring (port p of self is rank p
-// or p+1), so only the canonical plane is accepted.
-func (n *nbNode) BindPlane(self int, canonical bool) bool {
-	if n.broken {
-		return true // inert
-	}
-	return canonical && self == n.self
-}
-
-// SendBit implements bcc.BitNode: the same slot/bit schedule as Send.
-func (n *nbNode) SendBit(round int) (uint8, bool) {
+// sendBit is the round's broadcast: bit (t−1) mod ⌈log₂ n⌉ of slot
+// (t−1) div ⌈log₂ n⌉, silence past the last slot.
+func (n *nbNode) sendBit(round int) (uint8, bool) {
 	if n.broken {
 		return 0, false
 	}
@@ -132,53 +261,76 @@ func (n *nbNode) SendBit(round int) (uint8, bool) {
 	return uint8(n.slots[slot]>>uint((round-1)%n.idxBits)) & 1, true
 }
 
-// ReceiveBits implements bcc.BitReceiver: only set value bits matter (the
-// generic path ORs silent and zero bits in as zeros), so the round is
-// consumed by trailing-zero iteration. Our own bit is skipped — the
-// rank-check form of the generic path's self-free inbox.
-func (n *nbNode) ReceiveBits(round int, value, _ []uint64) {
+func (n *nbNode) Send(round int) bcc.Message {
+	if bit, speak := n.sendBit(round); speak {
+		return bcc.Bit(bit)
+	}
+	return bcc.Silence
+}
+
+// SendBit implements bcc.BitNode: the same slot/bit schedule as Send.
+func (n *nbNode) SendBit(round int) (uint8, bool) { return n.sendBit(round) }
+
+// Receive implements bcc.Node for a private replica; a bound run's
+// nodes hear nothing (the run hears for them).
+func (n *nbNode) Receive(round int, inbox []bcc.Message) {
 	if n.broken {
 		return
 	}
 	n.rounds = round
-	shift := uint(round - 1)
-	selfW, selfM := n.self>>6, uint64(1)<<uint(n.self&63)
-	for wi, w := range value {
-		if wi == selfW {
-			w &^= selfM
-		}
-		for w != 0 {
-			u := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			p := u
-			if u > n.self {
-				p = u - 1
-			}
-			n.heard[p] |= 1 << shift
+	w := streamWords(len(n.slots), n.idxBits)
+	for p, m := range inbox {
+		if m.BitAt(0) != 0 {
+			recordBit(n.heard[p*w:(p+1)*w], round-1)
 		}
 	}
 }
 
+// BindPlane implements bcc.BitNode. A node accepts only the canonical
+// plane, where plane indices are sorted-ID ranks, as flood's nodes do.
+// The run's table is vertex-indexed, so on any other KT-1 wiring it
+// hears the Message vector through Hear just as well.
+func (n *nbNode) BindPlane(self int, canonical bool) bool {
+	if n.broken {
+		return true // inert
+	}
+	return canonical && self == int(n.self)
+}
+
+// outputs decides from this replica's partition: the shared one on a
+// complete bound run; otherwise the complete slots it heard (a scratch
+// copy of the shared partition in a bound run), refined with its own
+// slots, which its broadcasts delivered only in part. Callers are
+// sequential.
 func (n *nbNode) outputs() componentOutputs {
 	if n.broken {
 		return componentOutputs{verdict: bcc.VerdictNo, label: -1}
 	}
-	nn := n.ix.n()
-	claims := make([][]int, nn)
-	// Our own claims.
-	for _, s := range n.slots {
-		claims[n.self] = append(claims[n.self], s)
-	}
-	slots := n.rounds / n.idxBits
-	for p, stream := range n.heard {
-		v := n.portRank[p]
-		for s := 0; s < slots && s < n.maxDegree; s++ {
-			idx := int(stream>>uint(s*n.idxBits)) & ((1 << uint(n.idxBits)) - 1)
-			claims[v] = append(claims[v], idx)
+	var p *partition
+	ix := n.ix
+	if r := n.run; r != nil {
+		r.finish()
+		if r.full {
+			return r.part.outputs(r.ix, int(n.self))
+		}
+		p, ix = &r.scratch, r.ix
+		p.comp.CopyFrom(&r.part.comp)
+	} else {
+		p = new(partition)
+		p.reset(ix.n())
+		slots := min(n.rounds/n.idxBits, len(n.slots))
+		w := streamWords(len(n.slots), n.idxBits)
+		for port, v := range n.portRank {
+			for s := 0; s < slots; s++ {
+				p.claim(int(v), streamSlot(n.heard[port*w:(port+1)*w], s, n.idxBits))
+			}
 		}
 	}
-	g := claimGraph(nn, claims)
-	return outputsFromGraph(g, n.ix, n.self, false)
+	for _, u := range n.slots {
+		p.claim(int(n.self), int(u))
+	}
+	p.seal()
+	return p.outputs(ix, int(n.self))
 }
 
 // Decide implements bcc.Decider: YES iff the reconstructed input graph is
@@ -190,10 +342,11 @@ func (n *nbNode) Decide() bcc.Verdict { return n.outputs().verdict }
 func (n *nbNode) Label() int { return n.outputs().label }
 
 var (
-	_ bcc.Algorithm    = (*NeighborhoodBroadcast)(nil)
-	_ bcc.BitAlgorithm = (*NeighborhoodBroadcast)(nil)
-	_ bcc.Decider      = (*nbNode)(nil)
-	_ bcc.Labeler      = (*nbNode)(nil)
-	_ bcc.BitNode      = (*nbNode)(nil)
-	_ bcc.BitReceiver  = (*nbNode)(nil)
+	_ bcc.Algorithm = (*NeighborhoodBroadcast)(nil)
+	_ bcc.RunBinder = (*NeighborhoodBroadcast)(nil)
+	_ bcc.BoundRun  = (*nbRun)(nil)
+	_ bcc.BitHearer = (*nbRun)(nil)
+	_ bcc.Decider   = (*nbNode)(nil)
+	_ bcc.Labeler   = (*nbNode)(nil)
+	_ bcc.BitNode   = (*nbNode)(nil)
 )

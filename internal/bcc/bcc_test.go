@@ -176,6 +176,22 @@ func TestNewInstanceValidation(t *testing.T) {
 			}
 		})
 	}
+	// Every constructor rejects a duplicate, whether it already sits next
+	// to its twin (which an ascending check alone would let through) or
+	// not.
+	for name, ids := range map[string][]int{"adjacent duplicate": {0, 1, 1, 2}, "apart duplicate": {3, 1, 2, 3}} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := NewKT0(ids, g, RotationWiring(4)); err == nil {
+				t.Error("NewKT0 succeeded, want error")
+			}
+			if _, err := NewKT1(ids, g); err == nil {
+				t.Error("NewKT1 succeeded, want error")
+			}
+			if _, err := NewRandomKT0(ids, g, 1); err == nil {
+				t.Error("NewRandomKT0 succeeded, want error")
+			}
+		})
+	}
 }
 
 func TestPortOfRoundTrip(t *testing.T) {

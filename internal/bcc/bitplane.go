@@ -13,42 +13,26 @@ import (
 //	value[v>>6] bit v&63 — the bit vertex v broadcast (0 if silent)
 //	spoke[v>>6] bit v&63 — whether vertex v broadcast at all
 //
-// Delivery is aliasing: a broadcast is the same for every listener, so
-// the round is heard from the *same* two word arrays instead of n
-// permuted (n−1)-slot Message inboxes. A bound run (see BoundRun) hears
-// them once per round; only an unbound run's nodes each receive them,
-// and there self-exclusion, which the Message vector implements by
-// omitting the receiver from its inbox, becomes a rank check inside the
-// node. The per-round cost RoundBits[t] is a popcount over the spoke
+// A broadcast is the same for every listener, so a bound run (see
+// BoundRun) hears the round once, from these two words, instead of n
+// permuted (n−1)-slot Message inboxes; the plane serves only bound
+// runs. The per-round cost RoundBits[t] is a popcount over the spoke
 // mask, and transcript mode packs the round's trits as 2-bit codes into
 // one flat arena from which TritString / TranscriptKey are derived
 // directly.
 //
 // The plane is one of the two media RunContext's single round loop
 // drives (see medium in runner.go); it has no loop of its own. The
-// Message vector remains authoritative: it serves every multi-bit
-// algorithm, every WithReceivedTranscripts run, and acts as the
-// equivalence oracle the bit plane is pinned against byte for byte (see
-// bitplane_test.go and the protocol-level equivalence suite).
+// Message vector remains authoritative: it serves every multi-bit or
+// unbound algorithm and every WithReceivedTranscripts run, and acts as
+// the equivalence oracle the bit plane is pinned against byte for byte
+// (see bitplane_test.go and the protocol-level equivalence suite).
 
-// BitAlgorithm is implemented by algorithms whose nodes can run on the
-// bit plane. The runner takes the fast path only when BitPlane()
-// reports true, the declared bandwidth is 1, no received transcripts
-// were requested, and the run accepts its plane binding; otherwise the
-// run falls back to the Message vector with identical results.
-type BitAlgorithm interface {
-	Algorithm
-	// BitPlane reports whether this configuration of the algorithm is
-	// 1-bit and its nodes implement BitNode (e.g. Flood declines for
-	// B > 1).
-	BitPlane() bool
-}
-
-// BitNode is the send half of a plane node, the word-parallel
-// counterpart of Node.Send. The runner calls BindPlane once before
-// round 1, then SendBit instead of Send, unless the bound run writes
-// the round itself (BitSender). Nodes must keep both consistent: the
-// equivalence suite pins SendBit against Send trit by trit.
+// BitNode is a plane node, the word-parallel counterpart of Node.Send.
+// The runner calls BindPlane once before round 1, then SendBit instead
+// of Send, unless the bound run writes the round itself (BitSender).
+// Nodes must keep both consistent: the equivalence suite pins SendBit
+// against Send trit by trit.
 type BitNode interface {
 	// BindPlane hands the node its simulation bookkeeping: self is the
 	// node's plane index (= vertex index), and canonical reports the
@@ -63,16 +47,6 @@ type BitNode interface {
 	// SendBit is Send for the plane: the broadcast bit and whether the
 	// node speaks at all this round (false is the paper's ⊥).
 	SendBit(round int) (bit uint8, speak bool)
-}
-
-// BitReceiver is the receive half of a plane node in an unbound run:
-// the runner calls ReceiveBits on every node instead of Receive. value
-// and spoke are the shared planes described above, aliased by every
-// listener and reused between rounds — nodes must not retain or mutate
-// them. The node's own bit is present; excluding it is the node's rank
-// check.
-type BitReceiver interface {
-	ReceiveBits(round int, value, spoke []uint64)
 }
 
 // BitHearer is BoundRun.Hear for the plane: a 1-bit bound run hears
@@ -181,23 +155,16 @@ func (tp *tritPlane) tritKey(v int) (TranscriptKey, error) {
 	return k, nil
 }
 
-// bitPlane is the medium of a 1-bit run: the round's broadcasts as the
-// value/spoke word pair, plus the trit arena in transcript mode. Pooled
-// like messageVector.
+// bitPlane is the medium of a 1-bit bound run: the round's broadcasts
+// as the value/spoke word pair, plus the trit arena in transcript mode.
+// Pooled like messageVector.
 type bitPlane struct {
-	nodes  []planeNode
-	run    BitHearer // a bound run hears each round once
+	nodes  []BitNode
+	run    BitHearer
 	sender BitSender // a bound run that writes each round's words itself
 	value  []uint64
 	spoke  []uint64
 	trits  *tritPlane // nil under WithoutTranscripts
-}
-
-// planeNode is one vertex on the plane: its send half and, in an
-// unbound run, its receive half (nil in a bound run).
-type planeNode struct {
-	BitNode
-	BitReceiver
 }
 
 var planePool = sync.Pool{New: func() interface{} { return new(bitPlane) }}
@@ -207,7 +174,7 @@ func acquirePlane(n int) *bitPlane {
 	p := planePool.Get().(*bitPlane)
 	words := (n + 63) / 64
 	if cap(p.nodes) < n {
-		p.nodes = make([]planeNode, n)
+		p.nodes = make([]BitNode, n)
 	}
 	if cap(p.value) < words {
 		p.value = make([]uint64, words)
@@ -217,34 +184,22 @@ func acquirePlane(n int) *bitPlane {
 	return p
 }
 
-// bind type-asserts the run onto the plane and binds every node. A
-// bound run that cannot hear bits, a node that is not a BitNode (or, in
-// an unbound run, not a BitReceiver), or a node that declines its
-// binding sends the whole run down the Message vector.
+// bind type-asserts the run onto the plane and binds every node. A run
+// that cannot hear bits, a node that is not a BitNode, or a node that
+// declines its binding sends the whole run down the Message vector.
 func (p *bitPlane) bind(in *Instance, run BoundRun, nodes []Node, rounds int, o options) bool {
-	if run != nil {
-		h, ok := run.(BitHearer)
-		if !ok {
-			return false
-		}
-		p.run = h
-		p.sender, _ = run.(BitSender)
+	h, ok := run.(BitHearer)
+	if !ok {
+		return false
 	}
+	p.run = h
+	p.sender, _ = run.(BitSender)
 	for v, node := range nodes {
 		bn, ok := node.(BitNode)
-		if !ok {
+		if !ok || !bn.BindPlane(v, in.canonical) {
 			return false
 		}
-		var br BitReceiver
-		if run == nil {
-			if br, ok = node.(BitReceiver); !ok {
-				return false
-			}
-		}
-		if !bn.BindPlane(v, in.canonical) {
-			return false
-		}
-		p.nodes[v] = planeNode{bn, br}
+		p.nodes[v] = bn
 	}
 	if !o.noTranscripts {
 		p.trits = newTritPlane(len(nodes), rounds)
@@ -283,15 +238,7 @@ func (p *bitPlane) send(t int) (int, error) {
 	return rb, nil
 }
 
-func (p *bitPlane) deliver(t int) {
-	if p.run != nil {
-		p.run.HearBits(t, p.value, p.spoke)
-		return
-	}
-	for _, node := range p.nodes {
-		node.ReceiveBits(t, p.value, p.spoke)
-	}
-}
+func (p *bitPlane) deliver(t int) { p.run.HearBits(t, p.value, p.spoke) }
 
 func (p *bitPlane) finish(res *Result) {
 	res.BitPlane = true

@@ -168,11 +168,22 @@ func TestBitPlaneEquivalence(t *testing.T) {
 	}
 }
 
+// hearOnly binds like neighborhood-broadcast, but its bound run cannot
+// hear bits: the embedded interface hides HearBits.
+type hearOnly struct {
+	*algorithms.NeighborhoodBroadcast
+}
+
+func (a hearOnly) BindRun(in *bcc.Instance, rounds int) bcc.BoundRun {
+	return struct{ bcc.BoundRun }{a.NeighborhoodBroadcast.BindRun(in, rounds)}
+}
+
 // TestBitPlaneEngagement pins exactly when the fast path runs: 1-bit
-// plane-capable algorithms on any instance whose nodes accept their
+// bound runs that hear bits, on any instance whose nodes accept their
 // binding, and never under WithoutBitPlane, WithReceivedTranscripts, a
-// multi-bit bandwidth, or (for rank-space nodes) a non-canonical KT-1
-// wiring.
+// multi-bit bandwidth, an unbound algorithm or a run that cannot hear
+// bits (even with BitNode nodes), or (for rank-space nodes) a
+// non-canonical KT-1 wiring.
 func TestBitPlaneEngagement(t *testing.T) {
 	const n = 12
 	g := graph.RandomOneCycle(n, rand.New(rand.NewSource(1)))
@@ -217,11 +228,20 @@ func TestBitPlaneEngagement(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("boruvka generic", false, canonical, boruvka)
+	nb, err := algorithms.NewNeighborhoodBroadcast(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("neighborhood canonical", true, canonical, nb)
+	check("neighborhood shuffled-ids", false, shuffled, nb)
+	check("bound run without HearBits", false, canonical, hearOnly{nb})
+	check("unbound with BitNode nodes", false, canonical, struct{ bcc.Algorithm }{nb})
 }
 
-// TestBitPlaneConcurrent runs bit-plane and oracle pairs concurrently
-// at several goroutine widths, all sharing the pooled plane/scratch
-// arenas — the data-race surface the -race CI job sweeps.
+// TestBitPlaneConcurrent runs bit-plane and oracle pairs of flood-b1
+// and neighborhood concurrently at several goroutine widths, all
+// sharing the pooled plane/scratch arenas and bound runs — the
+// data-race surface the -race CI job sweeps.
 func TestBitPlaneConcurrent(t *testing.T) {
 	const n = 18
 	for _, workers := range []int{2, 4, 8} {
@@ -243,20 +263,29 @@ func TestBitPlaneConcurrent(t *testing.T) {
 						t.Error(err)
 						return
 					}
+					nb, err := algorithms.NewNeighborhoodBroadcast(2)
+					if err != nil {
+						t.Error(err)
+						return
+					}
 					for iter := 0; iter < 10; iter++ {
-						fast, err := bcc.Run(in, flood, bcc.WithoutTranscripts())
+						algo := bcc.Algorithm(flood)
+						if iter%2 == 1 {
+							algo = nb
+						}
+						fast, err := bcc.Run(in, algo, bcc.WithoutTranscripts())
 						if err != nil {
 							t.Error(err)
 							return
 						}
-						oracle, err := bcc.Run(in, flood, bcc.WithoutTranscripts(), bcc.WithoutBitPlane())
+						oracle, err := bcc.Run(in, algo, bcc.WithoutTranscripts(), bcc.WithoutBitPlane())
 						if err != nil {
 							t.Error(err)
 							return
 						}
-						if fast.Verdict != oracle.Verdict || fast.TotalBits != oracle.TotalBits ||
-							!reflect.DeepEqual(fast.RoundBits, oracle.RoundBits) {
-							t.Error("concurrent bit-plane run diverged from oracle")
+						if !fast.BitPlane || fast.Verdict != oracle.Verdict || fast.TotalBits != oracle.TotalBits ||
+							!reflect.DeepEqual(fast.RoundBits, oracle.RoundBits) || !reflect.DeepEqual(fast.Labels, oracle.Labels) {
+							t.Errorf("concurrent %s bit-plane run diverged from oracle", algo.Name())
 							return
 						}
 						bcc.Recycle(fast)

@@ -83,22 +83,20 @@ type seededPorts struct {
 // wiring is canonical: port p of a vertex leads to the vertex with the
 // (p+1)-th smallest ID among the other vertices, realizing the model's
 // "ports are labelled by IDs".
+//
+//bccvet:thaws Instance
 func NewKT1(ids []int, input *graph.Graph) (*Instance, error) {
-	n := len(ids)
-	if err := validateIDs(ids, input); err != nil {
+	in, err := bareInstance(KT1, ids, input)
+	if err != nil {
 		return nil, err
 	}
 	if sort.IntsAreSorted(ids) {
 		// Ascending IDs: the canonical wiring is the identity-order
 		// formula, so the port tables stay implicit.
-		return &Instance{
-			knowledge: KT1,
-			ids:       append([]int(nil), ids...),
-			canonical: true,
-			sortedIDs: append([]int(nil), ids...),
-			input:     input.Clone(),
-		}, nil
+		in.canonical = true
+		return in, nil
 	}
+	n := len(ids)
 	order := make([]int, n) // vertex indices sorted by ID
 	for i := range order {
 		order[i] = i
@@ -114,7 +112,7 @@ func NewKT1(ids []int, input *graph.Graph) (*Instance, error) {
 		}
 		wiring[v] = w
 	}
-	return newInstance(KT1, ids, input, wiring)
+	return in.wire(wiring)
 }
 
 // NewKT0 builds a KT-0 instance with the given wiring: wiring[v] lists, for
@@ -122,10 +120,11 @@ func NewKT1(ids []int, input *graph.Graph) (*Instance, error) {
 // be a permutation of the other n-1 vertices. Use RandomWiring or
 // RotationWiring to produce one.
 func NewKT0(ids []int, input *graph.Graph, wiring [][]int) (*Instance, error) {
-	if err := validateIDs(ids, input); err != nil {
+	in, err := bareInstance(KT0, ids, input)
+	if err != nil {
 		return nil, err
 	}
-	return newInstance(KT0, ids, input, wiring)
+	return in.wire(wiring)
 }
 
 // NewRandomKT0 builds a KT-0 instance over a uniformly random wiring
@@ -139,11 +138,11 @@ func NewKT0(ids []int, input *graph.Graph, wiring [][]int) (*Instance, error) {
 //
 //bccvet:thaws Instance
 func NewRandomKT0(ids []int, input *graph.Graph, seed int64) (*Instance, error) {
-	if err := validateIDs(ids, input); err != nil {
+	in, err := bareInstance(KT0, ids, input)
+	if err != nil {
 		return nil, err
 	}
 	n := len(ids)
-	in := bareInstance(KT0, ids, input)
 	g := in.input
 	s := &seededPorts{rest: *randv2.NewPCG(uint64(seed), 0), off: make([]int, n+1)}
 	for v := 0; v < n; v++ {
@@ -205,33 +204,37 @@ func RotationWiring(n int) [][]int {
 	return wiring
 }
 
-func validateIDs(ids []int, input *graph.Graph) error {
+// bareInstance checks the IDs against the input graph and copies both
+// into an instance whose wiring the caller sets. The IDs are sorted
+// once, into the instance's sortedIDs, where a duplicate sits next to
+// its twin.
+func bareInstance(k Knowledge, ids []int, input *graph.Graph) (*Instance, error) {
 	if input == nil {
-		return fmt.Errorf("bcc: nil input graph")
+		return nil, fmt.Errorf("bcc: nil input graph")
 	}
 	if len(ids) != input.N() {
-		return fmt.Errorf("bcc: %d IDs for input graph on %d vertices", len(ids), input.N())
+		return nil, fmt.Errorf("bcc: %d IDs for input graph on %d vertices", len(ids), input.N())
 	}
 	if len(ids) < 2 {
-		return fmt.Errorf("bcc: need at least 2 vertices, got %d", len(ids))
+		return nil, fmt.Errorf("bcc: need at least 2 vertices, got %d", len(ids))
 	}
-	seen := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		if seen[id] {
-			return fmt.Errorf("bcc: duplicate ID %d", id)
+	sorted := append([]int(nil), ids...)
+	sort.Ints(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return nil, fmt.Errorf("bcc: duplicate ID %d", sorted[i])
 		}
-		seen[id] = true
 	}
-	return nil
+	return &Instance{knowledge: k, ids: append([]int(nil), ids...), sortedIDs: sorted, input: input.Clone()}, nil
 }
 
-//bccvet:thaws Instance
-func newInstance(k Knowledge, ids []int, input *graph.Graph, wiring [][]int) (*Instance, error) {
-	n := len(ids)
+// wire installs a copy of wiring as the port table. Each row must be a
+// permutation of the other n−1 vertices.
+func (in *Instance) wire(wiring [][]int) (*Instance, error) {
+	n := in.N()
 	if len(wiring) != n {
 		return nil, fmt.Errorf("bcc: wiring for %d vertices, want %d", len(wiring), n)
 	}
-	in := bareInstance(k, ids, input)
 	ports := make([][]int, n)
 	for v := range ports {
 		ports[v] = append([]int(nil), wiring[v]...)
@@ -240,14 +243,6 @@ func newInstance(k Knowledge, ids []int, input *graph.Graph, wiring [][]int) (*I
 		return nil, err
 	}
 	return in, nil
-}
-
-// bareInstance copies the IDs and the input graph into an instance
-// whose wiring the caller sets.
-func bareInstance(k Knowledge, ids []int, input *graph.Graph) *Instance {
-	sorted := append([]int(nil), ids...)
-	sort.Ints(sorted)
-	return &Instance{knowledge: k, ids: append([]int(nil), ids...), sortedIDs: sorted, input: input.Clone()}
 }
 
 // setPorts installs ports as the port table, without copying it, and

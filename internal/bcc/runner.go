@@ -113,9 +113,9 @@ type Node interface {
 // the broadcast mirror every replica would otherwise replicate), so n
 // replicas shrink to compact per-replica residue.
 //
-// The bound run must implement BitAlgorithm and BitHearer whenever the
-// original algorithm implements BitAlgorithm; it may also implement
-// BitSender, to write each round's plane words itself.
+// A 1-bit bound run rides the bit plane when it implements BitHearer
+// and its nodes implement BitNode; it may also implement BitSender, to
+// write each round's plane words itself.
 type RunBinder interface {
 	BindRun(in *Instance, rounds int) BoundRun
 }
@@ -319,7 +319,7 @@ func RunContext(ctx context.Context, in *Instance, algo Algorithm, opts ...Optio
 
 	// The medium carries the run's broadcasts: each round it collects
 	// every vertex's send, then the round is heard.
-	m := bindMedium(in, runAlgo, run, nodes, b, res, o)
+	m := bindMedium(in, run, nodes, b, res, o)
 	defer m.release()
 
 	roundsSpan := span.Child("rounds")
@@ -357,20 +357,19 @@ type medium interface {
 	// they total.
 	send(t int) (int, error)
 	// deliver hands round t's broadcasts to the run: once to a bound
-	// run, or to every node of an unbound one.
+	// run, or to every node of an unbound one (Message vector only).
 	deliver(t int)
 	// finish attaches the medium's transcripts to a completed run.
 	finish(res *Result)
 	release()
 }
 
-// bindMedium picks the run's medium. The bit plane serves 1-bit
-// algorithms that accept a plane binding: a bound run must hear bits,
-// and every node must take its binding (and, in an unbound run, receive
-// bits). Received-transcript runs need per-port inboxes and take the
-// Message vector, as does everything multi-bit.
-func bindMedium(in *Instance, algo Algorithm, run BoundRun, nodes []Node, b int, res *Result, o options) medium {
-	if ba, ok := algo.(BitAlgorithm); ok && b == 1 && !o.noBitPlane && !o.recordReceived && ba.BitPlane() {
+// bindMedium picks the run's medium. The bit plane serves 1-bit bound
+// runs that hear bits and whose nodes all take their plane binding.
+// Received-transcript runs need per-port inboxes and take the Message
+// vector, as does every unbound or multi-bit run.
+func bindMedium(in *Instance, run BoundRun, nodes []Node, b int, res *Result, o options) medium {
+	if run != nil && b == 1 && !o.noBitPlane && !o.recordReceived {
 		p := acquirePlane(len(nodes))
 		if p.bind(in, run, nodes, res.Rounds, o) {
 			return p

@@ -145,11 +145,10 @@ func TestEstimateErrorParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// loopProbe is a run-bound BCC(1) algorithm that rides either medium,
-// hearing each round itself. Vertices listed in greedy broadcast two
-// bits on the Message vector.
+// loopProbe is a run-bound BCC(1) algorithm that rides either medium
+// (WithoutBitPlane picks the vector), hearing each round itself.
+// Vertices listed in greedy broadcast two bits on the Message vector.
 type loopProbe struct {
-	plane  bool
 	greedy map[int]bool
 }
 
@@ -158,7 +157,6 @@ var _ RunBinder = loopProbe{}
 func (loopProbe) Name() string                      { return "loop-probe" }
 func (loopProbe) Bandwidth() int                    { return 1 }
 func (loopProbe) Rounds(int) int                    { return 3 }
-func (p loopProbe) BitPlane() bool                  { return p.plane }
 func (p loopProbe) BindRun(*Instance, int) BoundRun { return p }
 func (p loopProbe) NewNode(view View, _ *Coin) Node { return loopNode{greedy: p.greedy[view.ID]} }
 func (loopProbe) Hear(int, []Message)               {}
@@ -190,11 +188,15 @@ func TestRunErrorPaths(t *testing.T) {
 	}
 	for _, plane := range []bool{false, true} {
 		name := fmt.Sprintf("plane=%v", plane)
-		algo := loopProbe{plane: plane}
+		algo := loopProbe{}
+		var opts []Option
+		if !plane {
+			opts = append(opts, WithoutBitPlane())
+		}
 
 		tr := obs.New(64)
 		ctx, root := tr.Root(context.Background(), "run", name)
-		res, err := RunContext(ctx, in, algo)
+		res, err := RunContext(ctx, in, algo, opts...)
 		root.End()
 		if err != nil {
 			t.Fatalf("%s: clean run: %v", name, err)
@@ -218,12 +220,12 @@ func TestRunErrorPaths(t *testing.T) {
 
 		cancelled, cancel := context.WithCancel(context.Background())
 		cancel()
-		res, err = RunContext(cancelled, in, algo)
+		res, err = RunContext(cancelled, in, algo, opts...)
 		if !errors.Is(err, context.Canceled) || res != nil {
 			t.Fatalf("%s: cancelled run returned (%v, %v), want (nil, context.Canceled)", name, res, err)
 		}
 	}
-	_, err = Run(in, loopProbe{greedy: map[int]bool{5: true, 290: true}})
+	_, err = Run(in, loopProbe{greedy: map[int]bool{5: true, 290: true}}, WithoutBitPlane())
 	if err == nil {
 		t.Fatal("over-budget broadcast succeeded")
 	}
@@ -236,9 +238,9 @@ func TestRunErrorPaths(t *testing.T) {
 // to it. Its nodes count their sends and receives, and each send checks
 // that the previous round was already heard; the run records every
 // round it hears, with the send count at that moment and whether the
-// broadcasts it heard match hearMsg. It rides either medium.
+// broadcasts it heard match hearMsg. It rides either medium
+// (WithoutBitPlane picks the vector).
 type hearProbe struct {
-	plane     bool
 	n         int
 	sends     int64
 	receives  int64
@@ -283,7 +285,6 @@ func heardWords(n, t int, value, spoke []uint64) bool {
 func (p *hearProbe) Name() string                    { return "hear-probe" }
 func (p *hearProbe) Bandwidth() int                  { return 1 }
 func (p *hearProbe) Rounds(int) int                  { return 5 }
-func (p *hearProbe) BitPlane() bool                  { return p.plane }
 func (p *hearProbe) BindRun(*Instance, int) BoundRun { return p }
 func (p *hearProbe) NewNode(view View, _ *Coin) Node { return hearNode{p: p, v: view.ID} }
 func (p *hearProbe) ReleaseRun()                     {}
@@ -325,9 +326,8 @@ func (n hearNode) SendBit(t int) (uint8, bool) {
 	m := n.send(t)
 	return uint8(m.Bits), m.Len != 0
 }
-func (hearNode) BindPlane(int, bool) bool              { return true }
-func (n hearNode) Receive(int, []Message)              { n.p.receives++ }
-func (n hearNode) ReceiveBits(int, []uint64, []uint64) { n.p.receives++ }
+func (hearNode) BindPlane(int, bool) bool { return true }
+func (n hearNode) Receive(int, []Message) { n.p.receives++ }
 
 // TestBoundRunHearsOncePerRound pins the BoundRun contract on both
 // media, and on a received-transcript run: the run hears rounds 1..R
@@ -348,10 +348,12 @@ func TestBoundRunHearsOncePerRound(t *testing.T) {
 	}{{"vector", false, false}, {"plane", true, false}, {"vector-received", false, true}}
 	for _, c := range cases {
 		name := c.name
-		probe := &hearProbe{plane: c.plane, n: n}
+		probe := &hearProbe{n: n}
 		var opts []Option
 		if c.received {
 			opts = append(opts, WithReceivedTranscripts())
+		} else if !c.plane {
+			opts = append(opts, WithoutBitPlane())
 		}
 		res, err := Run(in, probe, opts...)
 		if err != nil {
@@ -416,7 +418,6 @@ var (
 func (p *senderProbe) Name() string                    { return "sender-probe" }
 func (p *senderProbe) Bandwidth() int                  { return 1 }
 func (p *senderProbe) Rounds(int) int                  { return 7 }
-func (p *senderProbe) BitPlane() bool                  { return true }
 func (p *senderProbe) BindRun(*Instance, int) BoundRun { return p }
 func (p *senderProbe) NewNode(View, *Coin) Node        { return senderNode{p.t} }
 func (p *senderProbe) Hear(int, []Message)             { p.t.Error("a plane run heard the Message vector") }

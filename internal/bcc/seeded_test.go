@@ -110,7 +110,7 @@ func TestRandomKT0MatchesRandomWiring(t *testing.T) {
 							kept[v] = append(kept[v], u)
 						}
 					}
-					res, err := Run(seeded, loopProbe{plane: true}, WithoutTranscripts())
+					res, err := Run(seeded, loopProbe{}, WithoutTranscripts())
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -21,10 +21,10 @@ import (
 
 // equivFamilies are the input shapes under test. The cycles exercise
 // the word-boundary regimes on 2-regular inputs; "er" is a seeded
-// er-threshold graph — irregular degrees (so kt0-exchange's phase-2
-// stream spans more than one 64-bit word and sketch nodes cross the 4a
-// live-neighbour silence gate), isolated vertices, and usually
-// disconnected.
+// er-threshold graph — irregular degrees (so neighborhood's and
+// kt0-exchange's slot streams span more than one 64-bit word and sketch
+// nodes cross the 4a live-neighbour silence gate), isolated vertices,
+// and usually disconnected.
 var equivFamilies = []string{"one-cycle", "two-cycle", "er"}
 
 // equivSizes straddle the bit plane's 64-bit word boundary: one word
@@ -73,6 +73,23 @@ func protoCases() []protoCase {
 				// mid-stream — including past bit 64 — on the er family.
 				w := full / 3
 				return []int{1, w - 1, w, w + 1, 2 * w, full - 1}
+			},
+		},
+		{
+			name: "neighborhood",
+			make: func(t *testing.T, _, maxDeg int) bcc.Algorithm {
+				a, err := algorithms.NewNeighborhoodBroadcast(maxDeg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return a
+			},
+			// full = maxDeg·⌈log₂ n⌉: the first slot boundary, and bit 64
+			// of a stream, which the er family reaches (70 rounds at
+			// n = 70, 104 at n = 130).
+			truncs: func(n, full int) []int {
+				b := bitsFor(n)
+				return []int{1, b - 1, b, b + 1, 63, 64, 65, full - 1}
 			},
 		},
 		{

@@ -272,7 +272,7 @@ type Neighborhood struct{}
 func (Neighborhood) Name() string { return "neighborhood" }
 
 // Key implements Protocol.
-func (Neighborhood) Key() string { return "protocol=neighborhood;v=1;deg=auto" }
+func (Neighborhood) Key() string { return "protocol=neighborhood;v=2;deg=auto" }
 
 // Bandwidth implements Protocol.
 func (Neighborhood) Bandwidth(int) int { return 1 }

@@ -155,25 +155,34 @@ func TestSketchRefusesOutsidePromise(t *testing.T) {
 	}
 }
 
-// TestKT0ExchangeWideStreams runs kt0-exchange on an er-threshold
-// input whose phase-2 streams outgrow one word (MaxDegree·IDBits =
-// 10·7 = 70 bits). Every slot, the one straddling bit 64 included, must
-// decode to a full neighbour ID: a partial ID can name a real vertex,
+// TestKT0ExchangeWideStreams runs the two slot-stream protocols,
+// kt0-exchange and neighborhood, on inputs whose streams outgrow one
+// word: er-threshold@128 (MaxDegree·⌈log₂ n⌉ = 10·7 = 70 bits) and
+// planted-2@256, where a one-word stream answered a wrong YES. Every
+// slot, the one straddling bit 64 and those past it included, must
+// decode to a full neighbour: a partial one can name a real vertex,
 // and that spurious claim merges two components into a silent wrong
 // answer.
 func TestKT0ExchangeWideStreams(t *testing.T) {
-	const seed = -4799528948525441024
-	g := build(t, "er-threshold", 128, seed)
-	if d, b := maxDegree(g), bitsFor(g.N()); d*b <= 64 {
-		t.Fatalf("instance no longer overflows a word: MaxDegree·IDBits = %d·%d", d, b)
-	}
-	out, err := KT0Exchange{}.Run(context.Background(), g, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Correct {
-		t.Errorf("verdict %v with %d components, correct=false (silent wrong: %t)",
-			out.Verdict, g.NumComponents(), out.SilentWrong())
+	for _, c := range []struct {
+		fam  string
+		n    int
+		seed int64
+	}{{"er-threshold", 128, -4799528948525441024}, {"planted-2", 256, 1}} {
+		g := build(t, c.fam, c.n, c.seed)
+		if d, b := maxDegree(g), bitsFor(g.N()); d*b <= 64 {
+			t.Fatalf("%s@%d no longer overflows a word: MaxDegree·⌈log₂ n⌉ = %d·%d", c.fam, c.n, d, b)
+		}
+		for _, p := range []Protocol{KT0Exchange{}, Neighborhood{}} {
+			out, err := p.Run(context.Background(), g, c.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !out.Correct {
+				t.Errorf("%s on %s@%d: verdict %v with %d components, correct=false (silent wrong: %t)",
+					p.Name(), c.fam, c.n, out.Verdict, g.NumComponents(), out.SilentWrong())
+			}
+		}
 	}
 }
 
@@ -207,7 +216,7 @@ func TestKT0ExchangeIgnoresWiring(t *testing.T) {
 // this table in the same commit.
 func TestKeyGolden(t *testing.T) {
 	want := map[string]string{
-		"neighborhood": "protocol=neighborhood;v=1;deg=auto",
+		"neighborhood": "protocol=neighborhood;v=2;deg=auto",
 		"kt0-exchange": "protocol=kt0-exchange;v=3;deg=auto;wiring=random",
 		"boruvka":      "protocol=boruvka;v=1;idbits=ceil(log2(n))",
 		"flood-b1":     "protocol=flood;v=1;b=1",
