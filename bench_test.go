@@ -538,37 +538,54 @@ func BenchmarkBitplaneNeighborhood1024(b *testing.B) {
 
 // bitLoopProbe is an inert bound BCC(1) run whose nodes are
 // preallocated, so a Run's allocations are exactly the runner's own —
-// the benchmark isolates the steady-state round loop (send, popcount,
-// hear) from node construction. The companion unit test
-// TestBitPlaneRoundLoopAllocationFree pins allocations independent of
-// the round count.
+// the benchmark isolates the steady-state round loop (SendBits,
+// popcount, hear) from node construction. Its SendBits has every
+// vertex send 1, and a non-nil probe observes each round there. The
+// companion unit test TestBitPlaneRoundLoopAllocationFree pins
+// allocations independent of the round count.
 type bitLoopProbe struct {
 	rounds int
 	nodes  []bcc.Node
 	next   int
+	n      int
+	probe  *mallocProbe
 }
 
-var _ bcc.RunBinder = (*bitLoopProbe)(nil)
+var (
+	_ bcc.RunBinder = (*bitLoopProbe)(nil)
+	_ bcc.BitRun    = (*bitLoopProbe)(nil)
+)
 
-func (p *bitLoopProbe) Name() string                            { return "bit-loop-probe" }
-func (p *bitLoopProbe) Bandwidth() int                          { return 1 }
-func (p *bitLoopProbe) Rounds(int) int                          { return p.rounds }
-func (p *bitLoopProbe) BindRun(*bcc.Instance, int) bcc.BoundRun { return p }
-func (p *bitLoopProbe) Hear(int, []bcc.Message)                 {}
-func (p *bitLoopProbe) HearBits(int, []uint64, []uint64)        {}
-func (p *bitLoopProbe) ReleaseRun()                             {}
+func (p *bitLoopProbe) Name() string                                 { return "bit-loop-probe" }
+func (p *bitLoopProbe) Bandwidth() int                               { return 1 }
+func (p *bitLoopProbe) Rounds(int) int                               { return p.rounds }
+func (p *bitLoopProbe) BindRun(in *bcc.Instance, _ int) bcc.BoundRun { p.n = in.N(); return p }
+func (p *bitLoopProbe) Hear(int, []bcc.Message)                      {}
+func (p *bitLoopProbe) BindPlane(bool) bool                          { return true }
+func (p *bitLoopProbe) HearBits(int, []uint64, []uint64)             {}
+func (p *bitLoopProbe) ReleaseRun()                                  {}
 func (p *bitLoopProbe) NewNode(bcc.View, *bcc.Coin) bcc.Node {
 	n := p.nodes[p.next]
 	p.next = (p.next + 1) % len(p.nodes)
 	return n
 }
 
+func (p *bitLoopProbe) SendBits(t int, value, spoke []uint64) {
+	if p.probe != nil {
+		p.probe.observe(t)
+	}
+	for i := range spoke {
+		value[i], spoke[i] = ^uint64(0), ^uint64(0)
+	}
+	if rest := p.n & 63; rest != 0 {
+		value[len(value)-1], spoke[len(spoke)-1] = 1<<uint(rest)-1, 1<<uint(rest)-1
+	}
+}
+
 type bitLoopNode struct{}
 
 func (bitLoopNode) Send(int) bcc.Message       { return bcc.Bit(1) }
 func (bitLoopNode) Receive(int, []bcc.Message) {}
-func (bitLoopNode) BindPlane(int, bool) bool   { return true }
-func (bitLoopNode) SendBit(int) (uint8, bool)  { return 1, true }
 
 // BenchmarkBitplaneRoundLoop512x4096 measures 4096 steady-state rounds
 // at n = 512 with node construction amortized away: the reported

@@ -19,9 +19,9 @@ import (
 // trailing-zero iteration straight into the incremental union-find. A
 // bound run writes each round's plane words itself from two rows
 // (SendBits, O(n/64) a round), so a run costs O(n²/64) word operations,
-// not n² SendBit calls. SendBit, one shift, stays the per-node reference
-// that SendBits is tested against; Send serves the Message-vector
-// oracle and bare replicas.
+// not n² per-vertex sends. The nodes' Send serves the Message-vector
+// oracle and bare replicas, and is the reference SendBits is tested
+// against.
 //
 // That union-find is a pure function of the broadcast transcript, so
 // under the runner's RunBinder protocol the n per-replica replicas
@@ -187,7 +187,7 @@ func (r *floodRun) Hear(t int, sends []bcc.Message) {
 	}
 }
 
-// HearBits implements bcc.BitHearer: 64 adjacency claims per word.
+// HearBits implements bcc.BitRun: 64 adjacency claims per word.
 // Every non-broken flood node speaks in exactly rounds 1..n−1, so in
 // round t every set value bit — own bits included — is a claim at row
 // position t−1 (the generic path's per-port got counters all read t−1
@@ -207,16 +207,22 @@ func (r *floodRun) HearBits(round int, value, _ []uint64) {
 	}
 }
 
-// SendBits implements bcc.BitSender. In round t vertex u sends bit t−1
+// BindPlane implements bcc.BitRun. HearBits and SendBits read plane
+// indices as sorted-ID ranks, so the run accepts only the canonical
+// wiring, where the two coincide, or a run whose nodes are all broken
+// (no sorted IDs), which never speaks; a materialized wiring sends the
+// run down the generic path.
+func (r *floodRun) BindPlane(canonical bool) bool { return canonical || r.ix == nil }
+
+// SendBits implements bcc.BitRun. In round t vertex u sends bit t−1
 // of its row: its claim on rank t when u < t, on rank t−1 when u ≥ t.
 // Adjacency is symmetric, so that claim is bit u of rank t's row, or
 // bit u−1 of rank t−1's row. The value words are therefore rank t's row
 // below bit t and rank t−1's row shifted up one bit from bit t on:
-// O(n/64) a round. The plane engages only when every node accepted the
-// canonical plane, so plane indices are ranks, and so are the row
-// arena's vertex indices. Every vertex speaks in rounds 1..n−1; later
-// rounds, and every round of a run whose nodes are all broken (no
-// sorted IDs), stay silent.
+// O(n/64) a round. The plane engages only on the canonical wiring
+// (BindPlane), so plane indices are ranks, and so are the row arena's
+// vertex indices. Every vertex speaks in rounds 1..n−1; later rounds,
+// and every round of a run whose nodes are all broken, stay silent.
 func (r *floodRun) SendBits(t int, value, spoke []uint64) {
 	if r.ix == nil || t > r.rowLen {
 		return
@@ -376,29 +382,6 @@ func (n *floodNode) Receive(_ int, inbox []bcc.Message) {
 	}
 }
 
-// BindPlane implements bcc.BitNode. The run's HearBits reads plane
-// indices as sorted-ID ranks, so a node accepts only the canonical
-// plane, where the two coincide; a materialized wiring sends the run
-// down the generic path.
-func (n *floodNode) BindPlane(self int, canonical bool) bool {
-	if n.broken {
-		return true // inert: never speaks
-	}
-	return canonical && self == int(n.self)
-}
-
-// SendBit implements bcc.BitNode: bit pos = round−1 of the row.
-func (n *floodNode) SendBit(round int) (uint8, bool) {
-	if n.broken {
-		return 0, false
-	}
-	pos := round - 1
-	if pos >= int(n.rowLen) {
-		return 0, false
-	}
-	return uint8(n.rowBit(pos)), true
-}
-
 // outputs decides from this replica's partition: its own in private
 // mode; the shared one on a full-coverage bound run; a scratch
 // refinement (shared claims plus the replica's own full row) on a
@@ -438,9 +421,7 @@ var (
 	_ bcc.Algorithm = (*Flood)(nil)
 	_ bcc.RunBinder = (*Flood)(nil)
 	_ bcc.BoundRun  = (*floodRun)(nil)
-	_ bcc.BitHearer = (*floodRun)(nil)
-	_ bcc.BitSender = (*floodRun)(nil)
+	_ bcc.BitRun    = (*floodRun)(nil)
 	_ bcc.Decider   = (*floodNode)(nil)
 	_ bcc.Labeler   = (*floodNode)(nil)
-	_ bcc.BitNode   = (*floodNode)(nil)
 )

@@ -35,9 +35,14 @@ import (
 // sealed once and read per-replica in O(1); only truncated runs, where
 // the replicas' universes genuinely diverge (a partial uid differs
 // from a vertex's own full ID), reconstruct the classic per-replica
-// outputs from the shared streams. Bare NewNode keeps the old
-// self-contained per-node accumulation for callers that drive nodes by
-// hand through Send and Receive.
+// outputs from the shared streams. On the bit plane the run also writes
+// each round's words itself (SendBits): the round's phase, slot and bit
+// are worked out once, and one pass over the node arena reads every
+// live vertex's bit from its own ID or from the uid of its slot's input
+// neighbour. Bare NewNode keeps
+// the old self-contained per-node accumulation for callers that drive
+// nodes by hand through Send and Receive, and the nodes' Send is the
+// reference SendBits is tested against.
 type KT0Exchange struct {
 	// MaxDegree is the degree bound the schedule is provisioned for.
 	MaxDegree int
@@ -211,7 +216,7 @@ func (r *kt0Run) Hear(round int, sends []bcc.Message) {
 	}
 }
 
-// HearBits implements bcc.BitHearer: only set value bits matter (the
+// HearBits implements bcc.BitRun: only set value bits matter (the
 // generic path ORs zeros in as no-ops), so the run transcribes every
 // set bit, each vertex's own included, into the vertex-indexed tables.
 func (r *kt0Run) HearBits(round int, value, _ []uint64) {
@@ -222,6 +227,40 @@ func (r *kt0Run) HearBits(round int, value, _ []uint64) {
 			w &= w - 1
 			r.accumulate(u, 1, round)
 		}
+	}
+}
+
+// BindPlane implements bcc.BitRun: any wiring is accepted, since the
+// run's mirror is vertex-indexed.
+func (r *kt0Run) BindPlane(bool) bool { return true }
+
+// SendBits implements bcc.BitRun with the nodes' two-phase schedule.
+// In phase 1 every live vertex sends bit t−1 of its own ID; in phase 2
+// it sends the round's bit of its slot: the uid of the input neighbour
+// behind that slot, or its own ID as filler. Broken vertices, and
+// every vertex past the last slot, stay silent. The uids are complete
+// by phase 2, since the run heard phase 1 first.
+func (r *kt0Run) SendBits(t int, value, spoke []uint64) {
+	phase2 := t > r.IDBits
+	slot, bit := 0, uint(t-1)
+	if phase2 {
+		off := t - r.IDBits - 1
+		slot, bit = off/r.IDBits, uint(off%r.IDBits)
+		if slot >= r.MaxDegree {
+			return
+		}
+	}
+	for v := range r.nodes {
+		n := &r.nodes[v]
+		if n.broken {
+			continue
+		}
+		id := uint64(n.id)
+		if phase2 && slot < len(n.nbrOfSlot) {
+			id = r.uid[n.nbrOfSlot[slot]]
+		}
+		spoke[v>>6] |= 1 << uint(v&63)
+		value[v>>6] |= id >> bit & 1 << uint(v&63)
 	}
 }
 
@@ -326,24 +365,6 @@ func (n *kt0Node) heard(i int) (uint64, []uint64) {
 	return n.portID[i], n.portStream(i)
 }
 
-func (n *kt0Node) sendBit(round int) (uint8, bool) {
-	if round <= n.idBits {
-		return uint8(n.id>>uint(round-1)) & 1, true
-	}
-	r := round - n.idBits - 1
-	slot := r / n.idBits
-	bit := r % n.idBits
-	if slot >= n.maxDegree {
-		return 0, false
-	}
-	if slot < n.degree() {
-		// Announce the ID learned on our slot-th input port.
-		return uint8(n.heardID(slot)>>uint(bit)) & 1, true
-	}
-	// Filler: our own ID ("no neighbour").
-	return uint8(n.id>>uint(bit)) & 1, true
-}
-
 // portStream returns the phase-2 stream heard on port p (private mode).
 func (n *kt0Node) portStream(p int) []uint64 {
 	w := streamWords(n.maxDegree, n.idBits)
@@ -357,15 +378,27 @@ func (n *kt0Node) degree() int {
 	return len(n.inputPorts)
 }
 
+// Send is the round's broadcast: bit t−1 of the node's own ID in
+// phase 1; in phase 2 the round's bit of its slot, silence past the
+// last slot.
 func (n *kt0Node) Send(round int) bcc.Message {
 	if n.broken {
 		return bcc.Silence
 	}
-	bit, speak := n.sendBit(round)
-	if !speak {
-		return bcc.Silence
+	if round <= n.idBits {
+		return bcc.Bit(uint8(n.id>>uint(round-1)) & 1)
 	}
-	return bcc.Bit(bit)
+	r := round - n.idBits - 1
+	slot, bit := r/n.idBits, uint(r%n.idBits)
+	switch {
+	case slot >= n.maxDegree:
+		return bcc.Silence
+	case slot < n.degree():
+		// Announce the ID learned on our slot-th input port.
+		return bcc.Bit(uint8(n.heardID(slot)>>bit) & 1)
+	}
+	// Filler: our own ID ("no neighbour").
+	return bcc.Bit(uint8(n.id>>bit) & 1)
 }
 
 // Receive implements bcc.Node for a private replica; a bound run's
@@ -380,18 +413,6 @@ func (n *kt0Node) Receive(round int, inbox []bcc.Message) {
 			record(&n.portID[p], n.portStream(p), n.idBits, round)
 		}
 	}
-}
-
-// BindPlane implements bcc.BitNode: any wiring is accepted, since the
-// run's mirror is vertex-indexed.
-func (n *kt0Node) BindPlane(int, bool) bool { return true }
-
-// SendBit implements bcc.BitNode: the same two-phase schedule as Send.
-func (n *kt0Node) SendBit(round int) (uint8, bool) {
-	if n.broken {
-		return 0, false
-	}
-	return n.sendBit(round)
 }
 
 // outputs decides from the shared partition on a complete bound run;
@@ -451,8 +472,7 @@ var (
 	_ bcc.Algorithm = (*KT0Exchange)(nil)
 	_ bcc.RunBinder = (*KT0Exchange)(nil)
 	_ bcc.BoundRun  = (*kt0Run)(nil)
-	_ bcc.BitHearer = (*kt0Run)(nil)
+	_ bcc.BitRun    = (*kt0Run)(nil)
 	_ bcc.Decider   = (*kt0Node)(nil)
 	_ bcc.Labeler   = (*kt0Node)(nil)
-	_ bcc.BitNode   = (*kt0Node)(nil)
 )

@@ -28,9 +28,13 @@ import (
 // through its own broadcast. On a complete schedule that partition is
 // every non-broken replica's, so verdict and labels are read per
 // replica in O(1); a truncated run refines a scratch copy with each
-// replica's own slots, as flood's run does. Bare NewNode keeps the
-// self-contained replica with per-port streams, driven by hand through
-// Send and Receive.
+// replica's own slots, as flood's run does. On the bit plane the run
+// also writes each round's words itself (SendBits), in one pass over
+// its node arena: every live vertex's bit comes from the rank in the
+// round's slot. Bare NewNode keeps
+// the self-contained replica with per-port streams, driven by hand
+// through Send and Receive, and the nodes' Send is the reference
+// SendBits is tested against.
 type NeighborhoodBroadcast struct {
 	// MaxDegree is the degree bound the schedule is provisioned for.
 	MaxDegree int
@@ -167,7 +171,7 @@ func (r *nbRun) Hear(round int, sends []bcc.Message) {
 	}
 }
 
-// HearBits implements bcc.BitHearer: every set value bit, each vertex's
+// HearBits implements bcc.BitRun: every set value bit, each vertex's
 // own included, is one stream bit.
 func (r *nbRun) HearBits(round int, value, _ []uint64) {
 	r.rounds = round
@@ -176,6 +180,39 @@ func (r *nbRun) HearBits(round int, value, _ []uint64) {
 			u := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
 			recordBit(r.streamOf(u), round-1)
+		}
+	}
+}
+
+// BindPlane implements bcc.BitRun. The run accepts the canonical
+// wiring, as flood's does, or a run with no live vertex, which never
+// speaks. Its tables are vertex-indexed, so on any other KT-1 wiring it
+// hears the Message vector through Hear just as well.
+func (r *nbRun) BindPlane(canonical bool) bool {
+	for v := range r.nodes {
+		if !r.nodes[v].broken {
+			return canonical
+		}
+	}
+	return true
+}
+
+// SendBits implements bcc.BitRun with the nodes' schedule: in round t
+// every live vertex sends bit (t−1) mod ⌈log₂ n⌉ of its slot
+// (t−1) div ⌈log₂ n⌉. Broken vertices, and every vertex past the last
+// slot, stay silent.
+func (r *nbRun) SendBits(t int, value, spoke []uint64) {
+	if r.ix == nil {
+		return // not KT-1: every node is broken
+	}
+	slot, bit := (t-1)/r.idxBits, uint((t-1)%r.idxBits)
+	if slot >= r.MaxDegree {
+		return
+	}
+	for v := range r.nodes {
+		if n := &r.nodes[v]; !n.broken {
+			spoke[v>>6] |= 1 << uint(v&63)
+			value[v>>6] |= uint64(n.slots[slot]) >> bit & 1 << uint(v&63)
 		}
 	}
 }
@@ -248,28 +285,18 @@ type nbNode struct {
 	rounds   int
 }
 
-// sendBit is the round's broadcast: bit (t−1) mod ⌈log₂ n⌉ of slot
+// Send is the round's broadcast: bit (t−1) mod ⌈log₂ n⌉ of slot
 // (t−1) div ⌈log₂ n⌉, silence past the last slot.
-func (n *nbNode) sendBit(round int) (uint8, bool) {
+func (n *nbNode) Send(round int) bcc.Message {
 	if n.broken {
-		return 0, false
+		return bcc.Silence
 	}
 	slot := (round - 1) / n.idxBits
 	if slot >= len(n.slots) {
-		return 0, false
+		return bcc.Silence
 	}
-	return uint8(n.slots[slot]>>uint((round-1)%n.idxBits)) & 1, true
+	return bcc.Bit(uint8(n.slots[slot]>>uint((round-1)%n.idxBits)) & 1)
 }
-
-func (n *nbNode) Send(round int) bcc.Message {
-	if bit, speak := n.sendBit(round); speak {
-		return bcc.Bit(bit)
-	}
-	return bcc.Silence
-}
-
-// SendBit implements bcc.BitNode: the same slot/bit schedule as Send.
-func (n *nbNode) SendBit(round int) (uint8, bool) { return n.sendBit(round) }
 
 // Receive implements bcc.Node for a private replica; a bound run's
 // nodes hear nothing (the run hears for them).
@@ -284,17 +311,6 @@ func (n *nbNode) Receive(round int, inbox []bcc.Message) {
 			recordBit(n.heard[p*w:(p+1)*w], round-1)
 		}
 	}
-}
-
-// BindPlane implements bcc.BitNode. A node accepts only the canonical
-// plane, where plane indices are sorted-ID ranks, as flood's nodes do.
-// The run's table is vertex-indexed, so on any other KT-1 wiring it
-// hears the Message vector through Hear just as well.
-func (n *nbNode) BindPlane(self int, canonical bool) bool {
-	if n.broken {
-		return true // inert
-	}
-	return canonical && self == int(n.self)
 }
 
 // outputs decides from this replica's partition: the shared one on a
@@ -345,8 +361,7 @@ var (
 	_ bcc.Algorithm = (*NeighborhoodBroadcast)(nil)
 	_ bcc.RunBinder = (*NeighborhoodBroadcast)(nil)
 	_ bcc.BoundRun  = (*nbRun)(nil)
-	_ bcc.BitHearer = (*nbRun)(nil)
+	_ bcc.BitRun    = (*nbRun)(nil)
 	_ bcc.Decider   = (*nbNode)(nil)
 	_ bcc.Labeler   = (*nbNode)(nil)
-	_ bcc.BitNode   = (*nbNode)(nil)
 )

@@ -14,11 +14,12 @@ import (
 //	spoke[v>>6] bit v&63 — whether vertex v broadcast at all
 //
 // A broadcast is the same for every listener, so a bound run (see
-// BoundRun) hears the round once, from these two words, instead of n
-// permuted (n−1)-slot Message inboxes; the plane serves only bound
-// runs. The per-round cost RoundBits[t] is a popcount over the spoke
-// mask, and transcript mode packs the round's trits as 2-bit codes into
-// one flat arena from which TritString / TranscriptKey are derived
+// BoundRun) writes the round into these two words itself and hears it
+// back once, instead of n Message sends and n permuted (n−1)-slot
+// inboxes; the plane serves only bound runs and never calls a node.
+// The per-round cost RoundBits[t] is a popcount over the spoke mask,
+// and transcript mode packs the round's trits as 2-bit codes into one
+// flat arena from which TritString / TranscriptKey are derived
 // directly.
 //
 // The plane is one of the two media RunContext's single round loop
@@ -28,44 +29,30 @@ import (
 // the equivalence oracle the bit plane is pinned against byte for byte
 // (see bitplane_test.go and the protocol-level equivalence suite).
 
-// BitNode is a plane node, the word-parallel counterpart of Node.Send.
-// The runner calls BindPlane once before round 1, then SendBit instead
-// of Send, unless the bound run writes the round itself (BitSender).
-// Nodes must keep both consistent: the equivalence suite pins SendBit
-// against Send trit by trit.
-type BitNode interface {
-	// BindPlane hands the node its simulation bookkeeping: self is the
-	// node's plane index (= vertex index), and canonical reports the
-	// instance's canonical ascending-ID wiring, where port p of self
-	// leads to plane index p (p < self) or p+1, and plane indices
-	// coincide with sorted-ID ranks. Any other wiring is the instance's
-	// to answer (Instance.NeighborAt); the plane hands out no port
-	// table. Returning false declines the binding (e.g. a rank-space
-	// node handed a non-canonical plane) and sends the whole run down
-	// the Message vector.
-	BindPlane(self int, canonical bool) bool
-	// SendBit is Send for the plane: the broadcast bit and whether the
-	// node speaks at all this round (false is the paper's ⊥).
-	SendBit(round int) (bit uint8, speak bool)
-}
-
-// BitHearer is BoundRun.Hear for the plane: a 1-bit bound run hears
-// each round once, as the value/spoke words with every vertex's own
-// bit present. The words are runner-owned and reused between rounds.
-type BitHearer interface {
-	HearBits(round int, value, spoke []uint64)
-}
-
-// BitSender is the send half of a bound run that can write a round's
-// broadcasts itself. When the bound run implements it, the plane clears
-// the round's words and calls SendBits once instead of every node's
-// SendBit. The words take the layout HearBits reads: spoke bit v is set
-// iff plane index v speaks, and value bit v is its bit (0 when silent).
-// Every node has still accepted its binding, so the run knows what a
-// plane index is; the nodes' SendBit remains the reference that
-// SendBits must match bit for bit.
-type BitSender interface {
+// BitRun is a 1-bit bound run that rides the bit plane: it writes each
+// round's broadcasts into the plane words and hears them back, on
+// behalf of all its nodes. The plane engages on a bound run at
+// bandwidth 1 that implements BitRun and accepts BindPlane.
+type BitRun interface {
+	// BindPlane is called once, after every node is built and before
+	// round 1. canonical reports the instance's canonical ascending-ID
+	// wiring, where vertex indices coincide with sorted-ID ranks; the
+	// plane hands out no port table, and any other wiring is the
+	// instance's to answer (Instance.NeighborAt). Returning false
+	// declines the plane (e.g. a run that writes and hears in rank
+	// space, handed a non-canonical wiring) and sends the run down the
+	// Message vector.
+	BindPlane(canonical bool) bool
+	// SendBits writes round t's broadcasts into the cleared words:
+	// spoke bit v is set iff vertex v speaks, and value bit v is its
+	// bit (0 when silent). The nodes' Send stays the reference that
+	// SendBits must match bit for bit.
 	SendBits(round int, value, spoke []uint64)
+	// HearBits is BoundRun.Hear for the plane: the run hears each
+	// round once, as the words SendBits wrote, with every vertex's own
+	// bit present. The words are runner-owned and reused between
+	// rounds.
+	HearBits(round int, value, spoke []uint64)
 }
 
 // tritPlane is the packed transcript of a bit-plane run: one flat arena
@@ -159,77 +146,41 @@ func (tp *tritPlane) tritKey(v int) (TranscriptKey, error) {
 // as the value/spoke word pair, plus the trit arena in transcript mode.
 // Pooled like messageVector.
 type bitPlane struct {
-	nodes  []BitNode
-	run    BitHearer
-	sender BitSender // a bound run that writes each round's words itself
-	value  []uint64
-	spoke  []uint64
-	trits  *tritPlane // nil under WithoutTranscripts
+	run   BitRun
+	n     int
+	value []uint64
+	spoke []uint64
+	trits *tritPlane // nil under WithoutTranscripts
 }
 
 var planePool = sync.Pool{New: func() interface{} { return new(bitPlane) }}
 
-// acquirePlane returns a pooled plane sized for n vertices.
-func acquirePlane(n int) *bitPlane {
+// acquirePlane returns a pooled plane sized for the run's n vertices,
+// with a trit arena unless the run records no transcripts.
+func acquirePlane(run BitRun, n, rounds int, o options) *bitPlane {
 	p := planePool.Get().(*bitPlane)
 	words := (n + 63) / 64
-	if cap(p.nodes) < n {
-		p.nodes = make([]BitNode, n)
-	}
 	if cap(p.value) < words {
 		p.value = make([]uint64, words)
 		p.spoke = make([]uint64, words)
 	}
-	p.nodes, p.value, p.spoke = p.nodes[:n], p.value[:words], p.spoke[:words]
+	p.run, p.n, p.value, p.spoke = run, n, p.value[:words], p.spoke[:words]
+	if !o.noTranscripts {
+		p.trits = newTritPlane(n, rounds)
+	}
 	return p
 }
 
-// bind type-asserts the run onto the plane and binds every node. A run
-// that cannot hear bits, a node that is not a BitNode, or a node that
-// declines its binding sends the whole run down the Message vector.
-func (p *bitPlane) bind(in *Instance, run BoundRun, nodes []Node, rounds int, o options) bool {
-	h, ok := run.(BitHearer)
-	if !ok {
-		return false
-	}
-	p.run = h
-	p.sender, _ = run.(BitSender)
-	for v, node := range nodes {
-		bn, ok := node.(BitNode)
-		if !ok || !bn.BindPlane(v, in.canonical) {
-			return false
-		}
-		p.nodes[v] = bn
-	}
-	if !o.noTranscripts {
-		p.trits = newTritPlane(len(nodes), rounds)
-	}
-	return true
-}
-
-// send clears the plane words and fills them: from the bound run's
-// SendBits when it has one, otherwise from every node's SendBit. Then
-// it records the round's trits from the finished words and pops the
-// round's bits out of the spoke words.
+// send clears the plane words and has the run write the round into
+// them. Then it records the round's trits from the finished words and
+// pops the round's bits out of the spoke words.
 func (p *bitPlane) send(t int) (int, error) {
 	value, spoke := p.value, p.spoke
 	clear(value)
 	clear(spoke)
-	if p.sender != nil {
-		p.sender.SendBits(t, value, spoke)
-	} else {
-		for v, node := range p.nodes {
-			if bit, speak := node.SendBit(t); speak {
-				w, m := v>>6, uint64(1)<<uint(v&63)
-				spoke[w] |= m
-				if bit&1 != 0 {
-					value[w] |= m
-				}
-			}
-		}
-	}
+	p.run.SendBits(t, value, spoke)
 	if p.trits != nil {
-		p.trits.record(t, len(p.nodes), value, spoke)
+		p.trits.record(t, p.n, value, spoke)
 	}
 	rb := 0
 	for _, w := range spoke {
@@ -243,14 +194,13 @@ func (p *bitPlane) deliver(t int) { p.run.HearBits(t, p.value, p.spoke) }
 func (p *bitPlane) finish(res *Result) {
 	res.BitPlane = true
 	if p.trits != nil {
-		materializeTrits(res, p.trits, len(p.nodes), res.Rounds)
+		materializeTrits(res, p.trits, p.n, res.Rounds)
 	}
 }
 
-// release drops the run, its nodes and trit arena and pools the words.
+// release drops the run and its trit arena and pools the words.
 func (p *bitPlane) release() {
-	clear(p.nodes)
-	p.run, p.sender, p.trits = nil, nil, nil
+	p.run, p.trits = nil, nil
 	planePool.Put(p)
 }
 

@@ -39,8 +39,12 @@ func bitPlaneAlgos(t *testing.T, n int) map[string]bcc.Algorithm {
 
 // bitPlaneInstances builds the instance sample the equivalence suite
 // quantifies over: canonical KT-1 wirings (the sweep substrate, where
-// the plane binds) and materialized KT-0 wirings (where kt0-exchange
-// binds through its inverted port table).
+// the plane binds) and materialized KT-0 wirings (where flood's and
+// neighborhood's nodes are all broken, and kt0-exchange's run accepts
+// any wiring). One canonical instance adds a
+// chord to the cycle: its two ends have degree 3, so they are broken
+// and silent under neighborhood's and kt0-exchange's MaxDegree 2 while
+// every other vertex in their plane words speaks.
 func bitPlaneInstances(t *testing.T, n int, seed int64) map[string]*bcc.Instance {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -60,6 +64,18 @@ func bitPlaneInstances(t *testing.T, n int, seed int64) map[string]*bcc.Instance
 		t.Fatal(err)
 	}
 	out["kt1-two-cycle"] = kt1Two
+	chord := cycle.Clone()
+	for v := n / 2; ; v++ {
+		if !chord.HasEdge(0, v) {
+			chord.MustAddEdge(0, v)
+			break
+		}
+	}
+	kt1Chord, err := bcc.NewKT1(bcc.SequentialIDs(n), chord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["kt1-chord"] = kt1Chord
 	kt0Rot, err := bcc.NewKT0(bcc.SequentialIDs(n), cycle, bcc.RotationWiring(n))
 	if err != nil {
 		t.Fatal(err)
@@ -168,8 +184,9 @@ func TestBitPlaneEquivalence(t *testing.T) {
 	}
 }
 
-// hearOnly binds like neighborhood-broadcast, but its bound run cannot
-// hear bits: the embedded interface hides HearBits.
+// hearOnly binds like neighborhood-broadcast, but its bound run is not
+// a bcc.BitRun: the embedded interface hides BindPlane, SendBits and
+// HearBits.
 type hearOnly struct {
 	*algorithms.NeighborhoodBroadcast
 }
@@ -179,11 +196,11 @@ func (a hearOnly) BindRun(in *bcc.Instance, rounds int) bcc.BoundRun {
 }
 
 // TestBitPlaneEngagement pins exactly when the fast path runs: 1-bit
-// bound runs that hear bits, on any instance whose nodes accept their
-// binding, and never under WithoutBitPlane, WithReceivedTranscripts, a
-// multi-bit bandwidth, an unbound algorithm or a run that cannot hear
-// bits (even with BitNode nodes), or (for rank-space nodes) a
-// non-canonical KT-1 wiring.
+// bound runs that implement bcc.BitRun, on any instance whose wiring
+// the run accepts, and never under WithoutBitPlane,
+// WithReceivedTranscripts, a multi-bit bandwidth, an unbound algorithm
+// or a bound run that is not a BitRun, or (for flood and neighborhood)
+// a non-canonical KT-1 wiring.
 func TestBitPlaneEngagement(t *testing.T) {
 	const n = 12
 	g := graph.RandomOneCycle(n, rand.New(rand.NewSource(1)))
@@ -234,8 +251,8 @@ func TestBitPlaneEngagement(t *testing.T) {
 	}
 	check("neighborhood canonical", true, canonical, nb)
 	check("neighborhood shuffled-ids", false, shuffled, nb)
-	check("bound run without HearBits", false, canonical, hearOnly{nb})
-	check("unbound with BitNode nodes", false, canonical, struct{ bcc.Algorithm }{nb})
+	check("bound run that is not a BitRun", false, canonical, hearOnly{nb})
+	check("unbound neighborhood", false, canonical, struct{ bcc.Algorithm }{nb})
 }
 
 // TestBitPlaneConcurrent runs bit-plane and oracle pairs of flood-b1

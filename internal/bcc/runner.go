@@ -97,9 +97,10 @@ type Algorithm interface {
 // Node is the per-vertex state machine. In each round t = 1, 2, ... the
 // runner first calls Send(t) on every node, then delivers all broadcasts
 // via Receive(t, inbox), where inbox[p] holds the message heard on port p
-// — except in a bound run, which hears the round itself (see BoundRun).
-// The inbox slice is reused between rounds; nodes must copy anything they
-// retain.
+// — except in a bound run, which hears the round itself (see BoundRun),
+// and on the bit plane, where the bound run also writes the round
+// itself (see BitRun). The inbox slice is reused between rounds; nodes
+// must copy anything they retain.
 type Node interface {
 	Send(round int) Message
 	Receive(round int, inbox []Message)
@@ -113,9 +114,9 @@ type Node interface {
 // the broadcast mirror every replica would otherwise replicate), so n
 // replicas shrink to compact per-replica residue.
 //
-// A 1-bit bound run rides the bit plane when it implements BitHearer
-// and its nodes implement BitNode; it may also implement BitSender, to
-// write each round's plane words itself.
+// A 1-bit bound run rides the bit plane when it implements BitRun and
+// accepts BindPlane; it then writes and hears each round's plane words
+// itself, and the runner calls none of its nodes in the round loop.
 type RunBinder interface {
 	BindRun(in *Instance, rounds int) BoundRun
 }
@@ -127,9 +128,10 @@ type RunBinder interface {
 // Hear(t, sends) exactly once, on its own goroutine, with the round's
 // broadcasts indexed by vertex (every vertex's own entry included); the
 // slice is runner-owned and reused between rounds, so the run must not
-// retain it. On the bit plane the run hears through BitHearer instead.
-// ReleaseRun is called once the run's outputs have been extracted, so
-// the run can hand pooled arenas back for the next run.
+// retain it. On the bit plane the run writes and hears each round
+// through BitRun instead. ReleaseRun is called once the run's outputs
+// have been extracted, so the run can hand pooled arenas back for the
+// next run.
 type BoundRun interface {
 	Algorithm
 	Hear(round int, sends []Message)
@@ -351,7 +353,7 @@ func RunContext(ctx context.Context, in *Instance, algo Algorithm, opts ...Optio
 
 // medium is what differs between the round loop's two paths: how a
 // round's broadcasts are collected, counted and heard. Both
-// implementations are pooled and drop the run's nodes on release.
+// implementations are pooled and drop the run on release.
 type medium interface {
 	// send collects round t's broadcasts and returns how many bits
 	// they total.
@@ -365,16 +367,15 @@ type medium interface {
 }
 
 // bindMedium picks the run's medium. The bit plane serves 1-bit bound
-// runs that hear bits and whose nodes all take their plane binding.
-// Received-transcript runs need per-port inboxes and take the Message
-// vector, as does every unbound or multi-bit run.
+// runs that implement BitRun and accept the instance's wiring
+// (BindPlane); only the Message vector takes the nodes. Runs that
+// record received transcripts need per-port inboxes and take the
+// vector, as does every unbound or multi-bit run and every declined
+// binding.
 func bindMedium(in *Instance, run BoundRun, nodes []Node, b int, res *Result, o options) medium {
-	if run != nil && b == 1 && !o.noBitPlane && !o.recordReceived {
-		p := acquirePlane(len(nodes))
-		if p.bind(in, run, nodes, res.Rounds, o) {
-			return p
-		}
-		p.release()
+	r, ok := run.(BitRun)
+	if ok && b == 1 && !o.noBitPlane && !o.recordReceived && r.BindPlane(in.canonical) {
+		return acquirePlane(r, len(nodes), res.Rounds, o)
 	}
 	return acquireVector(in, run, nodes, b, res, o)
 }

@@ -146,22 +146,35 @@ func TestEstimateErrorParallelMatchesSequential(t *testing.T) {
 }
 
 // loopProbe is a run-bound BCC(1) algorithm that rides either medium
-// (WithoutBitPlane picks the vector), hearing each round itself.
-// Vertices listed in greedy broadcast two bits on the Message vector.
+// (WithoutBitPlane picks the vector), hearing each round itself; on the
+// plane every vertex sends 1. Vertices listed in greedy broadcast two
+// bits on the Message vector.
 type loopProbe struct {
 	greedy map[int]bool
+	n      int
 }
 
-var _ RunBinder = loopProbe{}
+var (
+	_ RunBinder = loopProbe{}
+	_ BitRun    = loopProbe{}
+)
 
-func (loopProbe) Name() string                      { return "loop-probe" }
-func (loopProbe) Bandwidth() int                    { return 1 }
-func (loopProbe) Rounds(int) int                    { return 3 }
-func (p loopProbe) BindRun(*Instance, int) BoundRun { return p }
-func (p loopProbe) NewNode(view View, _ *Coin) Node { return loopNode{greedy: p.greedy[view.ID]} }
-func (loopProbe) Hear(int, []Message)               {}
-func (loopProbe) HearBits(int, []uint64, []uint64)  {}
-func (loopProbe) ReleaseRun()                       {}
+func (loopProbe) Name() string                           { return "loop-probe" }
+func (loopProbe) Bandwidth() int                         { return 1 }
+func (loopProbe) Rounds(int) int                         { return 3 }
+func (p loopProbe) BindRun(in *Instance, _ int) BoundRun { p.n = in.N(); return p }
+func (p loopProbe) NewNode(view View, _ *Coin) Node      { return loopNode{greedy: p.greedy[view.ID]} }
+func (loopProbe) Hear(int, []Message)                    {}
+func (loopProbe) BindPlane(bool) bool                    { return true }
+func (loopProbe) HearBits(int, []uint64, []uint64)       {}
+func (loopProbe) ReleaseRun()                            {}
+
+func (p loopProbe) SendBits(_ int, value, spoke []uint64) {
+	for v := 0; v < p.n; v++ {
+		value[v>>6] |= 1 << uint(v&63)
+		spoke[v>>6] |= 1 << uint(v&63)
+	}
+}
 
 type loopNode struct{ greedy bool }
 
@@ -171,9 +184,7 @@ func (n loopNode) Send(int) Message {
 	}
 	return Bit(1)
 }
-func (loopNode) Receive(int, []Message)    {}
-func (loopNode) BindPlane(int, bool) bool  { return true }
-func (loopNode) SendBit(int) (uint8, bool) { return 1, true }
+func (loopNode) Receive(int, []Message) {}
 
 // TestRunErrorPaths pins the round loop's one error exit on both media:
 // a ctx cancelled before round 1 returns context.Canceled and no
@@ -236,10 +247,11 @@ func TestRunErrorPaths(t *testing.T) {
 
 // hearProbe is a bound BCC(1) run that logs what the round loop does
 // to it. Its nodes count their sends and receives, and each send checks
-// that the previous round was already heard; the run records every
-// round it hears, with the send count at that moment and whether the
-// broadcasts it heard match hearMsg. It rides either medium
-// (WithoutBitPlane picks the vector).
+// that the previous round was already heard; on the plane the run's
+// SendBits makes every vertex's send itself, counted the same way. The
+// run records every round it hears, with the send count at that moment
+// and whether the broadcasts it heard match hearMsg. It rides either
+// medium (WithoutBitPlane picks the vector).
 type hearProbe struct {
 	n         int
 	sends     int64
@@ -256,7 +268,10 @@ type hearing struct {
 	ok    bool  // the heard broadcasts are every vertex's hearMsg
 }
 
-var _ RunBinder = (*hearProbe)(nil)
+var (
+	_ RunBinder = (*hearProbe)(nil)
+	_ BitRun    = (*hearProbe)(nil)
+)
 
 // hearMsg is vertex v's round-t broadcast: a mix of 0, 1 and silence.
 func hearMsg(v, t int) Message {
@@ -297,6 +312,16 @@ func (p *hearProbe) Hear(t int, sends []Message) {
 	p.record(t, false, ok)
 }
 
+func (p *hearProbe) BindPlane(bool) bool { return true }
+
+func (p *hearProbe) SendBits(t int, value, spoke []uint64) {
+	for v := 0; v < p.n; v++ {
+		m := hearNode{p: p, v: v}.send(t)
+		spoke[v>>6] |= uint64(m.Len) << uint(v&63)
+		value[v>>6] |= m.Bits << uint(v&63)
+	}
+}
+
 func (p *hearProbe) HearBits(t int, value, spoke []uint64) {
 	p.record(t, true, heardWords(p.n, t, value, spoke))
 }
@@ -321,19 +346,16 @@ func (n hearNode) send(t int) Message {
 	return hearMsg(n.v, t)
 }
 
-func (n hearNode) Send(t int) Message { return n.send(t) }
-func (n hearNode) SendBit(t int) (uint8, bool) {
-	m := n.send(t)
-	return uint8(m.Bits), m.Len != 0
-}
-func (hearNode) BindPlane(int, bool) bool { return true }
+func (n hearNode) Send(t int) Message     { return n.send(t) }
 func (n hearNode) Receive(int, []Message) { n.p.receives++ }
 
 // TestBoundRunHearsOncePerRound pins the BoundRun contract on both
-// media, and on a received-transcript run: the run hears rounds 1..R
-// exactly once each, in order; when it hears round t all n·t sends of
-// rounds 1..t have happened and none of round t+1; the broadcasts it
-// hears are the ones sent; no node receives anything; and every
+// media, with and without transcripts, and on a received-transcript
+// run: the run hears rounds 1..R exactly once each, in order; when it
+// hears round t all n·t sends of rounds 1..t have happened (on the
+// plane, all made by the run's SendBits) and none of round t+1; the
+// broadcasts it hears are the ones sent; no node receives anything;
+// RoundBits and the trit transcripts are the sent broadcasts; and every
 // recorded inbox slot is the Sent entry of the vertex behind that port.
 // The wiring is a rotation, so ports and vertices differ.
 func TestBoundRunHearsOncePerRound(t *testing.T) {
@@ -343,9 +365,14 @@ func TestBoundRunHearsOncePerRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		name            string
-		plane, received bool
-	}{{"vector", false, false}, {"plane", true, false}, {"vector-received", false, true}}
+		name                           string
+		plane, received, noTranscripts bool
+	}{
+		{"vector", false, false, false},
+		{"plane", true, false, false},
+		{"plane-without-transcripts", true, false, true},
+		{"vector-received", false, true, false},
+	}
 	for _, c := range cases {
 		name := c.name
 		probe := &hearProbe{n: n}
@@ -354,6 +381,9 @@ func TestBoundRunHearsOncePerRound(t *testing.T) {
 			opts = append(opts, WithReceivedTranscripts())
 		} else if !c.plane {
 			opts = append(opts, WithoutBitPlane())
+		}
+		if c.noTranscripts {
+			opts = append(opts, WithoutTranscripts())
 		}
 		res, err := Run(in, probe, opts...)
 		if err != nil {
@@ -385,6 +415,7 @@ func TestBoundRunHearsOncePerRound(t *testing.T) {
 		if probe.receives != 0 {
 			t.Fatalf("%s: nodes of a bound run received %d times", name, probe.receives)
 		}
+		checkSentBits(t, name, res, n, !c.noTranscripts)
 		if !c.received {
 			continue
 		}
@@ -401,18 +432,56 @@ func TestBoundRunHearsOncePerRound(t *testing.T) {
 	}
 }
 
-// senderProbe is a bound BCC(1) run that writes every round's plane
-// words itself (BitSender): vertex v broadcasts hearMsg(v, t). Its
-// nodes fail the test if the plane asks them for a bit.
+// checkSentBits checks that res's RoundBits, and its trit labels when
+// the run kept transcripts, are every vertex's hearMsg.
+func checkSentBits(t *testing.T, name string, res *Result, n int, transcripts bool) {
+	t.Helper()
+	labels, err := SentTritLabels(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	if transcripts {
+		want = n
+	}
+	if len(labels) != want {
+		t.Fatalf("%s: %d trit labels, want %d", name, len(labels), want)
+	}
+	for r := 1; r <= res.Rounds; r++ {
+		bits := 0
+		for v := 0; v < n; v++ {
+			m := hearMsg(v, r)
+			bits += int(m.Len)
+			if len(labels) == 0 {
+				continue
+			}
+			trit := byte('_')
+			if m.Len != 0 {
+				trit = '0' + byte(m.Bits)
+			}
+			if got := labels[v][r-1]; got != trit {
+				t.Fatalf("%s: vertex %d round %d: trit %q, want %q", name, v, r, got, trit)
+			}
+		}
+		if res.RoundBits[r-1] != bits {
+			t.Fatalf("%s: round %d bits %d, want %d", name, r, res.RoundBits[r-1], bits)
+		}
+	}
+}
+
+// senderProbe is a plane run that writes its rounds' words without its
+// nodes: vertex v broadcasts hearMsg(v, t). Its nodes fail the test if
+// anything asks them to send, and it records the wiring BindPlane saw.
 type senderProbe struct {
-	t     *testing.T
-	n     int
-	heard int // rounds whose words matched hearMsg when heard
+	t         *testing.T
+	n         int
+	canonical bool
+	heard     int // rounds whose words matched hearMsg when heard
 }
 
 var (
 	_ RunBinder = (*senderProbe)(nil)
-	_ BitSender = (*senderProbe)(nil)
+	_ BitRun    = (*senderProbe)(nil)
 )
 
 func (p *senderProbe) Name() string                    { return "sender-probe" }
@@ -423,12 +492,16 @@ func (p *senderProbe) NewNode(View, *Coin) Node        { return senderNode{p.t} 
 func (p *senderProbe) Hear(int, []Message)             { p.t.Error("a plane run heard the Message vector") }
 func (p *senderProbe) ReleaseRun()                     {}
 
+func (p *senderProbe) BindPlane(canonical bool) bool {
+	p.canonical = canonical
+	return true
+}
+
 func (p *senderProbe) SendBits(t int, value, spoke []uint64) {
 	for v := 0; v < p.n; v++ {
-		if m := hearMsg(v, t); m.Len != 0 {
-			spoke[v>>6] |= 1 << uint(v&63)
-			value[v>>6] |= m.Bits << uint(v&63)
-		}
+		m := hearMsg(v, t)
+		spoke[v>>6] |= uint64(m.Len) << uint(v&63)
+		value[v>>6] |= m.Bits << uint(v&63)
 	}
 }
 
@@ -440,18 +513,18 @@ func (p *senderProbe) HearBits(t int, value, spoke []uint64) {
 
 type senderNode struct{ t *testing.T }
 
-func (senderNode) Send(int) Message         { return Silence }
-func (senderNode) Receive(int, []Message)   {}
-func (senderNode) BindPlane(int, bool) bool { return true }
-func (n senderNode) SendBit(int) (uint8, bool) {
-	n.t.Error("the plane called SendBit on a BitSender run")
-	return 0, false
+func (n senderNode) Send(int) Message {
+	n.t.Error("the plane asked a node to send")
+	return Silence
 }
 
-// TestBitSenderWritesTheRound pins the plane's BitSender path with and
-// without transcripts: the run's SendBits replaces every node's
-// SendBit, the run hears exactly the words it wrote, and RoundBits and
-// the trit transcripts are taken from those words.
+func (senderNode) Receive(int, []Message) {}
+
+// TestBitSenderWritesTheRound pins the plane's send path on a canonical
+// KT-1 instance, with and without transcripts: BindPlane is told the
+// wiring is canonical, the run's SendBits writes every round and no
+// node is asked to send, the run hears exactly the words it wrote, and
+// RoundBits and the trit transcripts are taken from those words.
 func TestBitSenderWritesTheRound(t *testing.T) {
 	const n = 130 // just over two plane words
 	in, err := NewKT1(SequentialIDs(n), cycleInput(t, n))
@@ -459,6 +532,7 @@ func TestBitSenderWritesTheRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, transcripts := range []bool{true, false} {
+		name := fmt.Sprintf("transcripts=%v", transcripts)
 		probe := &senderProbe{t: t, n: n}
 		var opts []Option
 		if !transcripts {
@@ -469,41 +543,14 @@ func TestBitSenderWritesTheRound(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !res.BitPlane {
-			t.Fatalf("transcripts=%v: the probe did not ride the plane", transcripts)
+			t.Fatalf("%s: the probe did not ride the plane", name)
+		}
+		if !probe.canonical {
+			t.Fatalf("%s: BindPlane was told a canonical KT-1 wiring is not canonical", name)
 		}
 		if probe.heard != res.Rounds {
-			t.Fatalf("transcripts=%v: %d of %d rounds heard the words SendBits wrote", transcripts, probe.heard, res.Rounds)
+			t.Fatalf("%s: %d of %d rounds heard the words SendBits wrote", name, probe.heard, res.Rounds)
 		}
-		labels, err := SentTritLabels(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 0
-		if transcripts {
-			want = n
-		}
-		if len(labels) != want {
-			t.Fatalf("transcripts=%v: %d trit labels, want %d", transcripts, len(labels), want)
-		}
-		for r := 1; r <= res.Rounds; r++ {
-			bits := 0
-			for v := 0; v < n; v++ {
-				m := hearMsg(v, r)
-				bits += int(m.Len)
-				if len(labels) == 0 {
-					continue
-				}
-				trit := byte('_')
-				if m.Len != 0 {
-					trit = '0' + byte(m.Bits)
-				}
-				if got := labels[v][r-1]; got != trit {
-					t.Fatalf("vertex %d round %d: trit %q, want %q", v, r, got, trit)
-				}
-			}
-			if res.RoundBits[r-1] != bits {
-				t.Fatalf("transcripts=%v: round %d bits %d, want %d", transcripts, r, res.RoundBits[r-1], bits)
-			}
-		}
+		checkSentBits(t, name, res, n, transcripts)
 	}
 }

@@ -1,10 +1,10 @@
 // Package equiv pins the shared-substrate protocols' central contract:
 // outputs are bit-identical between vector and per-port delivery,
-// between the bit plane (with a bound run's own SendBits where it has
-// one) and the generic loop, and between run-bound (shared mirror) and
-// bare (private mirror) nodes. Verdicts, labels, RoundBits, and
-// per-vertex transcripts must all match — the sweep grids' cached
-// content addresses depend on it.
+// between the bit plane (where the bound run writes every round with
+// its own SendBits) and the generic loop, and between run-bound
+// (shared mirror) and bare (private mirror) nodes. Verdicts, labels,
+// RoundBits, and per-vertex transcripts must all match — the sweep
+// grids' cached content addresses depend on it.
 package equiv_test
 
 import (
