@@ -10,7 +10,8 @@
 //
 // -match keeps only benchmarks whose (Benchmark-prefix-stripped) name
 // matches the regexp, so one bench pass can feed several scoped baseline
-// files.
+// files. The file's gomaxprocs is the setting the benchmarks ran at,
+// read from their names' -N suffix (1 when absent, as under -cpu 1).
 //
 // -compare old.json new.json switches to regression mode: the two
 // baseline files are matched by benchmark name and the command exits
@@ -26,6 +27,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"regexp"
@@ -48,7 +50,7 @@ type Report struct {
 	GoVersion  string      `json:"go_version"`
 	GOOS       string      `json:"goos"`
 	GOARCH     string      `json:"goarch"`
-	GOMAXPROCS int         `json:"gomaxprocs"`
+	GOMAXPROCS int         `json:"gomaxprocs"` // the benchmarks' -N name suffix
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -56,8 +58,9 @@ type Report struct {
 //
 //	BenchmarkE01Crossing-8   20   40222 ns/op   24636 B/op   424 allocs/op
 //
-// (the -8 CPU suffix and the two -benchmem columns are optional).
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+// (the -8 GOMAXPROCS suffix and the two -benchmem columns are
+// optional).
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
 func main() {
 	if err := run(); err != nil {
@@ -94,41 +97,22 @@ func run() error {
 		keep = re
 	}
 
-	report := Report{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-	sc := bufio.NewScanner(os.Stdin)
-	for sc.Scan() {
-		line := sc.Text()
-		m := benchLine.FindStringSubmatch(line)
-		if m == nil {
-			continue
-		}
-		b := Benchmark{Name: strings.TrimPrefix(m[1], "Benchmark")}
-		if keep != nil && !keep.MatchString(b.Name) {
-			continue
-		}
-		b.Iterations, _ = strconv.ParseInt(m[2], 10, 64)
-		b.NsPerOp, _ = strconv.ParseFloat(m[3], 64)
-		if m[4] != "" {
-			b.BytesPerOp, _ = strconv.ParseInt(m[4], 10, 64)
-		}
-		if m[5] != "" {
-			b.AllocsPerOp, _ = strconv.ParseInt(m[5], 10, 64)
-		}
-		report.Benchmarks = append(report.Benchmarks, b)
-	}
-	if err := sc.Err(); err != nil {
+	benches, procs, err := parseBench(os.Stdin, keep)
+	if err != nil {
 		return err
 	}
-	if len(report.Benchmarks) == 0 {
+	if len(benches) == 0 {
 		if keep != nil {
 			return fmt.Errorf("no benchmark lines matched -match %q (pipe `go test -bench` output)", *match)
 		}
 		return fmt.Errorf("no benchmark lines on stdin (pipe `go test -bench` output)")
+	}
+	report := Report{
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		GOMAXPROCS: procs,
+		Benchmarks: benches,
 	}
 	enc, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -140,6 +124,45 @@ func run() error {
 		return err
 	}
 	return os.WriteFile(*out, enc, 0o644)
+}
+
+// parseBench reads `go test -bench` output and returns the benchmark
+// lines whose names match keep (every line when keep is nil), and the
+// GOMAXPROCS they ran at: the names' -N suffix, or 1 when it is absent.
+// Kept lines that ran at different settings are an error, since one
+// file records one setting.
+func parseBench(r io.Reader, keep *regexp.Regexp) ([]Benchmark, int, error) {
+	var benches []Benchmark
+	procs := 0
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		m := benchLine.FindStringSubmatch(sc.Text())
+		if m == nil {
+			continue
+		}
+		b := Benchmark{Name: strings.TrimPrefix(m[1], "Benchmark")}
+		if keep != nil && !keep.MatchString(b.Name) {
+			continue
+		}
+		p := 1
+		if m[2] != "" {
+			p, _ = strconv.Atoi(m[2])
+		}
+		if procs != 0 && p != procs {
+			return nil, 0, fmt.Errorf("benchmark %s ran at GOMAXPROCS %d, earlier lines at %d: record one setting per file", b.Name, p, procs)
+		}
+		procs = p
+		b.Iterations, _ = strconv.ParseInt(m[3], 10, 64)
+		b.NsPerOp, _ = strconv.ParseFloat(m[4], 64)
+		if m[5] != "" {
+			b.BytesPerOp, _ = strconv.ParseInt(m[5], 10, 64)
+		}
+		if m[6] != "" {
+			b.AllocsPerOp, _ = strconv.ParseInt(m[6], 10, 64)
+		}
+		benches = append(benches, b)
+	}
+	return benches, procs, sc.Err()
 }
 
 // loadReport reads one baseline file.

@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -150,5 +153,56 @@ func TestCompareBytesGate(t *testing.T) {
 	})
 	if err := runCompare(old, fewerBytes, 25, false, true); err != nil {
 		t.Errorf("-bytes mode gated on a B/op improvement: %v", err)
+	}
+}
+
+// TestParseBench pins the line parser: the -N name suffix is the
+// recorded GOMAXPROCS (1 when absent, as under -cpu 1), -match filters
+// before the setting is read, and kept lines at two settings are an
+// error.
+func TestParseBench(t *testing.T) {
+	parse := func(out, match string) ([]Benchmark, int, error) {
+		t.Helper()
+		var keep *regexp.Regexp
+		if match != "" {
+			keep = regexp.MustCompile(match)
+		}
+		return parseBench(strings.NewReader(out), keep)
+	}
+	oneCPU := `goos: linux
+BenchmarkE01Crossing        	      20	     28533 ns/op	   21370 B/op	     197 allocs/op
+BenchmarkMemoryFlood/n=1024 	       2	    737000 ns/op
+PASS
+`
+	benches, procs, err := parse(oneCPU, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Benchmark{
+		{Name: "E01Crossing", Iterations: 20, NsPerOp: 28533, BytesPerOp: 21370, AllocsPerOp: 197},
+		{Name: "MemoryFlood/n=1024", Iterations: 2, NsPerOp: 737000},
+	}
+	if procs != 1 || !reflect.DeepEqual(benches, want) {
+		t.Errorf("no suffix: got %+v at %d, want %+v at 1", benches, procs, want)
+	}
+
+	twoCPU := `BenchmarkE01Crossing-2      	      20	     28533 ns/op	   21370 B/op	     197 allocs/op
+BenchmarkMemoryFlood/n=1024-2	       2	    737000 ns/op
+`
+	benches, procs, err = parse(twoCPU, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if procs != 2 || !reflect.DeepEqual(benches, want) {
+		t.Errorf("-2 suffix: got %+v at %d, want %+v at 2", benches, procs, want)
+	}
+
+	mixed := "BenchmarkE01Crossing   20   28533 ns/op\nBenchmarkMemoryA-2   2   737000 ns/op\n"
+	if _, _, err := parse(mixed, ""); err == nil {
+		t.Error("lines at GOMAXPROCS 1 and 2 parsed into one file")
+	}
+	benches, procs, err = parse(mixed, "^Memory")
+	if err != nil || procs != 2 || len(benches) != 1 {
+		t.Errorf("-match ^Memory over mixed lines: got %+v at %d (%v), want MemoryA at 2", benches, procs, err)
 	}
 }

@@ -184,18 +184,11 @@ func (r *nbRun) HearBits(round int, value, _ []uint64) {
 	}
 }
 
-// BindPlane implements bcc.BitRun. The run accepts the canonical
-// wiring, as flood's does, or a run with no live vertex, which never
-// speaks. Its tables are vertex-indexed, so on any other KT-1 wiring it
-// hears the Message vector through Hear just as well.
-func (r *nbRun) BindPlane(canonical bool) bool {
-	for v := range r.nodes {
-		if !r.nodes[v].broken {
-			return canonical
-		}
-	}
-	return true
-}
+// BindPlane implements bcc.BitRun: the run accepts every wiring.
+// SendBits, HearBits and finish all index vertices and map them to
+// ranks through vertexRank, so a non-canonical KT-1 wiring needs no
+// port table.
+func (*nbRun) BindPlane(bool) bool { return true }
 
 // SendBits implements bcc.BitRun with the nodes' schedule: in round t
 // every live vertex sends bit (t−1) mod ⌈log₂ n⌉ of its slot

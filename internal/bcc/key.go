@@ -40,33 +40,6 @@ func (k *TranscriptKey) push(code uint64) error {
 	return nil
 }
 
-// AppendTrit appends one 1-bit-or-silent message to the key. It errors on
-// messages longer than one bit (no trit encoding) and on overflow.
-func (k *TranscriptKey) AppendTrit(m Message) error {
-	switch {
-	case m.IsSilent():
-		return k.push(tritSilent)
-	case m.Len == 1 && m.Bits == 0:
-		return k.push(tritZero)
-	case m.Len == 1:
-		return k.push(tritOne)
-	default:
-		return fmt.Errorf("bcc: message %q is not a single trit", m)
-	}
-}
-
-// KeyOfTrits packs a sequence of 1-bit-or-silent messages into a
-// TranscriptKey: the packed counterpart of TritString.
-func KeyOfTrits(msgs []Message) (TranscriptKey, error) {
-	var k TranscriptKey
-	for i, m := range msgs {
-		if err := k.AppendTrit(m); err != nil {
-			return TranscriptKey{}, fmt.Errorf("round %d: %w", i+1, err)
-		}
-	}
-	return k, nil
-}
-
 // ParseKey packs a string over {'0', '1', '_'} (the TritString alphabet)
 // into a TranscriptKey.
 func ParseKey(s string) (TranscriptKey, error) {
@@ -130,29 +103,6 @@ func ParseKeys(labels []string) ([]TranscriptKey, error) {
 			return nil, fmt.Errorf("label %d: %w", i, err)
 		}
 		keys[i] = k
-	}
-	return keys, nil
-}
-
-// SentTritKeys returns, for every vertex, the packed {0,1,⊥}-sequence it
-// broadcast over the run: the allocation-free counterpart of
-// SentTritLabels for transcript-bucketing hot paths. Bit-plane runs
-// repack the keys straight from the 2-bit trit arena, which shares this
-// encoding.
-func SentTritKeys(res *Result) ([]TranscriptKey, error) {
-	keys := make([]TranscriptKey, len(res.Transcripts))
-	for v := range res.Transcripts {
-		var k TranscriptKey
-		var err error
-		if res.trits != nil {
-			k, err = res.trits.tritKey(v)
-		} else {
-			k, err = KeyOfTrits(res.Transcripts[v].Sent)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("vertex %d: %w", v, err)
-		}
-		keys[v] = k
 	}
 	return keys, nil
 }

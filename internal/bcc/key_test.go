@@ -32,9 +32,9 @@ func TestTranscriptKeyRoundTrip(t *testing.T) {
 		for i := range s {
 			msgs[i] = tritMsg(s[i])
 		}
-		key, err := KeyOfTrits(msgs)
+		key, err := ParseKey(s)
 		if err != nil {
-			t.Fatalf("KeyOfTrits(%q): %v", s, err)
+			t.Fatalf("ParseKey(%q): %v", s, err)
 		}
 		str, err := TritString(msgs)
 		if err != nil {
@@ -48,13 +48,6 @@ func TestTranscriptKeyRoundTrip(t *testing.T) {
 		}
 		if key.Len() != len(s) {
 			t.Errorf("key.Len() = %d, want %d", key.Len(), len(s))
-		}
-		parsed, err := ParseKey(s)
-		if err != nil {
-			t.Fatalf("ParseKey(%q): %v", s, err)
-		}
-		if parsed != key {
-			t.Errorf("ParseKey(%q) != KeyOfTrits of the same trits", s)
 		}
 		for i := 0; i < len(s); i++ {
 			if key.TritAt(i) != s[i] {
@@ -86,21 +79,11 @@ func TestTranscriptKeyDistinguishesSequences(t *testing.T) {
 }
 
 func TestTranscriptKeyErrors(t *testing.T) {
-	if _, err := KeyOfTrits([]Message{Word(3, 2)}); err == nil {
-		t.Error("2-bit message must not pack as a trit")
-	}
-	long := make([]Message, MaxKeyRounds+1)
-	for i := range long {
-		long[i] = Bit(1)
-	}
-	if _, err := KeyOfTrits(long); err == nil {
-		t.Errorf("packing %d trits must overflow", MaxKeyRounds+1)
-	}
 	if _, err := ParseKey("01x"); err == nil {
 		t.Error("ParseKey must reject alphabet violations")
 	}
 	if _, err := ParseKey(strings.Repeat("1", MaxKeyRounds+1)); err == nil {
-		t.Error("ParseKey must reject overlong strings")
+		t.Errorf("packing %d trits must overflow", MaxKeyRounds+1)
 	}
 }
 
@@ -125,38 +108,3 @@ func (n mixNode) Send(round int) Message {
 	}
 }
 func (mixNode) Receive(int, []Message) {}
-
-func TestSentTritKeysMatchesSentTritLabels(t *testing.T) {
-	g := cycleInput(t, 6)
-	in, err := NewKT1(SequentialIDs(6), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(in, mixAlgo{rounds: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	labels, err := SentTritLabels(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys, err := SentTritKeys(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != len(labels) {
-		t.Fatalf("got %d keys, %d labels", len(keys), len(labels))
-	}
-	for v := range keys {
-		if keys[v].String() != labels[v] {
-			t.Errorf("vertex %d: key %q, label %q", v, keys[v].String(), labels[v])
-		}
-		parsed, err := ParseKey(labels[v])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if parsed != keys[v] {
-			t.Errorf("vertex %d: ParseKey(label) != SentTritKeys key", v)
-		}
-	}
-}

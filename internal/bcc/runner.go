@@ -151,12 +151,23 @@ type Labeler interface {
 	Label() int
 }
 
-// Transcript records what one vertex sent, and (optionally) received, over
-// the run. Together with the vertex's initial view this is the "state" used
-// in indistinguishability arguments.
+// Transcript records what one vertex broadcast over the run. In BCC what
+// vertex v hears on port p is exactly what the vertex behind p broadcast,
+// so the Sent sequences, the wiring and the initial views fix every
+// vertex's "state" used in indistinguishability arguments.
 type Transcript struct {
-	Sent     []Message   // Sent[t-1] is the round-t broadcast
-	Received [][]Message // Received[t-1][p]; nil unless requested
+	Sent []Message // Sent[t-1] is the round-t broadcast
+}
+
+// newTranscripts returns n transcripts whose Sent sequences of the given
+// length are slices of one flat arena: one allocation instead of n.
+func newTranscripts(n, rounds int) []Transcript {
+	ts := make([]Transcript, n)
+	arena := make([]Message, n*rounds)
+	for v := range ts {
+		ts[v].Sent = arena[v*rounds : (v+1)*rounds : (v+1)*rounds]
+	}
+	return ts
 }
 
 // Result is the outcome of running an algorithm on an instance.
@@ -170,8 +181,8 @@ type Result struct {
 	// round t — the per-round cost transcript, always recorded (it is
 	// O(rounds), independent of n).
 	RoundBits []int
-	// Transcripts holds the per-vertex Sent (and optionally Received)
-	// message sequences; nil under WithoutTranscripts.
+	// Transcripts holds the per-vertex Sent message sequences, which both
+	// media write round by round; nil under WithoutTranscripts.
 	Transcripts []Transcript
 	// BitPlane reports whether the run was served by the word-packed
 	// 1-bit fast path (see bitplane.go) instead of the generic Message
@@ -179,23 +190,15 @@ type Result struct {
 	// suite; the flag exists for observability and for tests asserting
 	// the fast path actually engaged.
 	BitPlane bool
-	// trits is the packed 2-bit trit arena of a transcript-recording
-	// bit-plane run; SentTritLabels/SentTritKeys derive trit strings
-	// and keys directly from it.
-	trits *tritPlane
 }
-
-// SentSequence returns the broadcast sequence of vertex v.
-func (r *Result) SentSequence(v int) []Message { return r.Transcripts[v].Sent }
 
 // options configures Run.
 type options struct {
-	ctx            context.Context
-	coin           *Coin
-	rounds         int // -1: use the algorithm's schedule
-	recordReceived bool
-	noTranscripts  bool
-	noBitPlane     bool
+	ctx           context.Context
+	coin          *Coin
+	rounds        int // -1: use the algorithm's schedule
+	noTranscripts bool
+	noBitPlane    bool
 }
 
 // Option configures Run.
@@ -219,14 +222,6 @@ func (o roundsOption) apply(opts *options) { opts.rounds = int(o) }
 // to observe the first t rounds of an algorithm.
 func WithRounds(r int) Option { return roundsOption(r) }
 
-type recordReceivedOption struct{}
-
-func (recordReceivedOption) apply(opts *options) { opts.recordReceived = true }
-
-// WithReceivedTranscripts records per-port received messages in the result
-// transcripts (O(n²·t) memory).
-func WithReceivedTranscripts() Option { return recordReceivedOption{} }
-
 type noTranscriptsOption struct{}
 
 func (noTranscriptsOption) apply(opts *options) { opts.noTranscripts = true }
@@ -236,7 +231,6 @@ func (noTranscriptsOption) apply(opts *options) { opts.noTranscripts = true }
 // RoundBits cost series (plus verdict/labels) is retained. This is the
 // memory-bounded mode the sweep grids use at large n, where a Sent
 // arena alone would be Θ(n·rounds) — 268 MB for flood-b1 at n = 4096.
-// It conflicts with WithReceivedTranscripts.
 func WithoutTranscripts() Option { return noTranscriptsOption{} }
 
 type noBitPlaneOption struct{}
@@ -250,8 +244,8 @@ func (noBitPlaneOption) apply(opts *options) { opts.noBitPlane = true }
 func WithoutBitPlane() Option { return noBitPlaneOption{} }
 
 // Run executes the algorithm on the instance and returns the result.
-// Sent transcripts are always recorded (they are the labels that drive the
-// crossing machinery); received transcripts only on request.
+// Sent transcripts are recorded unless WithoutTranscripts is given: they
+// are the labels that drive the crossing machinery.
 func Run(in *Instance, algo Algorithm, opts ...Option) (*Result, error) {
 	return RunContext(context.Background(), in, algo, opts...)
 }
@@ -280,10 +274,6 @@ func RunContext(ctx context.Context, in *Instance, algo Algorithm, opts ...Optio
 	}
 	if rounds < 0 {
 		return nil, fmt.Errorf("bcc: algorithm %q returned negative round count %d", algo.Name(), rounds)
-	}
-
-	if o.noTranscripts && o.recordReceived {
-		return nil, fmt.Errorf("bcc: WithoutTranscripts conflicts with WithReceivedTranscripts")
 	}
 
 	// span is the enclosing per-run span ("run" in the sweep tree) when
@@ -318,10 +308,13 @@ func RunContext(ctx context.Context, in *Instance, algo Algorithm, opts ...Optio
 	// RoundBits comes out of the recycling pool (see Recycle): the loop
 	// writes every slot, so stale pool contents are inert.
 	res := &Result{Rounds: rounds, RoundBits: takeInts(rounds)}
+	if !o.noTranscripts {
+		res.Transcripts = newTranscripts(n, rounds)
+	}
 
 	// The medium carries the run's broadcasts: each round it collects
 	// every vertex's send, then the round is heard.
-	m := bindMedium(in, run, nodes, b, res, o)
+	m := bindMedium(in, run, nodes, b, res, o.noBitPlane)
 	defer m.release()
 
 	roundsSpan := span.Child("rounds")
@@ -343,7 +336,6 @@ func RunContext(ctx context.Context, in *Instance, algo Algorithm, opts ...Optio
 		roundsSpan.EndErr(err)
 		return nil, err
 	}
-	m.finish(res)
 	annotateRounds(roundsSpan, res)
 	assembleSpan := span.Child("assemble")
 	finishOutputs(res, nodes)
@@ -361,32 +353,31 @@ type medium interface {
 	// deliver hands round t's broadcasts to the run: once to a bound
 	// run, or to every node of an unbound one (Message vector only).
 	deliver(t int)
-	// finish attaches the medium's transcripts to a completed run.
-	finish(res *Result)
 	release()
 }
 
-// bindMedium picks the run's medium. The bit plane serves 1-bit bound
-// runs that implement BitRun and accept the instance's wiring
-// (BindPlane); only the Message vector takes the nodes. Runs that
-// record received transcripts need per-port inboxes and take the
-// vector, as does every unbound or multi-bit run and every declined
-// binding.
-func bindMedium(in *Instance, run BoundRun, nodes []Node, b int, res *Result, o options) medium {
+// bindMedium picks the run's medium, marks res.BitPlane when the plane
+// serves it, and hands the medium res's transcripts to write. The bit
+// plane serves 1-bit bound runs that implement BitRun and accept the
+// instance's wiring (BindPlane); only the Message vector takes the
+// nodes. Every unbound or multi-bit run and every declined binding
+// takes the vector.
+func bindMedium(in *Instance, run BoundRun, nodes []Node, b int, res *Result, noBitPlane bool) medium {
 	r, ok := run.(BitRun)
-	if ok && b == 1 && !o.noBitPlane && !o.recordReceived && r.BindPlane(in.canonical) {
-		return acquirePlane(r, len(nodes), res.Rounds, o)
+	if ok && b == 1 && !noBitPlane && r.BindPlane(in.canonical) {
+		res.BitPlane = true
+		return acquirePlane(r, len(nodes), res.Transcripts)
 	}
-	return acquireVector(in, run, nodes, b, res, o)
+	return acquireVector(in, run, nodes, b, res.Transcripts)
 }
 
 // messageVector is the generic medium: one Message per vertex per
 // round, the per-port inbox of an unbound run's nodes, and the Sent
-// (and optionally Received) transcripts. The scratch is pooled across
-// runs (and across the worker goroutines of a sweep grid) so the hot
-// loop is allocation-free once the pool has warmed up for a given
-// instance size; every slot is overwritten before it is read, so stale
-// pool contents are inert.
+// transcripts it writes. The scratch is pooled across runs (and across
+// the worker goroutines of a sweep grid) so the hot loop is
+// allocation-free once the pool has warmed up for a given instance
+// size; every slot is overwritten before it is read, so stale pool
+// contents are inert.
 type messageVector struct {
 	in          *Instance
 	b           int
@@ -395,35 +386,21 @@ type messageVector struct {
 	sends       []Message
 	inbox       []Message // one vertex's inbox, assembled in turn
 	transcripts []Transcript
-	received    bool
 }
 
 var vectorPool = sync.Pool{New: func() interface{} { return new(messageVector) }}
 
-// acquireVector returns a pooled vector bound to the run's nodes, with
-// res's transcripts allocated unless the run records none.
-func acquireVector(in *Instance, run BoundRun, nodes []Node, b int, res *Result, o options) *messageVector {
+// acquireVector returns a pooled vector bound to the run's nodes and
+// transcripts (nil under WithoutTranscripts).
+func acquireVector(in *Instance, run BoundRun, nodes []Node, b int, transcripts []Transcript) *messageVector {
 	mv := vectorPool.Get().(*messageVector)
-	n, rounds := len(nodes), res.Rounds
+	n := len(nodes)
 	if cap(mv.sends) < n {
 		mv.sends = make([]Message, n)
 		mv.inbox = make([]Message, n-1)
 	}
 	mv.sends, mv.inbox = mv.sends[:n], mv.inbox[:n-1]
-	mv.in, mv.b, mv.nodes, mv.run, mv.received = in, b, nodes, run, o.recordReceived
-	if !o.noTranscripts {
-		res.Transcripts = make([]Transcript, n)
-		// One flat arena backs every vertex's Sent transcript: n slices
-		// into a single allocation instead of n append-grown ones.
-		sentArena := make([]Message, n*rounds)
-		for v := 0; v < n; v++ {
-			res.Transcripts[v].Sent = sentArena[v*rounds : (v+1)*rounds : (v+1)*rounds]
-			if o.recordReceived {
-				res.Transcripts[v].Received = make([][]Message, 0, rounds)
-			}
-		}
-		mv.transcripts = res.Transcripts
-	}
+	mv.in, mv.b, mv.nodes, mv.run, mv.transcripts = in, b, nodes, run, transcripts
 	return mv
 }
 
@@ -445,18 +422,12 @@ func (mv *messageVector) send(t int) (int, error) {
 }
 
 // deliver hears round t. A bound run hears the vertex-indexed vector
-// once. Otherwise each node receives its per-port inbox; a
-// received-transcript run assembles and records every inbox, and then
-// a bound run hears the round.
+// once; otherwise each node receives its per-port inbox.
 func (mv *messageVector) deliver(t int) {
-	in, sends, inbox, n := mv.in, mv.sends, mv.inbox, len(mv.nodes)
-	if mv.run != nil && !mv.received {
+	in, sends, inbox := mv.in, mv.sends, mv.inbox
+	if mv.run != nil {
 		mv.run.Hear(t, sends)
 		return
-	}
-	var recvArena []Message
-	if mv.received {
-		recvArena = make([]Message, n*(n-1))
 	}
 	if !in.canonical {
 		in.materialize() // a seeded wiring's tables, on first need
@@ -477,22 +448,9 @@ func (mv *messageVector) deliver(t int) {
 				inbox[p] = sends[u]
 			}
 		}
-		if mv.run == nil {
-			node.Receive(t, inbox)
-		}
-		if mv.received {
-			row := recvArena[v*(n-1) : (v+1)*(n-1) : (v+1)*(n-1)]
-			copy(row, inbox)
-			mv.transcripts[v].Received = append(mv.transcripts[v].Received, row)
-		}
-	}
-	if mv.run != nil {
-		mv.run.Hear(t, sends)
+		node.Receive(t, inbox)
 	}
 }
-
-// finish has nothing to attach: the vector writes transcripts in place.
-func (mv *messageVector) finish(*Result) {}
 
 // release drops the run's instance, nodes and transcripts and pools the
 // scratch.
@@ -642,16 +600,9 @@ func EstimateErrorContext(ctx context.Context, in *Instance, algo Algorithm, wan
 // SentTritLabels returns, for every vertex, the {0,1,⊥}-string it broadcast
 // over the run — the per-vertex sequences x, y used to define edge labels
 // and active edges in the KT-0 lower bound (Section 3). It errors if any
-// message is longer than one bit. Bit-plane runs derive the strings
-// directly from the packed trit arena.
+// message is longer than one bit.
 func SentTritLabels(res *Result) ([]string, error) {
 	labels := make([]string, len(res.Transcripts))
-	if res.trits != nil {
-		for v := range res.Transcripts {
-			labels[v] = res.trits.tritString(v)
-		}
-		return labels, nil
-	}
 	for v := range res.Transcripts {
 		s, err := TritString(res.Transcripts[v].Sent)
 		if err != nil {

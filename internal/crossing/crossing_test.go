@@ -2,6 +2,7 @@ package crossing
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -411,6 +412,47 @@ func TestDistinguishableWithoutMatchingLabels(t *testing.T) {
 	}
 	if hyp {
 		t.Error("distinct IDs should give distinct labels; hypothesis unexpectedly held")
+	}
+}
+
+// TestVerifyIndistinguishableComparesPorts checks that the per-port
+// received sequences decide on their own. idBitsAlgo's broadcasts
+// depend only on the vertex's own ID, so after crossing (0→1) and
+// (4→5) every view and every Sent sequence still agree, but vertex 0
+// now hears vertex 5's ID on the port that led to vertex 1.
+func TestVerifyIndistinguishableComparesPorts(t *testing.T) {
+	const n, rounds = 8, 3
+	in := cycleInstance(t, n, bcc.RotationWiring(n))
+	crossed, err := Cross(in, DirectedEdge{0, 1}, DirectedEdge{4, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	algo := idBitsAlgo{rounds: rounds}
+	r1, err := bcc.Run(in, algo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := bcc.Run(crossed, algo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < n; v++ {
+		if !in.View(v).Equal(crossed.View(v)) {
+			t.Fatalf("vertex %d: view changed by the crossing", v)
+		}
+		if !slices.Equal(r1.Transcripts[v].Sent, r2.Transcripts[v].Sent) {
+			t.Fatalf("vertex %d: Sent sequence changed by the crossing", v)
+		}
+	}
+	if p := in.PortOf(0, 1); crossed.NeighborAt(0, p) != 5 {
+		t.Fatalf("port %d of vertex 0 leads to %d after the crossing, want 5", p, crossed.NeighborAt(0, p))
+	}
+	same, err := VerifyIndistinguishable(in, crossed, algo, rounds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same {
+		t.Error("vertex 0 hears a different ID on its crossed port, yet the runs were reported indistinguishable")
 	}
 }
 

@@ -267,10 +267,10 @@ func compareResults(t *testing.T, label string, want, got *bcc.Result) {
 }
 
 // TestReplicaParallelMatchesSequential is the tentpole pin: for every
-// protocol, family, ID assignment, size, and truncation point, the
-// per-port inbox and generic (plane-off) delivery flavors produce
-// results identical to the default run (the bit plane for 1-bit
-// protocols, where flood-b1's run writes its own plane words).
+// protocol, family, ID assignment, size, and truncation point, a run
+// the bit plane serves (every 1-bit protocol's run writes its own plane
+// words) produces results identical to the same run on the generic
+// Message vector (WithoutBitPlane).
 func TestReplicaParallelMatchesSequential(t *testing.T) {
 	for _, pc := range protoCases() {
 		pc := pc
@@ -297,13 +297,6 @@ func TestReplicaParallelMatchesSequential(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s: %v", label, err)
 							}
-							// Per-port inbox delivery (received transcripts
-							// force the classic Receive path).
-							recv, err := bcc.Run(in, algo, bcc.WithRounds(rounds), bcc.WithReceivedTranscripts())
-							if err != nil {
-								t.Fatalf("%s inbox: %v", label, err)
-							}
-							compareResults(t, label+" inbox", seq, recv)
 							// Generic loop with the bit plane disabled.
 							if seq.BitPlane {
 								gen, err := bcc.Run(in, algo, bcc.WithRounds(rounds), bcc.WithoutBitPlane())
