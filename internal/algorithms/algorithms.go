@@ -100,7 +100,7 @@ type componentOutputs struct {
 // enters one neighbour claim, seal labels every rank with its
 // component's smallest rank, and outputs answers for one rank.
 type partition struct {
-	comp  dsu.Compact
+	comp  dsu.DSU
 	least []int32 // rank → smallest rank in its component, once sealed
 }
 
@@ -116,27 +116,10 @@ func (p *partition) claim(v, u int) {
 	}
 }
 
-// seal labels every rank with the smallest rank in its component.
-// Ascending rank order is ascending ID order, so the first member to
-// reach a root carries the component's smallest ID.
-func (p *partition) seal() {
-	n := p.comp.Len()
-	if cap(p.least) < n {
-		p.least = make([]int32, n)
-	}
-	p.least = p.least[:n]
-	for v := range p.least {
-		p.least[v] = -1
-	}
-	for v := 0; v < n; v++ {
-		if root := p.comp.Find(v); p.least[root] == -1 {
-			p.least[root] = int32(v)
-		}
-	}
-	for v := 0; v < n; v++ {
-		p.least[v] = p.least[p.comp.Find(v)]
-	}
-}
+// seal labels every rank with the smallest rank in its component;
+// ascending rank order is ascending ID order, so that rank carries the
+// component's smallest ID.
+func (p *partition) seal() { p.least = p.comp.Least(p.least) }
 
 // outputs answers for the vertex at rank self of ix from the sealed
 // partition.

@@ -68,18 +68,8 @@ func (a *Boruvka) BindRun(in *bcc.Instance, _ int) bcc.BoundRun {
 	if ids := in.SortedIDs(); ids != nil {
 		nn := len(ids)
 		r.ix = newIndexer(ids)
-		if r.comp == nil {
-			r.comp = dsu.NewCompact(nn)
-		} else {
-			r.comp.Reset(nn)
-		}
-		if cap(r.labels) < nn {
-			r.labels = make([]int32, nn)
-		}
-		r.labels = r.labels[:nn]
-		for v := range r.labels {
-			r.labels[v] = int32(v) // singleton components label themselves
-		}
+		r.comp.Reset(nn)
+		r.labels = r.comp.Least(r.labels) // singletons label themselves
 		if cap(r.nodes) < nn {
 			r.nodes = make([]boruvkaNode, nn)
 		}
@@ -102,7 +92,7 @@ func (a *Boruvka) BindRun(in *bcc.Instance, _ int) bcc.BoundRun {
 type boruvkaRun struct {
 	*Boruvka
 	ix         *indexer
-	comp       *dsu.Compact
+	comp       dsu.DSU
 	labels     []int32
 	labelDirty bool
 	nodes      []boruvkaNode // residue arena handed out by NewNode
@@ -156,11 +146,8 @@ func (a *Boruvka) NewNode(view bcc.View, coin *bcc.Coin) bcc.Node {
 	if view.Knowledge == bcc.KT1 && view.AllIDs != nil {
 		nn := len(view.AllIDs)
 		r.ix = newIndexer(view.AllIDs)
-		r.comp = dsu.NewCompact(nn)
-		r.labels = make([]int32, nn)
-		for v := range r.labels {
-			r.labels[v] = int32(v)
-		}
+		r.comp.Reset(nn)
+		r.labels = r.comp.Least(nil)
 	}
 	return r.NewNode(view, coin)
 }
@@ -190,24 +177,12 @@ func (r *boruvkaRun) apply(bits uint64) {
 
 // endApply refreshes labels if any merge landed, so the next Send phase
 // (and the final Label pass) reads current labels without consulting
-// the union-find. Ascending v: the first member to reach a root is the
-// minimum, one O(n·α) pass instead of an O(n) scan per label query.
+// the union-find: one O(n·α) pass instead of an O(n) scan per label
+// query.
 func (r *boruvkaRun) endApply() {
-	if !r.labelDirty {
-		return
-	}
-	r.labelDirty = false
-	nn := r.ix.n()
-	for v := 0; v < nn; v++ {
-		r.labels[v] = -1
-	}
-	for v := 0; v < nn; v++ {
-		if root := r.comp.Find(v); r.labels[root] == -1 {
-			r.labels[root] = int32(v)
-		}
-	}
-	for v := 0; v < nn; v++ {
-		r.labels[v] = r.labels[r.comp.Find(v)]
+	if r.labelDirty {
+		r.labelDirty = false
+		r.labels = r.comp.Least(r.labels)
 	}
 }
 

@@ -1,32 +1,30 @@
 // Package dsu implements a disjoint-set union (union-find) structure with
-// union by rank and path halving.
+// union by size and path halving, packed into one int32 array.
 //
 // It is the shared substrate for connected-component labelling in the graph
 // package, for computing joins of set partitions (the lattice operation
-// P_A ∨ P_B at the heart of the paper's KT-1 reductions), and for the
-// Borůvka-style component-merge algorithm in the algorithm library.
+// P_A ∨ P_B at the heart of the paper's KT-1 reductions), for the family
+// package's arboricity check, and for the component outputs of the
+// algorithm library's connectivity protocols, the Borůvka-style merge and
+// the sketch among them.
 package dsu
 
-import "sort"
-
-// DSU is a disjoint-set union over the elements 0..n-1.
-// The zero value is an empty structure; use New to create a usable one.
+// DSU is a disjoint-set union over the elements 0..n-1, packed into a
+// single int32 array: parent[x] ≥ 0 is a parent pointer, parent[x] < 0
+// marks a root whose set has −parent[x] elements. Union by size plus
+// path halving keeps operations effectively constant at 4 bytes per
+// element. The zero value is an empty structure; Reset sizes it, so it
+// can be embedded by value and reused.
 type DSU struct {
-	parent []int
-	rank   []byte
+	parent []int32
 	sets   int
 }
 
-// New returns a DSU with n singleton sets {0}, {1}, ..., {n-1}.
+// New returns a DSU with n singleton sets {0}, {1}, ..., {n-1}. n must
+// fit in an int32 (the simulator's instance sizes are far below that).
 func New(n int) *DSU {
-	d := &DSU{
-		parent: make([]int, n),
-		rank:   make([]byte, n),
-		sets:   n,
-	}
-	for i := range d.parent {
-		d.parent[i] = i
-	}
+	d := new(DSU)
+	d.Reset(n)
 	return d
 }
 
@@ -36,30 +34,33 @@ func (d *DSU) Len() int { return len(d.parent) }
 // Sets returns the current number of disjoint sets.
 func (d *DSU) Sets() int { return d.sets }
 
-// Find returns the canonical representative of x's set.
-// It uses path halving, so amortized cost is effectively constant.
+// Find returns the canonical representative of x's set, halving the
+// path as it walks.
 func (d *DSU) Find(x int) int {
-	for d.parent[x] != x {
-		d.parent[x] = d.parent[d.parent[x]]
-		x = d.parent[x]
+	for d.parent[x] >= 0 {
+		p := d.parent[x]
+		if d.parent[p] >= 0 {
+			d.parent[x] = d.parent[p]
+		}
+		x = int(p)
 	}
 	return x
 }
 
-// Union merges the sets containing x and y.
-// It reports whether a merge happened (false if they were already joined).
+// Union merges the sets containing x and y and reports whether a merge
+// happened (false if they were already joined).
 func (d *DSU) Union(x, y int) bool {
 	rx, ry := d.Find(x), d.Find(y)
 	if rx == ry {
 		return false
 	}
-	if d.rank[rx] < d.rank[ry] {
+	// parent values at roots are negated sizes: the more negative root
+	// is the larger set and absorbs the other.
+	if d.parent[rx] > d.parent[ry] {
 		rx, ry = ry, rx
 	}
-	d.parent[ry] = rx
-	if d.rank[rx] == d.rank[ry] {
-		d.rank[rx]++
-	}
+	d.parent[rx] += d.parent[ry]
+	d.parent[ry] = int32(rx)
 	d.sets--
 	return true
 }
@@ -67,51 +68,55 @@ func (d *DSU) Union(x, y int) bool {
 // Same reports whether x and y are in the same set.
 func (d *DSU) Same(x, y int) bool { return d.Find(x) == d.Find(y) }
 
-// Labels returns a slice l with l[x] = canonical representative of x's set.
-// Representatives are the minimum element of each set, so labels are stable
-// under element order and suitable for canonical encodings.
-func (d *DSU) Labels() []int {
+// Least writes into dst the smallest member of each element's set
+// (dst[x] = min of x's set) and returns it, reusing dst when its
+// capacity suffices. The smallest member does not depend on the order
+// of the unions, so the labels are canonical.
+func (d *DSU) Least(dst []int32) []int32 {
 	n := len(d.parent)
-	minOf := make(map[int]int, d.sets)
+	if cap(dst) < n {
+		dst = make([]int32, n)
+	}
+	dst = dst[:n]
+	for x := range dst {
+		dst[x] = -1
+	}
+	// Ascending x: the first member to reach a root is its set's minimum.
 	for x := 0; x < n; x++ {
-		r := d.Find(x)
-		if m, ok := minOf[r]; !ok || x < m {
-			minOf[r] = x
+		if r := d.Find(x); dst[r] == -1 {
+			dst[r] = int32(x)
 		}
 	}
-	labels := make([]int, n)
 	for x := 0; x < n; x++ {
-		labels[x] = minOf[d.Find(x)]
+		dst[x] = dst[d.Find(x)]
 	}
-	return labels
+	return dst
 }
 
-// Groups returns the sets as slices of sorted elements, ordered by their
-// minimum element.
-func (d *DSU) Groups() [][]int {
-	n := len(d.parent)
-	byRoot := make(map[int][]int, d.sets)
-	for x := 0; x < n; x++ {
-		r := d.Find(x)
-		byRoot[r] = append(byRoot[r], x)
+// Reset reinitializes the structure to n singleton sets, reusing the
+// parent array when it is large enough, so a pooled run keeps one DSU
+// across runs.
+func (d *DSU) Reset(n int) {
+	if cap(d.parent) < n {
+		d.parent = make([]int32, n)
 	}
-	groups := make([][]int, 0, len(byRoot))
-	for _, g := range byRoot {
-		groups = append(groups, g)
-	}
-	// Order groups by minimum element; each group is already sorted
-	// because elements were appended in increasing order of x, and the
-	// minimum elements are distinct across groups, so the order is
-	// total and independent of map iteration.
-	sort.Slice(groups, func(i, j int) bool { return groups[i][0] < groups[j][0] })
-	return groups
-}
-
-// Reset returns the structure to n singleton sets without reallocating.
-func (d *DSU) Reset() {
+	d.parent = d.parent[:n]
 	for i := range d.parent {
-		d.parent[i] = i
-		d.rank[i] = 0
+		d.parent[i] = -1
 	}
-	d.sets = len(d.parent)
+	d.sets = n
+}
+
+// CopyFrom makes d an independent copy of src (same partition, same
+// internal paths), reusing d's parent array when possible. Truncated
+// bit-plane runs use it to refine a shared partition with per-replica
+// edges without mutating the shared copy.
+func (d *DSU) CopyFrom(src *DSU) {
+	n := len(src.parent)
+	if cap(d.parent) < n {
+		d.parent = make([]int32, n)
+	}
+	d.parent = d.parent[:n]
+	copy(d.parent, src.parent)
+	d.sets = src.sets
 }

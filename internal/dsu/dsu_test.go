@@ -2,6 +2,7 @@ package dsu
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -92,33 +93,21 @@ func TestLabelsAreMinima(t *testing.T) {
 	d.Union(3, 5)
 	d.Union(1, 2)
 	d.Union(2, 5) // now {1,2,3,5}, {0}, {4}
-	want := []int{0, 1, 1, 1, 4, 1}
-	got := d.Labels()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Labels()[%d] = %d, want %d", i, got[i], want[i])
-		}
+	want := []int32{0, 1, 1, 1, 4, 1}
+	got := d.Least(nil)
+	if !slices.Equal(got, want) {
+		t.Fatalf("Least(nil) = %v, want %v", got, want)
 	}
-}
-
-func TestGroups(t *testing.T) {
-	d := New(5)
-	d.Union(4, 2)
-	d.Union(0, 3)
-	groups := d.Groups()
-	want := [][]int{{0, 3}, {1}, {2, 4}}
-	if len(groups) != len(want) {
-		t.Fatalf("len(Groups()) = %d, want %d", len(groups), len(want))
+	// A pooled run hands back its last, dirty slice, with more capacity
+	// than the universe needs: Least must reuse it and overwrite every
+	// entry.
+	dirty := []int32{9, 9, 9, 9, 9, 9, 9, 9, 9, 9}
+	got = d.Least(dirty[:2])
+	if !slices.Equal(got, want) {
+		t.Fatalf("Least(dirty) = %v, want %v", got, want)
 	}
-	for i := range want {
-		if len(groups[i]) != len(want[i]) {
-			t.Fatalf("group %d = %v, want %v", i, groups[i], want[i])
-		}
-		for j := range want[i] {
-			if groups[i][j] != want[i][j] {
-				t.Errorf("group %d = %v, want %v", i, groups[i], want[i])
-			}
-		}
+	if &got[0] != &dirty[0] {
+		t.Error("Least(dirty) allocated although dirty had room")
 	}
 }
 
@@ -126,17 +115,44 @@ func TestReset(t *testing.T) {
 	d := New(4)
 	d.Union(0, 1)
 	d.Union(2, 3)
-	d.Reset()
-	if got := d.Sets(); got != 4 {
-		t.Fatalf("Sets() after Reset = %d, want 4", got)
+	for _, n := range []int{4, 2, 6} {
+		d.Reset(n)
+		if d.Len() != n || d.Sets() != n {
+			t.Fatalf("after Reset(%d): Len() = %d, Sets() = %d", n, d.Len(), d.Sets())
+		}
+		if d.Same(0, 1) {
+			t.Fatalf("Same(0,1) after Reset(%d) = true, want false", n)
+		}
+		d.Union(0, 1)
 	}
-	if d.Same(0, 1) {
-		t.Error("Same(0,1) after Reset = true, want false")
+}
+
+// TestCompactSizes pins the negated-size root encoding: unioning a
+// chain keeps Sets consistent and every element finds the same root.
+func TestCompactSizes(t *testing.T) {
+	const n = 64
+	d := New(n)
+	for i := 1; i < n; i++ {
+		if !d.Union(0, i) {
+			t.Fatalf("Union(0,%d) reported no merge", i)
+		}
+		if d.Union(0, i) {
+			t.Fatalf("repeated Union(0,%d) reported a merge", i)
+		}
+	}
+	if d.Sets() != 1 {
+		t.Fatalf("Sets() = %d after chaining all elements", d.Sets())
+	}
+	root := d.Find(0)
+	for i := 0; i < n; i++ {
+		if d.Find(i) != root {
+			t.Fatalf("Find(%d) = %d, want %d", i, d.Find(i), root)
+		}
 	}
 }
 
 // TestAgainstNaive compares DSU against a naive quadratic labelling under
-// random union sequences.
+// random union sequences: Same, Sets and Least must all agree with it.
 func TestAgainstNaive(t *testing.T) {
 	const n = 40
 	f := func(seed int64) bool {
@@ -165,10 +181,20 @@ func TestAgainstNaive(t *testing.T) {
 				}
 			}
 		}
-		// Set count must agree too.
+		// Set count and smallest members must agree too.
 		distinct := make(map[int]bool)
-		for _, l := range naive {
+		least := d.Least(nil)
+		for i, l := range naive {
 			distinct[l] = true
+			lo := i
+			for j := range naive {
+				if naive[j] == l && j < lo {
+					lo = j
+				}
+			}
+			if int(least[i]) != lo {
+				return false
+			}
 		}
 		return d.Sets() == len(distinct)
 	}

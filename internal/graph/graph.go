@@ -277,7 +277,14 @@ func (g *Graph) Components() *dsu.DSU {
 }
 
 // ComponentLabels returns l with l[v] = minimum vertex in v's component.
-func (g *Graph) ComponentLabels() []int { return g.Components().Labels() }
+func (g *Graph) ComponentLabels() []int {
+	least := g.Components().Least(nil)
+	labels := make([]int, len(least))
+	for v, l := range least {
+		labels[v] = int(l)
+	}
+	return labels
+}
 
 // NumComponents returns the number of connected components.
 func (g *Graph) NumComponents() int { return g.Components().Sets() }

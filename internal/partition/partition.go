@@ -210,7 +210,11 @@ func (p Partition) Join(q Partition) (Partition, error) {
 			firstQ[l] = e
 		}
 	}
-	return FromLabels(d.Labels()), nil
+	labels := make([]int, p.N())
+	for e, l := range d.Least(nil) {
+		labels[e] = int(l)
+	}
+	return FromLabels(labels), nil
 }
 
 // Meet returns the meet P ∧ Q: the coarsest common refinement (elements

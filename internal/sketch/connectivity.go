@@ -102,11 +102,7 @@ func (c *Connectivity) BindRun(in *bcc.Instance, _ int) bcc.BoundRun {
 	}
 	n := len(ids)
 	r.universe = ids
-	if r.comp == nil {
-		r.comp = dsu.NewCompact(n)
-	} else {
-		r.comp.Reset(n)
-	}
+	r.comp.Reset(n)
 	if cap(r.retired) < n {
 		r.retired = make([]bool, n)
 		r.rows = make([][]uint64, n)
@@ -153,7 +149,7 @@ type sketchRun struct {
 	rows         [][]uint64
 	retired      []bool // by universe rank
 	retiredCount int
-	comp         *dsu.Compact
+	comp         dsu.DSU
 	nodes        []sketchNode
 	nextNode     int
 	nbrs         []int // live-neighbour arena (IDs, filtered in place per node)
@@ -235,27 +231,11 @@ func (r *sketchRun) Hear(round int, _ []bcc.Message) {
 
 // finishLabels computes per-rank component labels once (sequential
 // output epilogue): ascending rank order is ascending ID order, so the
-// first member to reach a root carries the component's smallest ID.
+// smallest rank in a component carries its smallest ID.
 func (r *sketchRun) finishLabels() {
-	if r.labelsDone {
-		return
-	}
-	r.labelsDone = true
-	n := len(r.universe)
-	if cap(r.minRank) < n {
-		r.minRank = make([]int32, n)
-	}
-	r.minRank = r.minRank[:n]
-	for v := range r.minRank {
-		r.minRank[v] = -1
-	}
-	for v := 0; v < n; v++ {
-		if root := r.comp.Find(v); r.minRank[root] == -1 {
-			r.minRank[root] = int32(v)
-		}
-	}
-	for v := 0; v < n; v++ {
-		r.minRank[v] = r.minRank[r.comp.Find(v)]
+	if !r.labelsDone {
+		r.labelsDone = true
+		r.minRank = r.comp.Least(r.minRank)
 	}
 }
 
@@ -313,17 +293,6 @@ type sketchNode struct {
 }
 
 func (n *sketchNode) sketchLen() int { return 2*(4*n.a) + 1 }
-
-// rankOf returns id's index in the sorted universe (private mode). A
-// binary search keeps per-node memory O(n) ints — a per-node hash map
-// at n = 4096 costs ~50 bytes per entry across 4096 replicas.
-func (n *sketchNode) rankOf(id int) (int, bool) {
-	i := sort.SearchInts(n.universe, id)
-	if i < len(n.universe) && n.universe[i] == id {
-		return i, true
-	}
-	return 0, false
-}
 
 func (n *sketchNode) Send(round int) bcc.Message {
 	if n.broken {
@@ -418,8 +387,8 @@ func (n *sketchNode) endPhase() {
 		retirements = append(retirements, retirement{sender: n.view.PortID(p), nbrs: nbrs})
 	}
 	for _, r := range retirements {
-		sr, ok := n.rankOf(r.sender)
-		if !ok {
+		sr := rankIn(n.universe, r.sender)
+		if sr < 0 {
 			continue
 		}
 		n.retired[sr] = true
@@ -427,17 +396,15 @@ func (n *sketchNode) endPhase() {
 			n.selfRetired = true
 		}
 		for _, w := range r.nbrs {
-			wr, ok := n.rankOf(w)
-			if !ok {
-				continue
+			if wr := rankIn(n.universe, w); wr >= 0 {
+				n.comp.Union(sr, wr)
 			}
-			n.comp.Union(sr, wr)
 		}
 	}
 	// Drop retired neighbours from the live set.
 	live := n.liveNbrs[:0]
 	for _, w := range n.liveNbrs {
-		if wr, ok := n.rankOf(w); ok && !n.retired[wr] {
+		if wr := rankIn(n.universe, w); wr >= 0 && !n.retired[wr] {
 			live = append(live, w)
 		}
 	}
@@ -485,14 +452,7 @@ func (n *sketchNode) Label() int {
 		r.finishLabels()
 		return r.universe[r.minRank[n.selfRank]]
 	}
-	self, _ := n.rankOf(n.id)
-	minID := n.id
-	for i, id := range n.universe {
-		if n.comp.Same(self, i) && id < minID {
-			minID = id
-		}
-	}
-	return minID
+	return n.universe[n.comp.Least(nil)[rankIn(n.universe, n.id)]]
 }
 
 var (
