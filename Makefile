@@ -92,9 +92,11 @@ bench-scale:
 # profile, and a small flood ladder through the grid scheduler
 # (BENCH_bitplane.json). benchtime 5x: the generic oracle is the
 # before number (~15 ms per op on a 2-CPU box, the group's slowest
-# entry).
+# entry). The group runs at -cpu 1, as the Memory group does: at 2
+# CPUs a run's pooled takes miss sync.Pool's per-P caches at random,
+# and the group's B/op is bimodal between identical runs.
 bench-bitplane:
-	$(GO) test -bench 'BenchmarkBitplane' -benchmem -benchtime 5x -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Bitplane' -out BENCH_bitplane.json
+	$(GO) test -bench 'BenchmarkBitplane' -benchmem -benchtime 5x -cpu 1 -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Bitplane' -out BENCH_bitplane.json
 
 # Record the serving-armor baseline: admission queue, rate limiter,
 # per-request metrics recording, the /metrics scrape, and the job-table
@@ -107,8 +109,8 @@ bench-serving:
 # the numbers the shared-substrate split is accountable to — B/op is
 # machine-independent, so CI gates on it with -bytes. The group runs at
 # -cpu 1: with more Ps, a run's pooled takes can miss sync.Pool's per-P
-# caches at random (BitplaneFloodTwoCycle1024, measured at the default
-# -cpu, reads 174 or 234 KB/op from run to run on a 2-CPU box).
+# caches at random (BitplaneFloodTwoCycle1024, measured at 2 CPUs, read
+# 174 or 234 KB/op from run to run; at -cpu 1 it reads 128 KB/op).
 bench-memory:
 	$(GO) test -bench 'BenchmarkMemory' -benchmem -benchtime 2x -cpu 1 -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Memory' -out BENCH_memory.json
 
@@ -126,7 +128,7 @@ bench-compare:
 	$(GO) run ./cmd/benchjson -compare -tolerance 25 $(COMPARE_FLAGS) BENCH_sweeps.json /tmp/bench_sweeps_fresh.json
 	$(GO) test -bench 'BenchmarkScale' -benchmem -benchtime 20x -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Scale' -out /tmp/bench_scale_fresh.json
 	$(GO) run ./cmd/benchjson -compare -tolerance 25 $(COMPARE_FLAGS) BENCH_scale.json /tmp/bench_scale_fresh.json
-	$(GO) test -bench 'BenchmarkBitplane' -benchmem -benchtime 5x -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Bitplane' -out /tmp/bench_bitplane_fresh.json
+	$(GO) test -bench 'BenchmarkBitplane' -benchmem -benchtime 5x -cpu 1 -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Bitplane' -out /tmp/bench_bitplane_fresh.json
 	$(GO) run ./cmd/benchjson -compare -tolerance 25 $(COMPARE_FLAGS) BENCH_bitplane.json /tmp/bench_bitplane_fresh.json
 	$(GO) test -bench 'BenchmarkServing' -benchmem -benchtime 100x -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Serving' -out /tmp/bench_serving_fresh.json
 	$(GO) run ./cmd/benchjson -compare -tolerance 25 $(COMPARE_FLAGS) BENCH_serving.json /tmp/bench_serving_fresh.json

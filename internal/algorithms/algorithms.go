@@ -86,6 +86,16 @@ func (ix *indexer) rank(id int) int {
 
 func (ix *indexer) id(rank int) int { return ix.sorted[rank] }
 
+// portRanks fills the row ranks of a bare node's one-replica run: the
+// rank of the vertex behind each port of view, in port order, and then
+// the view's own.
+func portRanks(ranks []int32, ix *indexer, view bcc.View) {
+	for p := 0; p < view.NumPorts; p++ {
+		ranks[p] = int32(ix.rank(view.PortID(p)))
+	}
+	ranks[view.NumPorts] = int32(ix.rank(view.ID))
+}
+
 // componentOutputs are a vertex's decision and labelling outputs in
 // every full-reconstruction algorithm: the verdict is YES iff the
 // claimed graph is connected; the label of a vertex is the smallest ID

@@ -24,11 +24,10 @@ import (
 // collapse into one run-shared mirror (boruvkaRun): the run hears each
 // round once and applies its merges, and every replica's Send reads the
 // resulting label array. Per-replica residue shrinks to the vertex's
-// own rank and its input-neighbour ranks. Bare NewNode (no BindRun)
-// gives each node a private mirror that its own Receive advances, which
-// is exactly the old per-replica semantics — the form transcript
-// verification and the two-party reductions rely on when they feed a
-// single node forged broadcasts.
+// own rank and its input-neighbour ranks. A bare NewNode (no BindRun)
+// is a one-replica run that its node's own Receive advances — the form
+// transcript verification and the two-party reductions rely on when
+// they feed a single node forged broadcasts.
 type Boruvka struct {
 	// IDBits is the width used to encode IDs inside messages.
 	IDBits int
@@ -60,20 +59,18 @@ var boruvkaRunPool = sync.Pool{New: func() interface{} { return new(boruvkaRun) 
 func (a *Boruvka) BindRun(in *bcc.Instance, _ int) bcc.BoundRun {
 	r := boruvkaRunPool.Get().(*boruvkaRun)
 	r.Boruvka = a
-	r.pooled = true
 	r.labelDirty = false
 	r.nextNode = 0
-	r.nodes = r.nodes[:0]
+	if cap(r.nodes) < in.N() {
+		r.nodes = make([]boruvkaNode, in.N())
+	}
+	r.nodes = r.nodes[:in.N()]
 	r.nbrs = r.nbrs[:0]
 	if ids := in.SortedIDs(); ids != nil {
 		nn := len(ids)
 		r.ix = newIndexer(ids)
 		r.comp.Reset(nn)
 		r.labels = r.comp.Least(r.labels) // singletons label themselves
-		if cap(r.nodes) < nn {
-			r.nodes = make([]boruvkaNode, nn)
-		}
-		r.nodes = r.nodes[:nn]
 		if want := 2 * in.Input().M(); cap(r.nbrs) < want {
 			r.nbrs = make([]int32, 0, want)
 		}
@@ -87,8 +84,8 @@ func (a *Boruvka) BindRun(in *bcc.Instance, _ int) bcc.BoundRun {
 // frozen ID indexer and one union-find replica standing in for all n.
 // labels[v] is the rank of the smallest member of v's component, kept
 // current eagerly at the end of every apply, so Send reads labels and
-// never touches the union-find. A bare NewNode builds an unpooled
-// one-replica run.
+// never touches the union-find. A bare NewNode builds a one-replica
+// run.
 type boruvkaRun struct {
 	*Boruvka
 	ix         *indexer
@@ -98,21 +95,14 @@ type boruvkaRun struct {
 	nodes      []boruvkaNode // residue arena handed out by NewNode
 	nextNode   int
 	nbrs       []int32 // neighbour-rank arena backing every node's residue
-	pooled     bool
 }
 
-// NewNode implements bcc.Algorithm for both binding modes: pooled
-// arena-backed nodes under BindRun, heap nodes for private runs.
+// NewNode implements bcc.Algorithm on the bound run and on a bare
+// node's one-replica run: nodes come out of the run's arena.
 func (r *boruvkaRun) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
-	var node *boruvkaNode
-	if r.nextNode < len(r.nodes) {
-		node = &r.nodes[r.nextNode]
-		r.nextNode++
-		*node = boruvkaNode{}
-	} else {
-		node = &boruvkaNode{}
-	}
-	node.run = r
+	node := &r.nodes[r.nextNode]
+	r.nextNode++
+	*node = boruvkaNode{run: r}
 	if r.ix == nil || view.Knowledge != bcc.KT1 || view.AllIDs == nil || view.ID >= 1<<uint(r.IDBits) {
 		node.broken = true
 		return node
@@ -128,21 +118,24 @@ func (r *boruvkaRun) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
 
 // ReleaseRun implements bcc.BoundRun.
 func (r *boruvkaRun) ReleaseRun() {
-	if !r.pooled {
-		return
-	}
 	r.Boruvka = nil
 	r.ix = nil
 	boruvkaRunPool.Put(r)
 }
 
-// NewNode implements bcc.Algorithm on the bare (unbound) algorithm:
-// a private mirror per node, reproducing the classic one-replica-per-
-// vertex semantics for callers that drive nodes by hand (transcript
-// verification feeds a single node possibly-forged broadcasts; the
-// two-party reductions run their own round loop over bare nodes).
+// NewNode implements bcc.Algorithm on the bare (unbound) algorithm: a
+// one-replica run per node, for callers that drive nodes by hand
+// (transcript verification feeds a single node possibly-forged
+// broadcasts; the two-party reductions run their own round loop over
+// bare nodes).
 func (a *Boruvka) NewNode(view bcc.View, coin *bcc.Coin) bcc.Node {
-	r := &boruvkaRun{Boruvka: a}
+	bare := &struct {
+		run  boruvkaRun
+		node [1]boruvkaNode
+	}{}
+	r := &bare.run
+	r.Boruvka = a
+	r.nodes = bare.node[:]
 	if view.Knowledge == bcc.KT1 && view.AllIDs != nil {
 		nn := len(view.AllIDs)
 		r.ix = newIndexer(view.AllIDs)
@@ -224,8 +217,9 @@ func (n *boruvkaNode) Send(int) bcc.Message {
 	return bcc.Word(bits, 3*r.IDBits+1)
 }
 
-// Receive implements bcc.Node for a private replica; a bound run's
-// nodes hear nothing (the run hears for them).
+// Receive implements bcc.Node for a bare node, whose one-replica run
+// replays the inbox; a bound run's nodes hear nothing (the run hears
+// for them).
 func (n *boruvkaNode) Receive(_ int, inbox []bcc.Message) {
 	if n.broken {
 		return

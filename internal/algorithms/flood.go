@@ -20,7 +20,7 @@ import (
 // bound run writes each round's plane words itself from two rows
 // (SendBits, O(n/64) a round), so a run costs O(n²/64) word operations,
 // not n² per-vertex sends. The nodes' Send serves the Message-vector
-// oracle and bare replicas, and is the reference SendBits is tested
+// oracle and bare nodes, and is the reference SendBits is tested
 // against.
 //
 // That union-find is a pure function of the broadcast transcript, so
@@ -32,8 +32,8 @@ import (
 // whole row the shared partition is every non-broken replica's
 // partition; truncated runs refine a scratch copy with the replica's
 // own full row (the part of its knowledge the broadcasts never
-// delivered). Bare NewNode keeps the classic self-contained replica,
-// driven by hand through Send and Receive.
+// delivered). A bare NewNode, driven by hand through Send and Receive,
+// is a one-replica run whose rows are the node's ports.
 type Flood struct {
 	// B is the per-round bandwidth.
 	B int
@@ -69,7 +69,10 @@ func (a *Flood) BindRun(in *bcc.Instance, _ int) bcc.BoundRun {
 	r.finished = false
 	r.full = false
 	r.nextNode = 0
-	r.nodes = r.nodes[:0]
+	if cap(r.nodes) < in.N() {
+		r.nodes = make([]floodNode, in.N())
+	}
+	r.nodes = r.nodes[:in.N()]
 	if ids := in.SortedIDs(); ids != nil {
 		n := len(ids)
 		r.ix = newIndexer(ids)
@@ -82,10 +85,6 @@ func (a *Flood) BindRun(in *bcc.Instance, _ int) bcc.BoundRun {
 		for u := 0; u < n; u++ {
 			r.vertexRank[u] = int32(r.ix.rank(in.ID(u)))
 		}
-		if cap(r.nodes) < n {
-			r.nodes = make([]floodNode, n)
-		}
-		r.nodes = r.nodes[:n]
 		rowWords := (r.rowLen + 63) / 64
 		if cap(r.rowArena) < n*rowWords {
 			r.rowArena = make([]uint64, n*rowWords)
@@ -124,29 +123,29 @@ type floodRun struct {
 
 // NewNode implements bcc.Algorithm on the bound run.
 func (r *floodRun) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
-	var node *floodNode
-	vertex := r.nextNode
-	if vertex < len(r.nodes) {
-		node = &r.nodes[vertex]
-		r.nextNode++
-		*node = floodNode{}
-	} else {
-		node = &floodNode{}
-	}
-	node.run = r
-	node.b = r.B
+	v := r.nextNode
+	r.nextNode++
+	return r.newNode(v, v, view, func(p int) int { return r.in.NeighborAt(v, p) })
+}
+
+// newNode builds the i-th node of the arena, the replica ranked
+// vertexRank[row]: its adjacency row, which claims the ranks of the
+// rows behind its input ports (rowOf).
+func (r *floodRun) newNode(i, row int, view bcc.View, rowOf func(p int) int) *floodNode {
+	node := &r.nodes[i]
+	*node = floodNode{run: r}
 	if r.ix == nil || view.Knowledge != bcc.KT1 || view.AllIDs == nil {
 		node.broken = true
 		return node
 	}
-	node.self = int32(r.vertexRank[vertex])
-	node.rowLen = int32(r.rowLen)
-	node.rowBits = r.rowArena[vertex*r.rowWords : (vertex+1)*r.rowWords : (vertex+1)*r.rowWords]
+	node.self = r.vertexRank[row]
+	node.rowBits = r.rowArena[i*r.rowWords : (i+1)*r.rowWords : (i+1)*r.rowWords]
 	for _, p := range view.InputPorts {
-		nbr := int(r.vertexRank[r.in.NeighborAt(vertex, p)])
-		pos := nbr
-		if nbr > int(node.self) {
-			pos = nbr - 1
+		// Row position pos covers rank rowTarget(self, pos): the
+		// encoding skips our own rank.
+		pos := int(r.vertexRank[rowOf(p)])
+		if pos > int(node.self) {
+			pos--
 		}
 		node.rowBits[pos>>6] |= 1 << uint(pos&63)
 	}
@@ -165,8 +164,7 @@ func (r *floodRun) ReleaseRun() {
 // carries every speaker's round-t row segment, own entry included, and
 // the run transcribes it verbatim into the shared partition. Every
 // non-broken vertex follows the same schedule, so the segment base is
-// (t−1)·b for every speaker — exactly what the private path's per-port
-// got counters would read.
+// (t−1)·b for every speaker.
 func (r *floodRun) Hear(t int, sends []bcc.Message) {
 	base := (t - 1) * r.B
 	if r.ix == nil || base >= r.rowLen {
@@ -190,8 +188,7 @@ func (r *floodRun) Hear(t int, sends []bcc.Message) {
 // HearBits implements bcc.BitRun: 64 adjacency claims per word.
 // Every non-broken flood node speaks in exactly rounds 1..n−1, so in
 // round t every set value bit — own bits included — is a claim at row
-// position t−1 (the generic path's per-port got counters all read t−1
-// here; the equivalence suite pins this).
+// position t−1, as Hear places it (the equivalence suite pins this).
 func (r *floodRun) HearBits(round int, value, _ []uint64) {
 	pos := round - 1
 	if r.ix == nil || pos >= r.rowLen {
@@ -270,43 +267,31 @@ func (r *floodRun) finishShared() {
 	}
 }
 
-// NewNode implements bcc.Algorithm on the bare (unbound) algorithm: the
-// classic self-contained replica with its own partition, for callers
-// that drive nodes by hand.
+// NewNode implements bcc.Algorithm on the bare algorithm, for callers
+// that drive a node by hand: a one-replica run whose rows are the
+// node's ports, in port order, with the node's own rank after them.
+// Its own claims enter the run's partition here, since no row carries
+// its broadcasts.
 func (a *Flood) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
-	node := &floodNode{b: a.B}
-	if view.Knowledge != bcc.KT1 || view.AllIDs == nil {
-		node.broken = true
-		return node
+	bare := &struct {
+		run  floodRun
+		node [1]floodNode
+	}{}
+	r := &bare.run
+	r.Flood = a
+	r.nodes = bare.node[:]
+	if view.Knowledge == bcc.KT1 && view.AllIDs != nil {
+		n := view.NumPorts + 1
+		r.ix = newIndexer(view.AllIDs)
+		r.rowLen = n - 1
+		r.rowWords = (r.rowLen + 63) / 64
+		r.rowArena = make([]uint64, r.rowWords)
+		r.vertexRank = make([]int32, n)
+		portRanks(r.vertexRank, r.ix, view)
+		r.part.reset(n)
 	}
-	node.ix = newIndexer(view.AllIDs)
-	node.self = int32(node.ix.rank(view.ID))
-	nn := node.ix.n()
-	node.rowLen = int32(nn - 1)
-	node.rowBits = make([]uint64, (int(node.rowLen)+63)/64)
-	// Incrementally union every adjacency claim as its bit arrives
-	// instead of buffering heard rows: memory per node is O(n), not
-	// O(n²), and the final decision is a component count. Our own row's
-	// claims are entered up front.
-	node.part = new(partition)
-	node.part.reset(nn)
-	for _, p := range view.InputPorts {
-		nbr := node.ix.rank(view.PortID(p))
-		// row bit i covers sorted index rowTarget(self, i): the
-		// encoding skips our own index.
-		pos := nbr
-		if nbr > int(node.self) {
-			pos = nbr - 1
-		}
-		node.rowBits[pos>>6] |= 1 << uint(pos&63)
-		node.part.claim(int(node.self), nbr)
-	}
-	// Per-port speaker ranks and bit counters for Receive.
-	node.portRank = make([]int32, view.NumPorts)
-	for p := range node.portRank {
-		node.portRank[p] = int32(node.ix.rank(view.PortID(p)))
-	}
-	node.got = make([]int32, view.NumPorts)
+	node := r.newNode(0, view.NumPorts, view, func(p int) int { return p })
+	node.claimRow(&r.part)
 	return node
 }
 
@@ -320,21 +305,12 @@ func rowTarget(speaker, pos int) int {
 	return pos + 1
 }
 
-// floodNode is one replica: rank, own adjacency row, and — in private
-// mode only — its own partition and per-port receive state.
+// floodNode is one replica: its rank and own adjacency row.
 type floodNode struct {
-	run     *floodRun // non-nil → run-shared mode
-	b       int
-	self    int32
-	rowLen  int32
+	run     *floodRun
 	rowBits []uint64 // own adjacency row over the n−1 encoded positions, LSB first
-
-	// Private-mode state.
-	ix       *indexer
-	part     *partition // every adjacency claim heard (plus our own)
-	portRank []int32
-	got      []int32 // got[p] = adjacency-row bits received on port p so far
-	broken   bool
+	self    int32
+	broken  bool
 }
 
 func (n *floodNode) rowBit(pos int) uint64 { return n.rowBits[pos>>6] >> uint(pos&63) & 1 }
@@ -343,71 +319,53 @@ func (n *floodNode) Send(round int) bcc.Message {
 	if n.broken {
 		return bcc.Silence
 	}
-	start := (round - 1) * n.b
-	if start >= int(n.rowLen) {
+	r := n.run
+	start := (round - 1) * r.B
+	if start >= r.rowLen {
 		return bcc.Silence
 	}
 	var payload uint64
 	length := 0
-	for i := start; i < int(n.rowLen) && length < n.b; i++ {
+	for i := start; i < r.rowLen && length < r.B; i++ {
 		payload |= n.rowBit(i) << uint(length)
 		length++
 	}
 	return bcc.Word(payload, length)
 }
 
-// Receive implements bcc.Node for a private replica; a bound run's
-// nodes hear nothing (the run hears for them).
-func (n *floodNode) Receive(_ int, inbox []bcc.Message) {
-	if n.broken {
-		return
-	}
-	rowLen := n.rowLen
-	for p, m := range inbox {
-		if m.Len == 0 {
-			continue
+// Receive implements bcc.Node for a bare node, whose run hears the
+// inbox in its port rows; a bound run's nodes hear nothing (the run
+// hears for them).
+func (n *floodNode) Receive(round int, inbox []bcc.Message) { n.run.Hear(round, inbox) }
+
+// claimRow enters the replica's own adjacency row into p.
+func (n *floodNode) claimRow(p *partition) {
+	for wi, w := range n.rowBits {
+		for w != 0 {
+			pos := wi<<6 + bits.TrailingZeros64(w)
+			w &= w - 1
+			p.claim(int(n.self), rowTarget(int(n.self), pos))
 		}
-		speaker := int(n.portRank[p])
-		base := n.got[p]
-		for i := 0; i < int(m.Len); i++ {
-			pos := base + int32(i)
-			if pos >= rowLen {
-				break // trailing bits beyond the row encoding carry nothing
-			}
-			if m.BitAt(i) == 1 {
-				n.part.claim(speaker, rowTarget(speaker, int(pos)))
-			}
-		}
-		n.got[p] = base + int32(m.Len)
 	}
 }
 
-// outputs decides from this replica's partition: its own in private
-// mode; the shared one on a full-coverage bound run; a scratch
-// refinement (shared claims plus the replica's own full row) on a
-// truncated bound run. Callers are sequential.
+// outputs decides from the shared partition on a full-coverage run, and
+// on a truncated run from a scratch refinement: the shared claims plus
+// the replica's own full row. Callers are sequential.
 func (n *floodNode) outputs() componentOutputs {
 	if n.broken {
 		return componentOutputs{verdict: bcc.VerdictNo, label: -1}
 	}
-	p, ix := n.part, n.ix
-	if r := n.run; r != nil {
-		r.finishShared()
-		if r.full {
-			return r.part.outputs(r.ix, int(n.self))
-		}
-		p, ix = &r.scratch, r.ix
-		p.comp.CopyFrom(&r.part.comp)
-		for wi, w := range n.rowBits {
-			for w != 0 {
-				pos := wi<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
-				p.claim(int(n.self), rowTarget(int(n.self), pos))
-			}
-		}
+	r := n.run
+	r.finishShared()
+	if r.full {
+		return r.part.outputs(r.ix, int(n.self))
 	}
+	p := &r.scratch
+	p.comp.CopyFrom(&r.part.comp)
+	n.claimRow(p)
 	p.seal()
-	return p.outputs(ix, int(n.self))
+	return p.outputs(r.ix, int(n.self))
 }
 
 // Decide implements bcc.Decider.

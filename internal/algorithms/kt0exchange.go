@@ -39,10 +39,10 @@ import (
 // each round's words itself (SendBits): the round's phase, slot and bit
 // are worked out once, and one pass over the node arena reads every
 // live vertex's bit from its own ID or from the uid of its slot's input
-// neighbour. Bare NewNode keeps
-// the old self-contained per-node accumulation for callers that drive
-// nodes by hand through Send and Receive, and the nodes' Send is the
-// reference SendBits is tested against.
+// neighbour. A bare NewNode, driven by hand through Send and Receive,
+// is a one-replica run whose rows are the node's ports and its own
+// announcements, and the nodes' Send is the reference SendBits is
+// tested against.
 type KT0Exchange struct {
 	// MaxDegree is the degree bound the schedule is provisioned for.
 	MaxDegree int
@@ -174,25 +174,23 @@ type kt0Run struct {
 // constructs nodes in vertex order), which is what ties each replica to
 // its column of the shared mirror.
 func (r *kt0Run) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
-	var node *kt0Node
-	if r.nextNode < len(r.nodes) {
-		node = &r.nodes[r.nextNode]
-		*node = kt0Node{self: int32(r.nextNode)}
-		r.nextNode++
-	} else {
-		node = &kt0Node{}
-	}
-	node.run = r
-	node.id = view.ID
-	node.idBits = r.IDBits
-	node.maxDegree = r.MaxDegree
+	v := r.nextNode
+	r.nextNode++
+	return r.newNode(v, v, view, func(p int) int { return r.in.NeighborAt(v, p) })
+}
+
+// newNode builds the i-th node of the arena, the replica whose own row
+// is row; the rows behind its input ports (rowOf) fill its slots.
+func (r *kt0Run) newNode(i, row int, view bcc.View, rowOf func(p int) int) *kt0Node {
+	node := &r.nodes[i]
+	*node = kt0Node{run: r, id: view.ID, self: int32(row)}
 	if view.ID < 0 || view.ID >= 1<<uint(r.IDBits) || len(view.InputPorts) > r.MaxDegree {
 		node.broken = true
 		return node
 	}
 	start := len(r.nbrs)
 	for _, p := range view.InputPorts {
-		r.nbrs = append(r.nbrs, int32(r.in.NeighborAt(int(node.self), p)))
+		r.nbrs = append(r.nbrs, int32(rowOf(p)))
 	}
 	node.nbrOfSlot = r.nbrs[start:len(r.nbrs):len(r.nbrs)]
 	return node
@@ -305,77 +303,43 @@ func (r *kt0Run) finishShared() {
 	r.full = true
 }
 
-// NewNode implements bcc.Algorithm on the bare (unbound) algorithm: the
-// classic self-contained node that accumulates its own per-port stream
-// tables, for callers that drive nodes by hand.
+// NewNode implements bcc.Algorithm on the bare algorithm, for callers
+// that drive a node by hand: a one-replica run whose rows are the
+// node's ports, in port order, and then its own, so the s-th slot is
+// the s-th input port.
 func (a *KT0Exchange) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
-	node := &kt0Node{
-		id:         view.ID,
-		idBits:     a.IDBits,
-		maxDegree:  a.MaxDegree,
-		inputPorts: append([]int(nil), view.InputPorts...),
-		portID:     make([]uint64, view.NumPorts),
-		phase2:     make([]uint64, view.NumPorts*streamWords(a.MaxDegree, a.IDBits)),
-	}
-	if view.ID < 0 || view.ID >= 1<<uint(a.IDBits) {
-		node.broken = true
-	}
-	if len(view.InputPorts) > a.MaxDegree {
-		node.broken = true
-	}
-	return node
+	bare := &struct {
+		run  kt0Run
+		node [1]kt0Node
+	}{}
+	r := &bare.run
+	n := view.NumPorts + 1
+	r.KT0Exchange = a
+	r.nodes = bare.node[:]
+	r.words = streamWords(a.MaxDegree, a.IDBits)
+	mirror := make([]uint64, n*(1+r.words))
+	r.uid, r.stream = mirror[:n:n], mirror[n:]
+	r.nbrs = make([]int32, 0, len(view.InputPorts))
+	return r.newNode(0, view.NumPorts, view, func(p int) int { return p })
 }
 
-// kt0Node is one replica. In run-shared mode (run != nil) its residue
-// is the vertex index and the input-neighbour slot table; in private
-// mode it carries the classic per-port uid/stream tables.
+// kt0Node is one replica: its ID, its row in the run's mirror, and the
+// rows behind its input slots.
 type kt0Node struct {
-	run        *kt0Run
-	id         int
-	idBits     int
-	maxDegree  int
-	inputPorts []int    // private mode
-	portID     []uint64 // private mode: phase-1 ID heard on each port
-	phase2     []uint64 // private mode: phase-2 stream heard on each port, port-major
-	rounds     int      // private mode
-	self       int32    // shared mode: vertex index
-	nbrOfSlot  []int32  // shared mode: vertex behind the s-th input port
-	broken     bool
-}
-
-// heardID returns the phase-1 announcement of the vertex behind input
-// slot s.
-func (n *kt0Node) heardID(s int) uint64 {
-	if n.run != nil {
-		return n.run.uid[n.nbrOfSlot[s]]
-	}
-	return n.portID[n.inputPorts[s]]
+	run       *kt0Run
+	id        int
+	nbrOfSlot []int32 // row of the vertex behind the s-th input port
+	self      int32   // own row
+	broken    bool
 }
 
 // heard returns the phase-1 announcement and phase-2 stream of the i-th
-// of the n−1 other vertices: port i's in private mode, and in a bound
-// run the i-th vertex index other than self.
+// of the n−1 other rows.
 func (n *kt0Node) heard(i int) (uint64, []uint64) {
-	if r := n.run; r != nil {
-		if i >= int(n.self) {
-			i++
-		}
-		return r.uid[i], r.streamOf(i)
+	if i >= int(n.self) {
+		i++
 	}
-	return n.portID[i], n.portStream(i)
-}
-
-// portStream returns the phase-2 stream heard on port p (private mode).
-func (n *kt0Node) portStream(p int) []uint64 {
-	w := streamWords(n.maxDegree, n.idBits)
-	return n.phase2[p*w : (p+1)*w]
-}
-
-func (n *kt0Node) degree() int {
-	if n.run != nil {
-		return len(n.nbrOfSlot)
-	}
-	return len(n.inputPorts)
+	return n.run.uid[i], n.run.streamOf(i)
 }
 
 // Send is the round's broadcast: bit t−1 of the node's own ID in
@@ -385,59 +349,49 @@ func (n *kt0Node) Send(round int) bcc.Message {
 	if n.broken {
 		return bcc.Silence
 	}
-	if round <= n.idBits {
+	r := n.run
+	if round <= r.IDBits {
 		return bcc.Bit(uint8(n.id>>uint(round-1)) & 1)
 	}
-	r := round - n.idBits - 1
-	slot, bit := r/n.idBits, uint(r%n.idBits)
+	off := round - r.IDBits - 1
+	slot, bit := off/r.IDBits, uint(off%r.IDBits)
 	switch {
-	case slot >= n.maxDegree:
+	case slot >= r.MaxDegree:
 		return bcc.Silence
-	case slot < n.degree():
-		// Announce the ID learned on our slot-th input port.
-		return bcc.Bit(uint8(n.heardID(slot)>>bit) & 1)
+	case slot < len(n.nbrOfSlot):
+		// Announce the ID heard from our slot-th input neighbour.
+		return bcc.Bit(uint8(r.uid[n.nbrOfSlot[slot]]>>bit) & 1)
 	}
 	// Filler: our own ID ("no neighbour").
 	return bcc.Bit(uint8(n.id>>bit) & 1)
 }
 
-// Receive implements bcc.Node for a private replica; a bound run's
-// nodes hear nothing (the run hears for them).
+// Receive implements bcc.Node for a bare node: its run hears the inbox
+// in its port rows, then the node's own broadcast of the round in its
+// own row, which the inbox omits. A bound run's nodes hear nothing (the
+// run hears for them).
 func (n *kt0Node) Receive(round int, inbox []bcc.Message) {
-	if n.broken {
-		return
-	}
-	n.rounds = round
-	for p, m := range inbox {
-		if m.BitAt(0) != 0 {
-			record(&n.portID[p], n.portStream(p), n.idBits, round)
-		}
-	}
+	n.run.Hear(round, inbox)
+	n.run.accumulate(int(n.self), n.Send(round).BitAt(0), round)
 }
 
-// outputs decides from the shared partition on a complete bound run;
-// otherwise from the replica's own universe and claims, rebuilt in a
-// fresh partition (the run's scratch one in a bound run). Callers are
-// sequential.
+// outputs decides from the shared partition on a complete run;
+// otherwise from the replica's own universe and claims, rebuilt in the
+// run's scratch partition. Callers are sequential.
 func (n *kt0Node) outputs() componentOutputs {
 	if n.broken {
 		return componentOutputs{verdict: bcc.VerdictNo, label: -1}
 	}
-	var p *partition
-	others, rounds := len(n.portID), n.rounds
-	if r := n.run; r != nil {
-		r.finishShared()
-		if r.full {
-			// Complete schedule: the shared partition is every
-			// non-broken replica's partition.
-			return r.part.outputs(r.ix, r.ix.rank(n.id))
-		}
-		p, others, rounds = &r.scratch, len(r.uid)-1, r.rounds
-	} else {
-		p = new(partition)
+	r := n.run
+	r.finishShared()
+	if r.full {
+		// Complete schedule: the shared partition is every
+		// non-broken replica's partition.
+		return r.part.outputs(r.ix, r.ix.rank(n.id))
 	}
 	// The replica's universe is its own full ID plus the (possibly
 	// partial) announcements of everyone else.
+	others := len(r.uid) - 1
 	allIDs := make([]int, 0, others+1)
 	allIDs = append(allIDs, n.id)
 	for i := 0; i < others; i++ {
@@ -446,16 +400,17 @@ func (n *kt0Node) outputs() componentOutputs {
 	}
 	ix := newIndexer(allIDs)
 	self := ix.rank(n.id)
+	p := &r.scratch
 	p.reset(ix.n())
-	for s := 0; s < n.degree(); s++ {
-		p.claim(self, ix.rank(int(n.heardID(s))))
+	for _, u := range n.nbrOfSlot {
+		p.claim(self, ix.rank(int(r.uid[u])))
 	}
-	slots := min((rounds-n.idBits)/n.idBits, n.maxDegree)
+	slots := min((r.rounds-r.IDBits)/r.IDBits, r.MaxDegree)
 	for i := 0; i < others; i++ {
 		id, stream := n.heard(i)
 		v := ix.rank(int(id))
 		for s := 0; s < slots; s++ {
-			p.claim(v, ix.rank(streamSlot(stream, s, n.idBits)))
+			p.claim(v, ix.rank(streamSlot(stream, s, r.IDBits)))
 		}
 	}
 	p.seal()

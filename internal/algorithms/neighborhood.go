@@ -31,10 +31,10 @@ import (
 // replica's own slots, as flood's run does. On the bit plane the run
 // also writes each round's words itself (SendBits), in one pass over
 // its node arena: every live vertex's bit comes from the rank in the
-// round's slot. Bare NewNode keeps
-// the self-contained replica with per-port streams, driven by hand
-// through Send and Receive, and the nodes' Send is the reference
-// SendBits is tested against.
+// round's slot. A bare NewNode, driven by hand through Send and
+// Receive, is a one-replica run whose rows are the node's ports and
+// its own stream, and the nodes' Send is the reference SendBits is
+// tested against.
 type NeighborhoodBroadcast struct {
 	// MaxDegree is the degree bound the schedule is provisioned for.
 	MaxDegree int
@@ -128,22 +128,29 @@ type nbRun struct {
 // the run's arena in vertex order; a node's residue is its rank and own
 // slots.
 func (r *nbRun) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
-	vertex := r.nextNode
+	v := r.nextNode
 	r.nextNode++
-	node := &r.nodes[vertex]
+	return r.newNode(v, v, view, func(p int) int { return r.in.NeighborAt(v, p) })
+}
+
+// newNode builds the i-th node of the arena, the replica whose own row
+// is row: its rank, and its slots, the ranks of the rows behind its
+// input ports (rowOf) padded with its own.
+func (r *nbRun) newNode(i, row int, view bcc.View, rowOf func(p int) int) *nbNode {
+	node := &r.nodes[i]
 	*node = nbNode{run: r}
 	if r.ix == nil || len(view.InputPorts) > r.MaxDegree {
 		node.broken = true
 		return node
 	}
-	node.idxBits = r.idxBits
-	node.self = r.vertexRank[vertex]
-	node.slots = r.slotArena[vertex*r.MaxDegree : (vertex+1)*r.MaxDegree : (vertex+1)*r.MaxDegree]
-	for i := range node.slots {
-		node.slots[i] = node.self
+	m := r.MaxDegree
+	node.self = r.vertexRank[row]
+	node.slots = r.slotArena[i*m : (i+1)*m : (i+1)*m]
+	for s := range node.slots {
+		node.slots[s] = node.self
 	}
-	for i, p := range view.InputPorts {
-		node.slots[i] = r.vertexRank[r.in.NeighborAt(vertex, p)]
+	for s, p := range view.InputPorts {
+		node.slots[s] = r.vertexRank[rowOf(p)]
 	}
 	return node
 }
@@ -231,51 +238,46 @@ func (r *nbRun) finish() {
 	}
 }
 
-// NewNode implements bcc.Algorithm on the bare (unbound) algorithm: the
-// classic self-contained replica with per-port streams, for callers
-// that drive nodes by hand.
+// NewNode implements bcc.Algorithm on the bare algorithm, for callers
+// that drive a node by hand: a one-replica run whose rows are the
+// node's ports, in port order, and then its own. The own row holds the
+// node's whole stream from the start; the run reads only the slots its
+// rounds completed, and a truncated run claims the node's own slots
+// anyway.
 func (a *NeighborhoodBroadcast) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
-	node := &nbNode{}
-	if view.Knowledge != bcc.KT1 || view.AllIDs == nil || len(view.InputPorts) > a.MaxDegree {
-		node.broken = true
-		return node
+	bare := &struct {
+		run  nbRun
+		node [1]nbNode
+	}{}
+	r := &bare.run
+	r.NeighborhoodBroadcast = a
+	r.nodes = bare.node[:]
+	if view.Knowledge == bcc.KT1 && view.AllIDs != nil {
+		n := view.NumPorts + 1
+		r.ix = newIndexer(view.AllIDs)
+		r.idxBits = bitsFor(n)
+		r.words = streamWords(a.MaxDegree, r.idxBits)
+		r.stream = make([]uint64, n*r.words)
+		ranks := make([]int32, n+a.MaxDegree)
+		r.vertexRank, r.slotArena = ranks[:n:n], ranks[n:]
+		portRanks(r.vertexRank, r.ix, view)
 	}
-	node.ix = newIndexer(view.AllIDs)
-	node.idxBits = bitsFor(node.ix.n())
-	node.self = int32(node.ix.rank(view.ID))
-	// Neighbour slots: the indices of input-edge neighbours, padded with
-	// the vertex's own index ("no neighbour here").
-	node.slots = make([]int32, a.MaxDegree)
-	for i := range node.slots {
-		node.slots[i] = node.self
-	}
-	for i, p := range view.InputPorts {
-		node.slots[i] = int32(node.ix.rank(view.PortID(p)))
-	}
-	// heard holds the stream heard on each port; portRank maps ports to
-	// vertex indices.
-	node.heard = make([]uint64, view.NumPorts*streamWords(a.MaxDegree, node.idxBits))
-	node.portRank = make([]int32, view.NumPorts)
-	for p := range node.portRank {
-		node.portRank[p] = int32(node.ix.rank(view.PortID(p)))
+	node := r.newNode(0, view.NumPorts, view, func(p int) int { return p })
+	own := r.streamOf(view.NumPorts)
+	for t := 1; t <= a.Rounds(view.NumPorts+1); t++ {
+		if node.Send(t).BitAt(0) != 0 {
+			recordBit(own, t-1)
+		}
 	}
 	return node
 }
 
-// nbNode is one replica: rank and own slots, and — in private mode
-// only — its per-port streams.
+// nbNode is one replica: its rank and own slots.
 type nbNode struct {
-	run     *nbRun // non-nil → run-shared mode
-	idxBits int
-	self    int32
-	slots   []int32 // input-neighbour ranks, padded with self
-	broken  bool
-
-	// Private-mode state.
-	ix       *indexer
-	heard    []uint64 // the stream heard on each port, port-major
-	portRank []int32
-	rounds   int
+	run    *nbRun
+	slots  []int32 // input-neighbour ranks, padded with self
+	self   int32
+	broken bool
 }
 
 // Send is the round's broadcast: bit (t−1) mod ⌈log₂ n⌉ of slot
@@ -284,62 +286,39 @@ func (n *nbNode) Send(round int) bcc.Message {
 	if n.broken {
 		return bcc.Silence
 	}
-	slot := (round - 1) / n.idxBits
+	b := n.run.idxBits
+	slot := (round - 1) / b
 	if slot >= len(n.slots) {
 		return bcc.Silence
 	}
-	return bcc.Bit(uint8(n.slots[slot]>>uint((round-1)%n.idxBits)) & 1)
+	return bcc.Bit(uint8(n.slots[slot]>>uint((round-1)%b)) & 1)
 }
 
-// Receive implements bcc.Node for a private replica; a bound run's
-// nodes hear nothing (the run hears for them).
-func (n *nbNode) Receive(round int, inbox []bcc.Message) {
-	if n.broken {
-		return
-	}
-	n.rounds = round
-	w := streamWords(len(n.slots), n.idxBits)
-	for p, m := range inbox {
-		if m.BitAt(0) != 0 {
-			recordBit(n.heard[p*w:(p+1)*w], round-1)
-		}
-	}
-}
+// Receive implements bcc.Node for a bare node, whose run hears the
+// inbox in its port rows; a bound run's nodes hear nothing (the run
+// hears for them).
+func (n *nbNode) Receive(round int, inbox []bcc.Message) { n.run.Hear(round, inbox) }
 
-// outputs decides from this replica's partition: the shared one on a
-// complete bound run; otherwise the complete slots it heard (a scratch
-// copy of the shared partition in a bound run), refined with its own
-// slots, which its broadcasts delivered only in part. Callers are
-// sequential.
+// outputs decides from the shared partition on a complete run;
+// otherwise from the complete slots the run heard, in a scratch copy
+// refined with the replica's own slots, which its broadcasts delivered
+// only in part. Callers are sequential.
 func (n *nbNode) outputs() componentOutputs {
 	if n.broken {
 		return componentOutputs{verdict: bcc.VerdictNo, label: -1}
 	}
-	var p *partition
-	ix := n.ix
-	if r := n.run; r != nil {
-		r.finish()
-		if r.full {
-			return r.part.outputs(r.ix, int(n.self))
-		}
-		p, ix = &r.scratch, r.ix
-		p.comp.CopyFrom(&r.part.comp)
-	} else {
-		p = new(partition)
-		p.reset(ix.n())
-		slots := min(n.rounds/n.idxBits, len(n.slots))
-		w := streamWords(len(n.slots), n.idxBits)
-		for port, v := range n.portRank {
-			for s := 0; s < slots; s++ {
-				p.claim(int(v), streamSlot(n.heard[port*w:(port+1)*w], s, n.idxBits))
-			}
-		}
+	r := n.run
+	r.finish()
+	if r.full {
+		return r.part.outputs(r.ix, int(n.self))
 	}
+	p := &r.scratch
+	p.comp.CopyFrom(&r.part.comp)
 	for _, u := range n.slots {
 		p.claim(int(n.self), int(u))
 	}
 	p.seal()
-	return p.outputs(ix, int(n.self))
+	return p.outputs(r.ix, int(n.self))
 }
 
 // Decide implements bcc.Decider: YES iff the reconstructed input graph is

@@ -1,8 +1,9 @@
 // Package equiv pins the shared-substrate protocols' central contract:
 // outputs are bit-identical between vector and per-port delivery,
 // between the bit plane (where the bound run writes every round with
-// its own SendBits) and the generic loop, and between run-bound
-// (shared mirror) and bare (private mirror) nodes. Verdicts, labels,
+// its own SendBits) and the generic loop, and between bound runs and
+// bare nodes (each a one-replica run of the same type, driven by hand
+// through its ports). Verdicts, labels,
 // RoundBits, and per-vertex transcripts must all match — the sweep
 // grids' cached content addresses depend on it.
 package equiv_test
@@ -313,70 +314,115 @@ func TestReplicaParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBareNodesMatchRunner pins shared-vs-private semantics: a manual
-// round loop over bare NewNode nodes (each with its own private mirror,
-// the form transcript verification and the reductions drive by hand)
-// must reproduce the runner's bound-run outputs exactly.
+// TestBareNodesMatchRunner pins bare nodes to bound runs: a manual
+// round loop over bare NewNode nodes (each a one-replica run that its
+// own Receive feeds, the form transcript verification and the
+// reductions drive by hand) must reproduce the runner's bound-run
+// transcripts and outputs exactly, on canonical and scrambled IDs, at
+// 0 rounds, at every truncation point of the protocol, and on the full
+// schedule.
 func TestBareNodesMatchRunner(t *testing.T) {
 	for _, pc := range protoCases() {
 		pc := pc
 		t.Run(pc.name, func(t *testing.T) {
 			for _, n := range []int{22, 70} {
-				for _, fam := range equivFamilies {
-					in, maxDeg := buildInstance(t, pc, fam, n, true)
-					algo := pc.make(t, 2*(n-1)+3, maxDeg)
-					rounds := algo.Rounds(n)
-					want, err := bcc.Run(in, algo)
-					if err != nil {
-						t.Fatal(err)
-					}
-					label := fmt.Sprintf("%s/%s/n=%d", pc.name, fam, n)
-
-					nodes := make([]bcc.Node, n)
-					for v := 0; v < n; v++ {
-						nodes[v] = algo.NewNode(in.View(v), nil)
-					}
-					sends := make([]bcc.Message, n)
-					inbox := make([]bcc.Message, n-1)
-					for r := 1; r <= rounds; r++ {
-						for v := 0; v < n; v++ {
-							m := nodes[v].Send(r)
-							sends[v] = m
-							if want.Transcripts[v].Sent[r-1] != m {
-								t.Fatalf("%s: vertex %d round %d bare sent %v, runner sent %v",
-									label, v, r, m, want.Transcripts[v].Sent[r-1])
+				for _, scrambled := range []bool{false, true} {
+					for _, fam := range equivFamilies {
+						in, maxDeg := buildInstance(t, pc, fam, n, scrambled)
+						algo := pc.make(t, 2*(n-1)+3, maxDeg)
+						full := algo.Rounds(n)
+						for _, rounds := range append([]int{0, full}, pc.truncs(n, full)...) {
+							if rounds >= 0 && rounds <= full {
+								label := fmt.Sprintf("%s/%s/n=%d/scrambled=%v/rounds=%d", pc.name, fam, n, scrambled, rounds)
+								checkBareNodes(t, label, algo, in, rounds)
 							}
 						}
-						for v := 0; v < n; v++ {
-							for p := 0; p < n-1; p++ {
-								inbox[p] = sends[in.NeighborAt(v, p)]
-							}
-							nodes[v].Receive(r, inbox)
-						}
-					}
-					verdict := bcc.VerdictYes
-					for v := 0; v < n; v++ {
-						d, ok := nodes[v].(bcc.Decider)
-						if !ok {
-							t.Fatalf("%s: bare node is not a Decider", label)
-						}
-						if d.Decide() != bcc.VerdictYes {
-							verdict = bcc.VerdictNo
-						}
-						l, ok := nodes[v].(bcc.Labeler)
-						if !ok {
-							t.Fatalf("%s: bare node is not a Labeler", label)
-						}
-						if got := l.Label(); got != want.Labels[v] {
-							t.Fatalf("%s: vertex %d bare label %d, runner label %d", label, v, got, want.Labels[v])
-						}
-					}
-					if verdict != want.Verdict {
-						t.Fatalf("%s: bare system verdict %v, runner verdict %v", label, verdict, want.Verdict)
 					}
 				}
 			}
 		})
+	}
+}
+
+// TestBareBrokenNodesMatchRunner pins bare nodes that cannot run the
+// protocol — over its degree bound, with an ID wider than its ID width,
+// or KT-1 protocols on a KT-0 instance — to the runner on the full
+// schedule: both stay silent and answer NO and label −1 alike.
+func TestBareBrokenNodesMatchRunner(t *testing.T) {
+	const n = 22
+	for _, pc := range protoCases() {
+		for _, fam := range equivFamilies {
+			in, maxDeg := buildInstance(t, pc, fam, n, true)
+			label := fmt.Sprintf("%s/%s", pc.name, fam)
+			if maxDeg > 1 {
+				algo := pc.make(t, 2*(n-1)+3, maxDeg-1)
+				checkBareNodes(t, label+"/degree", algo, in, algo.Rounds(n))
+			}
+			algo := pc.make(t, n, maxDeg) // an ID width for about half the IDs
+			checkBareNodes(t, label+"/id-width", algo, in, algo.Rounds(n))
+			if !pc.kt0 {
+				kt0, err := bcc.NewKT0(equivIDs(n, true), buildInput(t, fam, n), bcc.RotationWiring(n))
+				if err != nil {
+					t.Fatal(err)
+				}
+				algo := pc.make(t, 2*(n-1)+3, maxDeg)
+				checkBareNodes(t, label+"/kt0", algo, kt0, algo.Rounds(n))
+			}
+		}
+	}
+}
+
+// checkBareNodes runs algo on in for the given number of rounds twice,
+// through the runner and over bare nodes by hand, and compares every
+// send, label and the system verdict.
+func checkBareNodes(t *testing.T, label string, algo bcc.Algorithm, in *bcc.Instance, rounds int) {
+	t.Helper()
+	n := in.N()
+	want, err := bcc.Run(in, algo, bcc.WithRounds(rounds))
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	nodes := make([]bcc.Node, n)
+	for v := 0; v < n; v++ {
+		nodes[v] = algo.NewNode(in.View(v), nil)
+	}
+	sends := make([]bcc.Message, n)
+	inbox := make([]bcc.Message, n-1)
+	for r := 1; r <= rounds; r++ {
+		for v := 0; v < n; v++ {
+			m := nodes[v].Send(r)
+			sends[v] = m
+			if want.Transcripts[v].Sent[r-1] != m {
+				t.Fatalf("%s: vertex %d round %d bare sent %v, runner sent %v",
+					label, v, r, m, want.Transcripts[v].Sent[r-1])
+			}
+		}
+		for v := 0; v < n; v++ {
+			for p := 0; p < n-1; p++ {
+				inbox[p] = sends[in.NeighborAt(v, p)]
+			}
+			nodes[v].Receive(r, inbox)
+		}
+	}
+	verdict := bcc.VerdictYes
+	for v := 0; v < n; v++ {
+		d, ok := nodes[v].(bcc.Decider)
+		if !ok {
+			t.Fatalf("%s: bare node is not a Decider", label)
+		}
+		if d.Decide() != bcc.VerdictYes {
+			verdict = bcc.VerdictNo
+		}
+		l, ok := nodes[v].(bcc.Labeler)
+		if !ok {
+			t.Fatalf("%s: bare node is not a Labeler", label)
+		}
+		if got := l.Label(); got != want.Labels[v] {
+			t.Fatalf("%s: vertex %d bare label %d, runner label %d", label, v, got, want.Labels[v])
+		}
+	}
+	if verdict != want.Verdict {
+		t.Fatalf("%s: bare system verdict %v, runner verdict %v", label, verdict, want.Verdict)
 	}
 }
 

@@ -40,15 +40,14 @@ import (
 // table at phase start, and the run, hearing the phase's last round,
 // decodes every row and applies the retirements. Each replica re-syncs
 // its live-neighbour set from the shared retired set at the next phase
-// start, before it decides whether to transmit. Bare NewNode keeps the
-// classic self-contained replica (per-port accumulation, private
-// union-find) for callers that drive nodes by hand — including ones
-// that feed forged inboxes, which the shared row table could not
-// represent.
+// start, before it decides whether to transmit. A bare NewNode, driven
+// by hand through Send and Receive, is a one-replica run whose rows
+// are the node's ports, which its Receive fills from the inbox, and
+// its own sketch.
 type Connectivity struct {
 	// Arboricity is the promised arboricity bound a.
 	Arboricity int
-	rec        *Recoverer // 4a-sparse, immutable, shared by every run and node
+	rec        *Recoverer // 4a-sparse, immutable, shared by every run
 }
 
 // NewConnectivity returns the algorithm for arboricity ≤ a.
@@ -94,7 +93,10 @@ func (c *Connectivity) BindRun(in *bcc.Instance, _ int) bcc.BoundRun {
 	r.retiredCount = 0
 	r.labelsDone = false
 	r.nextNode = 0
-	r.nodes = r.nodes[:0]
+	if cap(r.nodes) < in.N() {
+		r.nodes = make([]sketchNode, in.N())
+	}
+	r.nodes = r.nodes[:in.N()]
 	ids := in.SortedIDs()
 	if ids == nil {
 		r.universe = nil
@@ -116,10 +118,6 @@ func (c *Connectivity) BindRun(in *bcc.Instance, _ int) bcc.BoundRun {
 		r.rows[v] = nil
 		r.vertexRank[v] = int32(rankIn(ids, in.ID(v)))
 	}
-	if cap(r.nodes) < n {
-		r.nodes = make([]sketchNode, n)
-	}
-	r.nodes = r.nodes[:n]
 	r.nbrs = r.nbrs[:0]
 	if want := 2 * in.Input().M(); cap(r.nbrs) < want {
 		r.nbrs = make([]int, 0, want)
@@ -144,8 +142,9 @@ type sketchRun struct {
 	*Connectivity
 	universe   []int // nil → run invalid, every node broken
 	vertexRank []int32
-	// rows[v] is the sketch vertex v is transmitting this phase (nil if
-	// silent), written by each replica into its own slot at phase start.
+	// rows[v] is the sketch row v carries this phase: a replica's own
+	// row is written by the replica at phase start (nil if silent), and
+	// a bare node's port rows collect the words each port heard.
 	rows         [][]uint64
 	retired      []bool // by universe rank
 	retiredCount int
@@ -161,25 +160,22 @@ type sketchRun struct {
 
 // NewNode implements bcc.Algorithm on the bound run.
 func (r *sketchRun) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
-	var node *sketchNode
-	vertex := r.nextNode
-	if vertex < len(r.nodes) {
-		node = &r.nodes[vertex]
-		r.nextNode++
-		*node = sketchNode{}
-	} else {
-		node = &sketchNode{}
-	}
-	node.run = r
-	node.a = r.Arboricity
-	node.rec = r.rec
+	v := r.nextNode
+	r.nextNode++
+	return r.newNode(v, v, view)
+}
+
+// newNode builds the i-th node of the arena, the replica whose own row
+// is row, with every input neighbour live.
+func (r *sketchRun) newNode(i, row int, view bcc.View) *sketchNode {
+	node := &r.nodes[i]
+	*node = sketchNode{run: r}
 	if r.universe == nil || view.Knowledge != bcc.KT1 || view.AllIDs == nil {
 		node.broken = true
 		return node
 	}
-	node.id = view.ID
-	node.vertex = int32(vertex)
-	node.selfRank = r.vertexRank[vertex]
+	node.vertex = int32(row)
+	node.selfRank = r.vertexRank[row]
 	start := len(r.nbrs)
 	for _, p := range view.InputPorts {
 		r.nbrs = append(r.nbrs, view.PortID(p))
@@ -201,9 +197,8 @@ func (r *sketchRun) ReleaseRun() {
 // Hear implements bcc.BoundRun. The broadcast vector is a projection of
 // the row table the replicas already share, so only the phase's last
 // round matters: the run decodes every deposited sketch and applies
-// the phase's retirements to the shared mirror. Vertex-ascending decode
-// order differs from the classic per-replica order (own row first, then
-// ports), but retirements and the union set are order-independent.
+// the phase's retirements to the shared mirror. Retirements and the
+// union set do not depend on the order the rows are decoded in.
 func (r *sketchRun) Hear(round int, _ []bcc.Message) {
 	if r.universe == nil || round%r.rec.Len() != 0 {
 		return
@@ -239,82 +234,63 @@ func (r *sketchRun) finishLabels() {
 	}
 }
 
-// NewNode implements bcc.Algorithm on the bare (unbound) algorithm: the
-// classic self-contained replica with per-port accumulation and its own
-// union-find.
+// NewNode implements bcc.Algorithm on the bare algorithm, for callers
+// that drive a node by hand: a one-replica run whose rows are the
+// node's ports, in port order, and then its own.
 func (c *Connectivity) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
-	node := &sketchNode{a: c.Arboricity, rec: c.rec}
-	if view.Knowledge != bcc.KT1 || view.AllIDs == nil {
-		node.broken = true
-		return node
+	bare := &struct {
+		run  sketchRun
+		node [1]sketchNode
+	}{}
+	r := &bare.run
+	r.Connectivity = c
+	r.nodes = bare.node[:]
+	if view.Knowledge == bcc.KT1 && view.AllIDs != nil {
+		r.universe = view.AllIDs // sorted, and shared read-only by every view
+		n := view.NumPorts + 1
+		r.comp.Reset(n)
+		r.retired = make([]bool, n)
+		r.rows = make([][]uint64, n)
+		r.vertexRank = make([]int32, n)
+		for p := 0; p < view.NumPorts; p++ {
+			r.vertexRank[p] = int32(rankIn(r.universe, view.PortID(p)))
+		}
+		r.vertexRank[view.NumPorts] = int32(rankIn(r.universe, view.ID))
+		r.nbrs = make([]int, 0, len(view.InputPorts))
 	}
-	node.id = view.ID
-	if sort.IntsAreSorted(view.AllIDs) {
-		// View.AllIDs is the instance's shared pre-sorted list; alias it
-		// read-only instead of copying O(n) per node.
-		node.universe = view.AllIDs
-	} else {
-		node.universe = append([]int(nil), view.AllIDs...)
-		sort.Ints(node.universe)
-	}
-	for _, p := range view.InputPorts {
-		node.liveNbrs = append(node.liveNbrs, view.PortID(p))
-	}
-	node.view = view
-	node.retired = make([]bool, len(node.universe))
-	node.comp = dsu.New(len(node.universe))
-	node.phaseBuf = make([][]uint64, view.NumPorts)
-	node.phaseSilent = make([]bool, view.NumPorts)
-	return node
+	return r.newNode(0, view.NumPorts, view)
 }
 
-// sketchNode is one replica. In run-shared mode (run != nil) its
-// residue is its rank, vertex slot, and private live-neighbour set; in
-// private mode it carries the classic per-port buffers and its own
-// replica of the global state.
+// sketchNode is one replica: its row and rank, its live-neighbour set,
+// and the sketch it transmits this phase.
 type sketchNode struct {
-	run      *sketchRun
-	a        int
-	id       int
-	vertex   int32 // shared mode: row-table slot
-	selfRank int32 // shared mode: universe rank
-	liveNbrs []int // IDs of not-yet-retired input neighbours
-	sketch   []uint64
-	rec      *Recoverer
-	// Private-mode state.
-	universe    []int // all IDs, ascending; rank queries binary-search it
-	view        bcc.View
-	retired     []bool // by universe rank; replicated identically everywhere
+	run         *sketchRun
+	liveNbrs    []int // IDs of not-yet-retired input neighbours
+	sketch      []uint64
+	vertex      int32 // own row
+	selfRank    int32 // universe rank
 	selfRetired bool
-	comp        *dsu.DSU
-	phaseBuf    [][]uint64 // per-port accumulated field elements this phase
-	phaseSilent []bool     // per-port: sender silent at any point this phase
 	broken      bool
 }
-
-func (n *sketchNode) sketchLen() int { return 2*(4*n.a) + 1 }
 
 func (n *sketchNode) Send(round int) bcc.Message {
 	if n.broken {
 		return bcc.Silence
 	}
-	pos := (round - 1) % n.sketchLen()
+	r := n.run
+	pos := (round - 1) % r.rec.Len()
 	if pos == 0 {
-		if n.run != nil {
-			n.syncRetired()
-		}
 		// Phase start: decide whether to transmit this phase.
+		n.syncRetired()
 		n.sketch = nil
-		if !n.selfRetired && len(n.liveNbrs) <= 4*n.a {
-			s, err := n.rec.Encode(n.liveNbrs)
+		if !n.selfRetired && len(n.liveNbrs) <= 4*r.Arboricity {
+			s, err := r.rec.Encode(n.liveNbrs)
 			if err == nil {
 				n.sketch = s
 			}
 		}
-		if n.run != nil {
-			// Deposit in our own row slot (disjoint writes per replica).
-			n.run.rows[n.vertex] = n.sketch
-		}
+		// Deposit in our own row (disjoint writes per replica).
+		r.rows[n.vertex] = n.sketch
 	}
 	if n.sketch == nil {
 		return bcc.Silence
@@ -322,10 +298,10 @@ func (n *sketchNode) Send(round int) bcc.Message {
 	return bcc.Word(n.sketch[pos], 31)
 }
 
-// syncRetired re-syncs a bound replica's private residue from the
-// shared mirror the run advanced when it heard the last phase end. The
-// run hears rounds on the runner's goroutine after the send barrier,
-// so the reads below are ordered after it.
+// syncRetired re-syncs a replica's residue from the mirror the run
+// advanced when it heard the last phase end. A bound run hears rounds
+// on the runner's goroutine after the send barrier, so the reads below
+// are ordered after it.
 func (n *sketchNode) syncRetired() {
 	r := n.run
 	n.selfRetired = r.retired[n.selfRank]
@@ -338,108 +314,38 @@ func (n *sketchNode) syncRetired() {
 	n.liveNbrs = live
 }
 
-// Receive implements bcc.Node for a private replica; a bound run's
-// nodes hear nothing (the run hears for them).
+// Receive implements bcc.Node for a bare node: each port's row collects
+// the words its sender broadcast this phase, and the run hears the
+// round, decoding every row at the phase's end. A sender silent in any
+// round of the phase leaves a short row, which Decode rejects. A bound
+// run's nodes hear nothing (the run hears for them).
 func (n *sketchNode) Receive(round int, inbox []bcc.Message) {
 	if n.broken {
 		return
 	}
-	pos := (round - 1) % n.sketchLen()
-	if pos == 0 {
-		for p := range n.phaseBuf {
-			n.phaseBuf[p] = n.phaseBuf[p][:0]
-			n.phaseSilent[p] = false
-		}
-	}
+	r := n.run
+	phaseStart := (round-1)%r.rec.Len() == 0
 	for p, m := range inbox {
-		if m.IsSilent() {
-			n.phaseSilent[p] = true
-			continue
+		if phaseStart {
+			r.rows[p] = r.rows[p][:0]
 		}
-		n.phaseBuf[p] = append(n.phaseBuf[p], m.Bits)
-	}
-	if pos == n.sketchLen()-1 {
-		n.endPhase()
-	}
-}
-
-// endPhase decodes every completed sketch and updates the replicated
-// global state (private mode). All replicas process identical
-// broadcasts, so they stay in lockstep.
-func (n *sketchNode) endPhase() {
-	type retirement struct {
-		sender int
-		nbrs   []int
-	}
-	var retirements []retirement
-	// Our own transmission retires us.
-	if n.sketch != nil {
-		retirements = append(retirements, retirement{sender: n.id, nbrs: append([]int(nil), n.liveNbrs...)})
-	}
-	for p, buf := range n.phaseBuf {
-		if n.phaseSilent[p] || len(buf) != n.sketchLen() {
-			continue
-		}
-		nbrs, ok := n.rec.Decode(buf, n.universe)
-		if !ok {
-			continue
-		}
-		retirements = append(retirements, retirement{sender: n.view.PortID(p), nbrs: nbrs})
-	}
-	for _, r := range retirements {
-		sr := rankIn(n.universe, r.sender)
-		if sr < 0 {
-			continue
-		}
-		n.retired[sr] = true
-		if r.sender == n.id {
-			n.selfRetired = true
-		}
-		for _, w := range r.nbrs {
-			if wr := rankIn(n.universe, w); wr >= 0 {
-				n.comp.Union(sr, wr)
-			}
+		if !m.IsSilent() {
+			r.rows[p] = append(r.rows[p], m.Bits)
 		}
 	}
-	// Drop retired neighbours from the live set.
-	live := n.liveNbrs[:0]
-	for _, w := range n.liveNbrs {
-		if wr := rankIn(n.universe, w); wr >= 0 && !n.retired[wr] {
-			live = append(live, w)
-		}
-	}
-	n.liveNbrs = live
+	r.Hear(round, inbox)
 }
 
 // done reports whether every vertex retired (all edges recovered).
-func (n *sketchNode) done() bool {
-	if r := n.run; r != nil {
-		return r.retiredCount == len(r.universe)
-	}
-	for _, r := range n.retired {
-		if !r {
-			return false
-		}
-	}
-	return true
-}
+func (n *sketchNode) done() bool { return n.run.retiredCount == len(n.run.universe) }
 
 // Decide implements bcc.Decider: YES iff all vertices retired and the
 // recovered graph is connected.
 func (n *sketchNode) Decide() bcc.Verdict {
-	if n.broken || !n.done() {
+	if n.broken || !n.done() || n.run.comp.Sets() != 1 {
 		return bcc.VerdictNo
 	}
-	if r := n.run; r != nil {
-		if r.comp.Sets() == 1 {
-			return bcc.VerdictYes
-		}
-		return bcc.VerdictNo
-	}
-	if n.comp.Sets() == 1 {
-		return bcc.VerdictYes
-	}
-	return bcc.VerdictNo
+	return bcc.VerdictYes
 }
 
 // Label implements bcc.Labeler: smallest ID in this vertex's component,
@@ -448,11 +354,9 @@ func (n *sketchNode) Label() int {
 	if n.broken || !n.done() {
 		return -1
 	}
-	if r := n.run; r != nil {
-		r.finishLabels()
-		return r.universe[r.minRank[n.selfRank]]
-	}
-	return n.universe[n.comp.Least(nil)[rankIn(n.universe, n.id)]]
+	r := n.run
+	r.finishLabels()
+	return r.universe[r.minRank[n.selfRank]]
 }
 
 var (

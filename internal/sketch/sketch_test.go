@@ -400,6 +400,74 @@ func TestConnectivityPromiseViolationDetected(t *testing.T) {
 	runSketch(t, k, 5, true)
 }
 
+// TestBareNodeRejectsShortRow drives bare nodes by hand on a 12-cycle
+// at a = 1 and silences one port of one receiver for one round of
+// phase 1. The sender behind that port leaves a row one word short in
+// the receiver's run, which Decode rejects, so the sender never retires
+// there: the receiver answers NO and label −1 (detectably, never
+// silently wrong), while a bystander, like every vertex of the honest
+// run, labels the cycle 0.
+func TestBareNodeRejectsShortRow(t *testing.T) {
+	const n, receiver, bystander, silentRound = 12, 5, 9, 3
+	g := graph.New(n)
+	for v := 0; v < n; v++ {
+		g.MustAddEdge(v, (v+1)%n)
+	}
+	in, err := bcc.NewKT1(bcc.SequentialIDs(n), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	algo, err := NewConnectivity(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest, err := bcc.Run(in, algo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if honest.Verdict != bcc.VerdictYes {
+		t.Fatalf("honest run verdict %v, want YES", honest.Verdict)
+	}
+	for v, l := range honest.Labels {
+		if l != 0 {
+			t.Fatalf("honest run: vertex %d label %d, want 0", v, l)
+		}
+	}
+
+	nodes := make([]bcc.Node, n)
+	for v := range nodes {
+		nodes[v] = algo.NewNode(in.View(v), nil)
+	}
+	sends := make([]bcc.Message, n)
+	inbox := make([]bcc.Message, n-1)
+	for r := 1; r <= algo.Rounds(n); r++ {
+		for v, node := range nodes {
+			sends[v] = node.Send(r)
+		}
+		for v, node := range nodes {
+			for p := range inbox {
+				inbox[p] = sends[in.NeighborAt(v, p)]
+			}
+			if v == receiver && r == silentRound {
+				inbox[0] = bcc.Silence
+			}
+			node.Receive(r, inbox)
+		}
+	}
+	for _, c := range []struct {
+		v       int
+		label   int
+		verdict bcc.Verdict
+	}{{receiver, -1, bcc.VerdictNo}, {bystander, 0, bcc.VerdictYes}} {
+		if got := nodes[c.v].(bcc.Labeler).Label(); got != c.label {
+			t.Errorf("vertex %d label %d, want %d", c.v, got, c.label)
+		}
+		if got := nodes[c.v].(bcc.Decider).Decide(); got != c.verdict {
+			t.Errorf("vertex %d verdict %v, want %v", c.v, got, c.verdict)
+		}
+	}
+}
+
 func TestConnectivityRoundsFormula(t *testing.T) {
 	algo, err := NewConnectivity(2)
 	if err != nil {
