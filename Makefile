@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race stress check bench-json bench-sweeps bench-scale bench-bitplane bench-serving bench-memory bench-compare report serve serve-race load-smoke chaos chaos-smoke trace-smoke smoke-examples sweep sweep-smoke sweep-rows-identical sweep-large sweep-xl sweep-xxl fmt vet lint staticcheck govulncheck
+.PHONY: build test race stress check bench-json bench-sweeps bench-scale bench-bitplane bench-serving bench-memory bench-compare report serve serve-race trace-smoke smoke-examples sweep sweep-smoke sweep-rows-identical sweep-large sweep-xl sweep-xxl fmt vet lint staticcheck govulncheck
 
 build:
 	$(GO) build ./...
@@ -230,59 +230,4 @@ serve:
 # drain, /metrics accuracy) under the race detector — what the CI
 # serving job runs.
 serve-race:
-	$(GO) test -race ./cmd/bccd/ ./internal/serving/ ./cmd/bccload/
-
-# End-to-end smoke: boot bccd on a private port, drive it with bccload,
-# write the JSON report to load-smoke.json, then drain the server. Fails
-# if any request misses a 2xx.
-load-smoke:
-	$(GO) build -o /tmp/bccd-smoke ./cmd/bccd
-	$(GO) build -o /tmp/bccload-smoke ./cmd/bccload
-	@set -e; \
-	/tmp/bccd-smoke -addr 127.0.0.1:18371 -cache-dir /tmp/bccd-smoke-cache & \
-	pid=$$!; \
-	trap 'kill -TERM $$pid 2>/dev/null; wait $$pid 2>/dev/null' EXIT; \
-	sleep 1; \
-	/tmp/bccload-smoke -url http://127.0.0.1:18371 -rps 10 -duration 5s \
-		-mix report=4,sweep=1 -only E13 -grid E17 -quick -format json \
-		| tee load-smoke.json
-
-# Chaos gate: drive identical load at a fault-free bccd and one whose
-# store injects a deterministic 5% mix of transient errors, latency, and
-# torn writes. Asserts the fault-tolerance contract end to end: bccload
-# exits non-zero on any non-2xx (the retry/quarantine/breaker stack must
-# absorb every injected fault), and the sweep rows captured from both
-# servers must be byte-identical — faults may cost recomputes, never
-# wrong data. The profile deliberately omits hang/enospc (they model
-# failures the server surfaces rather than absorbs; unit tests cover
-# them). CHAOS_DURATION/CHAOS_RPS scale the run (chaos-smoke shrinks it
-# for CI).
-CHAOS_DURATION ?= 10s
-CHAOS_RPS ?= 10
-CHAOS_PROFILE ?= error=0.05,latency=0.05:2ms,torn=0.05,seed=7
-chaos:
-	$(GO) build -o /tmp/bccd-chaos ./cmd/bccd
-	$(GO) build -o /tmp/bccload-chaos ./cmd/bccload
-	@set -e; \
-	rm -rf /tmp/bccd-chaos-clean-cache /tmp/bccd-chaos-fault-cache; \
-	/tmp/bccd-chaos -addr 127.0.0.1:18372 -cache-dir /tmp/bccd-chaos-clean-cache & \
-	clean_pid=$$!; \
-	/tmp/bccd-chaos -addr 127.0.0.1:18373 -cache-dir /tmp/bccd-chaos-fault-cache \
-		-fault-profile '$(CHAOS_PROFILE)' & \
-	fault_pid=$$!; \
-	trap 'kill -TERM $$clean_pid $$fault_pid 2>/dev/null; wait $$clean_pid $$fault_pid 2>/dev/null' EXIT; \
-	sleep 1; \
-	echo "== fault-free run"; \
-	/tmp/bccload-chaos -url http://127.0.0.1:18372 -rps $(CHAOS_RPS) -duration $(CHAOS_DURATION) \
-		-mix report=4,sweep=1 -only E13 -grid E17 -quick -format json \
-		-capture /tmp/chaos-rows-clean.csv | tee chaos-clean.json; \
-	echo "== fault-injected run ($(CHAOS_PROFILE))"; \
-	/tmp/bccload-chaos -url http://127.0.0.1:18373 -rps $(CHAOS_RPS) -duration $(CHAOS_DURATION) \
-		-mix report=4,sweep=1 -only E13 -grid E17 -quick -format json \
-		-capture /tmp/chaos-rows-fault.csv | tee chaos-fault.json; \
-	cmp /tmp/chaos-rows-clean.csv /tmp/chaos-rows-fault.csv; \
-	echo "chaos: zero non-2xx under faults, rows byte-identical"
-
-# CI-sized chaos gate; uploads chaos-fault.json as the artifact.
-chaos-smoke:
-	$(MAKE) chaos CHAOS_DURATION=5s CHAOS_RPS=8
+	$(GO) test -race ./cmd/bccd/ ./internal/serving/

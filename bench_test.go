@@ -15,6 +15,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -603,6 +604,15 @@ func BenchmarkBitplaneRoundLoop512x4096(b *testing.B) {
 	for i := range probe.nodes {
 		probe.nodes[i] = bitLoopNode{}
 	}
+	// One untimed run fills the runner's pools, and GC stays off for the
+	// timed loop, as in benchmarkMemoryCell: a collection mid-loop would
+	// drop a pooled plane for the next run to allocate afresh.
+	res, err := bcc.Run(in, probe, bcc.WithoutTranscripts())
+	if err != nil {
+		b.Fatal(err)
+	}
+	bcc.Recycle(res)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

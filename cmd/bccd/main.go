@@ -62,6 +62,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -108,26 +109,9 @@ func run() error {
 
 	logger := obs.NewLogger(os.Stderr, "bccd")
 
-	profile, err := fault.ParseProfile(*faultProfile)
+	store, err := openStore(*cacheDir, *faultProfile, logger)
 	if err != nil {
 		return err
-	}
-	backend, err := results.OpenFlagBackend(*cacheDir)
-	if err != nil {
-		return err
-	}
-	var store *results.Store
-	if backend != nil {
-		// Decoration order matters: faults inject below the retry layer so
-		// retries absorb injected transients, exactly as they would absorb
-		// real ones.
-		var b results.Backend = backend
-		if *faultProfile != "" {
-			logger.Warn("fault injection enabled", "profile", *faultProfile)
-			b = fault.Wrap(b, profile)
-		}
-		b = results.WithRetry(b, results.DefaultRetryPolicy(), profile.Seed+1)
-		store = results.New(b, results.WithLogger(logger))
 	}
 	var opts []engine.Option
 	if store != nil {
@@ -201,4 +185,27 @@ func run() error {
 	}
 	logger.Info("stopped")
 	return nil
+}
+
+// openStore builds bccd's result store from the -cache-dir and
+// -fault-profile values; the store is nil when caching is off.
+func openStore(cacheDir, faultProfile string, logger *slog.Logger) (*results.Store, error) {
+	profile, err := fault.ParseProfile(faultProfile)
+	if err != nil {
+		return nil, err
+	}
+	backend, err := results.OpenFlagBackend(cacheDir)
+	if backend == nil || err != nil {
+		return nil, err
+	}
+	// Decoration order matters: faults inject below the retry layer so
+	// retries absorb injected transients, exactly as they would absorb
+	// real ones.
+	var b results.Backend = backend
+	if faultProfile != "" {
+		logger.Warn("fault injection enabled", "profile", faultProfile)
+		b = fault.Wrap(b, profile)
+	}
+	b = results.WithRetry(b, results.DefaultRetryPolicy(), profile.Seed+1)
+	return results.New(b, results.WithLogger(logger)), nil
 }

@@ -729,9 +729,9 @@ func (s *server) report(w http.ResponseWriter, r *http.Request) {
 
 // rootSpan begins a synchronous request's trace: a fresh "req-<n>-…"
 // trace rooted at the endpoint name, with the trace ID handed back in
-// the X-Trace-Id response header so clients (bccload's -trace-sample)
-// can fetch the finished tree from /v1/traces/{id}. A tracerless engine
-// makes this a no-op returning (ctx, nil).
+// the X-Trace-Id response header so clients can fetch the finished
+// tree from /v1/traces/{id}. A tracerless engine makes this a no-op
+// returning (ctx, nil).
 func (s *server) rootSpan(ctx context.Context, w http.ResponseWriter, name string) (context.Context, *obs.Span) {
 	tr := s.eng.Tracer()
 	if tr == nil {

@@ -12,6 +12,8 @@ import (
 
 	"bcclique/internal/engine"
 	"bcclique/internal/harness"
+	"bcclique/internal/obs"
+	"bcclique/internal/parallel"
 	"bcclique/internal/results"
 )
 
@@ -133,5 +135,68 @@ func TestDegradedModeServing(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics lacks %q", want)
 		}
+	}
+}
+
+// chaosProfile injects a deterministic 5% mix of transient errors,
+// latency and torn writes. It leaves out hang and enospc: those model
+// failures the server surfaces rather than absorbs, and internal/fault's
+// tests cover them.
+const chaosProfile = "error=0.05,latency=0.05:2ms,torn=0.05,seed=7"
+
+// TestChaosRowsMatchCleanStore holds the store's fault contract: a fault
+// may cost a recompute, never a failed response or a wrong row. A server
+// on a clean store and one on a store under chaosProfile answer the same
+// 50 requests, four E13 reports to each E17 sweep; every answer must be
+// 200 and the last sweep CSVs byte-identical. One worker fixes the order
+// of backend operations, so the same faults fire on every run, and the
+// faulted store's counters show that they did.
+func TestChaosRowsMatchCleanStore(t *testing.T) {
+	defer parallel.SetLimit(parallel.Limit())
+	parallel.SetLimit(1)
+
+	serve := func(profile string) (rows string, st results.Stats) {
+		store, err := openStore(t.TempDir(), profile, obs.NopLogger())
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := harness.NewEngine(engine.WithStore(store))
+		ts := httptest.NewServer(newServer(eng, defaultServerConfig()).routes())
+		defer ts.Close()
+		for i := 0; i < 50; i++ {
+			url := ts.URL + "/v1/report?only=E13&format=json&quick=true&seed=1"
+			sweep := i%5 == 4
+			if sweep {
+				url = ts.URL + "/v1/sweeps?grid=E17&format=csv&quick=true&seed=1"
+			}
+			resp, err := http.Get(url)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("profile %q, request %d: GET %s = %d: %s", profile, i, url, resp.StatusCode, body)
+			}
+			if sweep {
+				rows = string(body)
+			}
+		}
+		return rows, store.Stats()
+	}
+
+	clean, _ := serve("")
+	if strings.Count(clean, "\n") < 2 {
+		t.Fatalf("clean sweep CSV has no rows:\n%s", clean)
+	}
+	faulted, st := serve(chaosProfile)
+	if faulted != clean {
+		t.Errorf("sweep rows under faults differ from the clean store's:\n%s\nwant:\n%s", faulted, clean)
+	}
+	if st.Retries == 0 || st.Quarantined == 0 {
+		t.Errorf("faulted store stats %+v: want retries and quarantines, or the faults never fired", st)
 	}
 }

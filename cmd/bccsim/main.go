@@ -37,6 +37,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"os"
 	"os/signal"
@@ -378,10 +379,7 @@ func buildAlgorithm(name string, n, b int, g *graph.Graph) (algo bcc.Algorithm, 
 			maxDeg = d
 		}
 	}
-	idBits := 1
-	for (1 << uint(idBits)) < n {
-		idBits++
-	}
+	idBits := max(1, bits.Len(uint(n-1)))
 	switch name {
 	case "neighborhood":
 		algo, err = algorithms.NewNeighborhoodBroadcast(maxDeg)

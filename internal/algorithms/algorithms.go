@@ -25,15 +25,6 @@ import (
 	"bcclique/internal/dsu"
 )
 
-// bitsFor returns ⌈log₂ m⌉ (0 for m ≤ 1).
-func bitsFor(m int) int {
-	w := 0
-	for (1 << uint(w)) < m {
-		w++
-	}
-	return w
-}
-
 // indexer maps IDs to their rank in the sorted ID list (the canonical
 // vertex indexing every KT-1 algorithm shares).
 //

@@ -2,6 +2,7 @@ package algorithms
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"bcclique/internal/bcc"
@@ -49,7 +50,7 @@ func (a *Boruvka) Name() string { return "boruvka" }
 func (a *Boruvka) Bandwidth() int { return 3*a.IDBits + 1 }
 
 // Rounds implements bcc.Algorithm: components at least halve per phase.
-func (a *Boruvka) Rounds(n int) int { return bitsFor(n) + 1 }
+func (a *Boruvka) Rounds(n int) int { return bits.Len(uint(n-1)) + 1 }
 
 // boruvkaRunPool recycles the run-shared mirrors (and their node/label
 // arenas) across the thousands of runs of a sweep grid.
@@ -126,8 +127,8 @@ func (r *boruvkaRun) ReleaseRun() {
 // NewNode implements bcc.Algorithm on the bare (unbound) algorithm: a
 // one-replica run per node, for callers that drive nodes by hand
 // (transcript verification feeds a single node possibly-forged
-// broadcasts; the two-party reductions run their own round loop over
-// bare nodes).
+// broadcasts) and for the two-party reduction, whose runner delivers
+// per-port inboxes to bare nodes.
 func (a *Boruvka) NewNode(view bcc.View, coin *bcc.Coin) bcc.Node {
 	bare := &struct {
 		run  boruvkaRun

@@ -56,7 +56,7 @@ func (a *NeighborhoodBroadcast) Name() string { return "neighborhood-broadcast" 
 func (a *NeighborhoodBroadcast) Bandwidth() int { return 1 }
 
 // Rounds implements bcc.Algorithm: MaxDegree slots of ⌈log₂ n⌉ bits.
-func (a *NeighborhoodBroadcast) Rounds(n int) int { return a.MaxDegree * bitsFor(n) }
+func (a *NeighborhoodBroadcast) Rounds(n int) int { return a.MaxDegree * bits.Len(uint(n-1)) }
 
 // nbRunPool recycles the run-shared stream table, partitions and arenas.
 var nbRunPool = sync.Pool{New: func() interface{} { return new(nbRun) }}
@@ -70,7 +70,7 @@ func (a *NeighborhoodBroadcast) BindRun(in *bcc.Instance, _ int) bcc.BoundRun {
 	r.rounds = 0
 	r.finished = false
 	r.nextNode = 0
-	r.idxBits = bitsFor(n)
+	r.idxBits = bits.Len(uint(n - 1))
 	r.words = streamWords(a.MaxDegree, r.idxBits)
 	if cap(r.stream) < n*r.words {
 		r.stream = make([]uint64, n*r.words)
@@ -255,7 +255,7 @@ func (a *NeighborhoodBroadcast) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
 	if view.Knowledge == bcc.KT1 && view.AllIDs != nil {
 		n := view.NumPorts + 1
 		r.ix = newIndexer(view.AllIDs)
-		r.idxBits = bitsFor(n)
+		r.idxBits = bits.Len(uint(n - 1))
 		r.words = streamWords(a.MaxDegree, r.idxBits)
 		r.stream = make([]uint64, n*r.words)
 		ranks := make([]int32, n+a.MaxDegree)

@@ -2,6 +2,7 @@ package algorithms
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -131,7 +132,7 @@ func TestSendBitsMatchesSend(t *testing.T) {
 	nb, err := NewNeighborhoodBroadcast(3)
 	must(err)
 	for _, n := range []int{2, 3, 63, 64, 65, 127, 128, 129, 300} {
-		kt0, err := NewKT0Exchange(3, bitsFor(n))
+		kt0, err := NewKT0Exchange(3, bits.Len(uint(n-1)))
 		must(err)
 		wide := bcc.SequentialIDs(n)
 		wide[n/2] = 1 << uint(kt0.IDBits)

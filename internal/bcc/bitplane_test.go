@@ -2,6 +2,7 @@ package bcc_test
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -16,10 +17,7 @@ import (
 // degree-≤2 inputs.
 func bitPlaneAlgos(t *testing.T, n int) map[string]bcc.Algorithm {
 	t.Helper()
-	idBits := 1
-	for (1 << uint(idBits)) < n {
-		idBits++
-	}
+	idBits := max(1, bits.Len(uint(n-1)))
 	flood, err := algorithms.NewFlood(1)
 	if err != nil {
 		t.Fatal(err)

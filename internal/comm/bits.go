@@ -1,6 +1,9 @@
 package comm
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // BitWriter accumulates a bit string MSB-agnostically (bits are appended
 // in call order and read back in the same order).
@@ -61,10 +64,4 @@ func (r *BitReader) Remaining() int { return len(r.bits) - r.pos }
 
 // BitsFor returns ⌈log₂ m⌉, the bits needed to address m values (0 for
 // m ≤ 1).
-func BitsFor(m int) int {
-	w := 0
-	for (1 << uint(w)) < m {
-		w++
-	}
-	return w
-}
+func BitsFor(m int) int { return bits.Len(uint(max(m-1, 0))) }

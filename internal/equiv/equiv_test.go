@@ -10,6 +10,7 @@ package equiv_test
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -122,13 +123,7 @@ func protoCases() []protoCase {
 	}
 }
 
-func bitsFor(n int) int {
-	b := 1
-	for (1 << uint(b)) < n {
-		b++
-	}
-	return b
-}
+func bitsFor(n int) int { return max(1, bits.Len(uint(n-1))) }
 
 // equivIDs returns the vertex→ID assignment: ascending (canonical
 // wiring) or a multiplicative scramble (permuted wiring, rank ≠ vertex)
@@ -316,11 +311,11 @@ func TestReplicaParallelMatchesSequential(t *testing.T) {
 
 // TestBareNodesMatchRunner pins bare nodes to bound runs: a manual
 // round loop over bare NewNode nodes (each a one-replica run that its
-// own Receive feeds, the form transcript verification and the
-// reductions drive by hand) must reproduce the runner's bound-run
-// transcripts and outputs exactly, on canonical and scrambled IDs, at
-// 0 rounds, at every truncation point of the protocol, and on the full
-// schedule.
+// own Receive feeds, the form transcript verification drives by hand
+// and the reduction runs through the runner) must reproduce the
+// runner's bound-run transcripts and outputs exactly, on canonical and
+// scrambled IDs, at 0 rounds, at every truncation point of the
+// protocol, and on the full schedule.
 func TestBareNodesMatchRunner(t *testing.T) {
 	for _, pc := range protoCases() {
 		pc := pc

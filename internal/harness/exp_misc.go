@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"bcclique/internal/algorithms"
 	"bcclique/internal/bcc"
@@ -39,7 +40,7 @@ func runE12(ctx context.Context, cfg Config, p Params) (*Result, error) {
 		Caption: "Who wins: the log-round algorithms beat flooding everywhere past n ≈ 8–16 and the gap grows linearly; all upper-bound curves are Θ(log n), a constant factor above the lower-bound curves — the paper's tightness claim for sparse graphs.",
 	}
 	for _, n := range curveSizes {
-		idBits := bitsFor(n)
+		idBits := bits.Len(uint(n - 1))
 		kt0, err := algorithms.NewKT0Exchange(2, idBits)
 		if err != nil {
 			return nil, err
@@ -75,7 +76,7 @@ func runE12(ctx context.Context, cfg Config, p Params) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		idBits := bitsFor(n)
+		idBits := bits.Len(uint(n - 1))
 		kt0, err := algorithms.NewKT0Exchange(2, idBits)
 		if err != nil {
 			return nil, err
@@ -133,14 +134,6 @@ func labelsMatch(labels []int, g *graph.Graph) bool {
 		}
 	}
 	return true
-}
-
-func bitsFor(m int) int {
-	w := 0
-	for (1 << uint(w)) < m {
-		w++
-	}
-	return w
 }
 
 // runE13 tabulates Bell-number growth.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"testing"
 
@@ -46,10 +47,7 @@ func TestLargeNSweepRowMatchesSummarizedForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idBits := 1
-	for (1 << uint(idBits)) < n {
-		idBits++
-	}
+	idBits := max(1, bits.Len(uint(n-1)))
 	algo, err := algorithms.NewBoruvka(idBits)
 	if err != nil {
 		t.Fatal(err)

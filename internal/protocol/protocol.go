@@ -18,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"bcclique/internal/algorithms"
@@ -176,13 +177,7 @@ func maxDegree(g *graph.Graph) int {
 
 // bitsFor returns ⌈log₂ m⌉ (minimum 1), the ID width adapters provision
 // for sequential IDs 0..n−1.
-func bitsFor(m int) int {
-	w := 1
-	for (1 << uint(w)) < m {
-		w++
-	}
-	return w
-}
+func bitsFor(m int) int { return max(1, bits.Len(uint(m-1))) }
 
 // finish runs algo on the instance and assembles the Outcome, comparing
 // verdict and labels against the ground truth of g. The run records no

@@ -2,6 +2,8 @@ package reduction
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"bcclique/internal/bcc"
 	"bcclique/internal/partition"
@@ -55,100 +57,40 @@ func Simulate(algo bcc.Algorithm, pa, pb partition.Partition) (*SimResult, error
 	return simulateSplit(algo, in, ly)
 }
 
+// bareNodes hides an algorithm's RunBinder, so the runner drives one
+// bare node per vertex through its per-port inbox, as each party drives
+// its hosted vertices in the Section 4.3 simulation.
+type bareNodes struct{ bcc.Algorithm }
+
 // simulateSplit runs the algorithm with nodes partitioned across the
-// Alice/Bob cut defined by the layout, exchanging per-round broadcast
-// vectors, and cross-checks against a direct run.
+// Alice/Bob cut defined by the layout, meters the per-round broadcast
+// vectors the parties exchange, and cross-checks against a direct run.
 func simulateSplit(algo bcc.Algorithm, in *bcc.Instance, ly Layout) (*SimResult, error) {
-	b := algo.Bandwidth()
-	if b < 1 || b > bcc.MaxBandwidth {
-		return nil, fmt.Errorf("reduction: bandwidth %d unsupported", b)
+	sim, err := bcc.Run(in, bareNodes{algo})
+	if err != nil {
+		return nil, fmt.Errorf("reduction: simulated run: %w", err)
 	}
 	n := in.N()
-	rounds := algo.Rounds(n)
-	lenBits := bitsFor(b + 1)
-	perSymbol := b + lenBits
-
-	// Each party instantiates only its hosted vertices.
-	nodes := make([]bcc.Node, n)
-	hostAlice := make([]bool, n)
-	var aliceOrder, bobOrder []int // hosted vertices in increasing ID
+	alice := 0
 	for v := 0; v < n; v++ {
-		nodes[v] = algo.NewNode(in.View(v), nil)
-		hostAlice[v] = ly.AliceHosts(v)
-	}
-	// "In increasing order of ID" (Section 4.3) so the receiver knows the
-	// sender of each symbol by position.
-	for _, v := range verticesByID(in) {
-		if hostAlice[v] {
-			aliceOrder = append(aliceOrder, v)
-		} else {
-			bobOrder = append(bobOrder, v)
+		if ly.AliceHosts(v) {
+			alice++
 		}
 	}
-
+	// Each round, each party ships its hosted vertices' broadcasts in
+	// increasing order of ID (Section 4.3), so the receiver knows the
+	// sender of each symbol by position; every symbol is a b-bit payload
+	// plus a ⌈log₂(b+1)⌉-bit length field.
+	b := algo.Bandwidth()
+	perSymbol := b + bits.Len(uint(b))
 	res := &SimResult{
-		Rounds:                  rounds,
-		SymbolsPerRoundPerParty: len(aliceOrder),
+		Rounds:                  sim.Rounds,
+		WireBits:                sim.Rounds * n * perSymbol,
+		SymbolsPerRoundPerParty: max(alice, n-alice),
 		BitsPerSymbol:           perSymbol,
-	}
-	if len(bobOrder) > res.SymbolsPerRoundPerParty {
-		res.SymbolsPerRoundPerParty = len(bobOrder)
-	}
-
-	sends := make([]bcc.Message, n)
-	sent := make([][]bcc.Message, n)
-	inbox := make([]bcc.Message, n-1)
-	for t := 1; t <= rounds; t++ {
-		// Each party gathers its hosted vertices' broadcasts and ships
-		// them across the wire.
-		for v := 0; v < n; v++ {
-			m := nodes[v].Send(t)
-			if int(m.Len) > b {
-				return nil, fmt.Errorf("reduction: vertex %d over budget in round %d", v, t)
-			}
-			sends[v] = m
-			sent[v] = append(sent[v], m)
-		}
-		// Wire accounting: Alice ships her vector, Bob his.
-		res.WireBits += len(aliceOrder) * perSymbol
-		res.WireBits += len(bobOrder) * perSymbol
-		// Both parties now hold all broadcasts and deliver them to their
-		// hosted vertices through the KT-1 port map (IDs are public, so
-		// the port of every sender is known to both parties).
-		for v := 0; v < n; v++ {
-			for u := 0; u < n; u++ {
-				if u == v {
-					continue
-				}
-				inbox[in.PortOf(v, u)] = sends[u]
-			}
-			nodes[v].Receive(t, inbox)
-		}
-	}
-
-	res.HasVerdict = true
-	verdict := bcc.VerdictYes
-	labels := make([]int, n)
-	allLabelers := true
-	for v := 0; v < n; v++ {
-		if d, ok := nodes[v].(bcc.Decider); ok {
-			if d.Decide() == bcc.VerdictNo {
-				verdict = bcc.VerdictNo
-			}
-		} else {
-			res.HasVerdict = false
-		}
-		if l, ok := nodes[v].(bcc.Labeler); ok {
-			labels[v] = l.Label()
-		} else {
-			allLabelers = false
-		}
-	}
-	if res.HasVerdict {
-		res.Verdict = verdict
-	}
-	if allLabelers {
-		res.Labels = labels
+		HasVerdict:              sim.HasVerdict,
+		Verdict:                 sim.Verdict,
+		Labels:                  sim.Labels,
 	}
 
 	// Cross-check against a direct run.
@@ -156,48 +98,14 @@ func simulateSplit(algo bcc.Algorithm, in *bcc.Instance, ly Layout) (*SimResult,
 	if err != nil {
 		return nil, fmt.Errorf("reduction: direct run: %w", err)
 	}
-	res.MatchesDirect = direct.Rounds == rounds &&
+	res.MatchesDirect = direct.Rounds == res.Rounds &&
 		direct.HasVerdict == res.HasVerdict &&
 		(!res.HasVerdict || direct.Verdict == res.Verdict)
-	if res.MatchesDirect {
-		for v := 0; v < n && res.MatchesDirect; v++ {
-			for t := 0; t < rounds; t++ {
-				if direct.Transcripts[v].Sent[t] != sent[v][t] {
-					res.MatchesDirect = false
-					break
-				}
-			}
-		}
+	for v := 0; v < n && res.MatchesDirect; v++ {
+		res.MatchesDirect = slices.Equal(direct.Transcripts[v].Sent, sim.Transcripts[v].Sent)
 	}
 	if res.MatchesDirect && res.Labels != nil && direct.Labels != nil {
-		for v := range labels {
-			if labels[v] != direct.Labels[v] {
-				res.MatchesDirect = false
-				break
-			}
-		}
+		res.MatchesDirect = slices.Equal(res.Labels, direct.Labels)
 	}
 	return res, nil
-}
-
-func verticesByID(in *bcc.Instance) []int {
-	ids := in.IDs()
-	order := make([]int, len(ids))
-	for i := range order {
-		order[i] = i
-	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && ids[order[j]] < ids[order[j-1]]; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	return order
-}
-
-func bitsFor(m int) int {
-	w := 0
-	for (1 << uint(w)) < m {
-		w++
-	}
-	return w
 }

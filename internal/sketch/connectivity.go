@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -69,13 +70,7 @@ func (c *Connectivity) Name() string { return "sketch-connectivity" }
 func (c *Connectivity) Bandwidth() int { return 31 }
 
 // phases returns the peeling schedule length for n vertices.
-func phases(n int) int {
-	p := 1
-	for (1 << uint(p)) < n {
-		p++
-	}
-	return p + 1
-}
+func phases(n int) int { return max(1, bits.Len(uint(n-1))) + 1 }
 
 // Rounds implements bcc.Algorithm: phases × sketch length.
 func (c *Connectivity) Rounds(n int) int {
