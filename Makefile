@@ -110,9 +110,11 @@ bench-serving:
 # machine-independent, so CI gates on it with -bytes. The group runs at
 # -cpu 1: with more Ps, a run's pooled takes can miss sync.Pool's per-P
 # caches at random (BitplaneFloodTwoCycle1024, measured at 2 CPUs, read
-# 174 or 234 KB/op from run to run; at -cpu 1 it reads 128 KB/op).
+# 174 or 234 KB/op from run to run; at -cpu 1 it reads 128 KB/op). It
+# runs 20 iterations, as the E, Sweep and Scale groups do: at 2 its
+# ns/op swung by half between identical runs.
 bench-memory:
-	$(GO) test -bench 'BenchmarkMemory' -benchmem -benchtime 2x -cpu 1 -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Memory' -out BENCH_memory.json
+	$(GO) test -bench 'BenchmarkMemory' -benchmem -benchtime 20x -cpu 1 -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Memory' -out BENCH_memory.json
 
 # Regression gate: re-measure the E, Sweep, Scale, Bitplane, Serving
 # and Memory groups into fresh baselines and compare against the
@@ -132,7 +134,7 @@ bench-compare:
 	$(GO) run ./cmd/benchjson -compare -tolerance 25 $(COMPARE_FLAGS) BENCH_bitplane.json /tmp/bench_bitplane_fresh.json
 	$(GO) test -bench 'BenchmarkServing' -benchmem -benchtime 100x -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Serving' -out /tmp/bench_serving_fresh.json
 	$(GO) run ./cmd/benchjson -compare -tolerance 25 $(COMPARE_FLAGS) BENCH_serving.json /tmp/bench_serving_fresh.json
-	$(GO) test -bench 'BenchmarkMemory' -benchmem -benchtime 2x -cpu 1 -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Memory' -out /tmp/bench_memory_fresh.json
+	$(GO) test -bench 'BenchmarkMemory' -benchmem -benchtime 20x -cpu 1 -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Memory' -out /tmp/bench_memory_fresh.json
 	$(GO) run ./cmd/benchjson -compare -tolerance 25 $(COMPARE_FLAGS) -bytes BENCH_memory.json /tmp/bench_memory_fresh.json
 
 # Regenerate the full experiment report.
@@ -167,8 +169,9 @@ sweep-xl:
 # input-edge ports, so their top rungs are cheap (the two-cycle
 # flood-b1 cell at 32768, three seeds, takes under a second on a 2-CPU
 # box, the one-cycle kt0-exchange cell about 0.3 s); flood-b1's
-# er-threshold cell at 32768 (about 12 s) and sketch's decode of rows
-# of three or more dominate instead.
+# er-threshold cell at 32768 (about 12 s) dominates instead. The
+# sketch's decode peels each row against the rows decoded before it,
+# so its top rung, 2048, takes about 0.1 s a cell.
 # Re-runs only pay for missing cells.
 sweep-xxl:
 	$(GO) run ./cmd/experiments -sweep E17
@@ -184,14 +187,16 @@ sweep-smoke:
 		-format csv -out sweep-smoke.csv
 	@cat sweep-smoke.csv
 
-# Rows are pinned: five cold E17 sweeps, each at -parallel 1 and
-# -parallel 2, must agree byte for byte and match the md5s checked in
-# at testdata/sweep-rows.md5. The sweeps are every protocol to
-# n = 1024, sweep-large's n = 2048 cells, flood-b1 × two-cycle at
-# n = 8192, the largest plane cell (under 0.1 s), and kt0-exchange ×
-# one-cycle at n = 8192 and at n = 32768, the ladder's top (about
-# 0.3 s). A change that alters rows on purpose updates the md5 file
-# and says why. CI's sweep-smoke job runs it.
+# Rows are pinned: five cold E17 sweeps and one E18 sweep, each at
+# -parallel 1 and -parallel 2, must agree byte for byte and match the
+# md5s checked in at testdata/sweep-rows.md5. The E17 sweeps are every
+# protocol to n = 1024, sweep-large's n = 2048 cells, flood-b1 ×
+# two-cycle at n = 8192, the largest plane cell (under 0.1 s), and
+# kt0-exchange × one-cycle at n = 8192 and at n = 32768, the ladder's
+# top (about 0.3 s). The E18 sweep to n = 1024 pins the refusal
+# contract: every promise violation answered detectably, none silently
+# wrong. A change that alters rows on purpose updates the md5 file and
+# says why. CI's sweep-smoke job runs it.
 sweep-rows-identical:
 	@set -e; root=$$(pwd); dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/experiments" ./cmd/experiments; \
@@ -206,8 +211,10 @@ sweep-rows-identical:
 			-format csv -cache-dir none -parallel $$p > "$$dir/kt0-8192-$$p.csv"; \
 		"$$dir/experiments" -sweep E17 -sizes 32768 -protocols kt0-exchange -families one-cycle \
 			-format csv -cache-dir none -parallel $$p > "$$dir/kt0-32768-$$p.csv"; \
+		"$$dir/experiments" -sweep E18 -sizes 16,64,256,1024 \
+			-format csv -cache-dir none -parallel $$p > "$$dir/e18-$$p.csv"; \
 	done; \
-	for f in ladder large flood-8192 kt0-8192 kt0-32768; do cmp "$$dir/$$f-1.csv" "$$dir/$$f-2.csv"; done; \
+	for f in ladder large flood-8192 kt0-8192 kt0-32768 e18; do cmp "$$dir/$$f-1.csv" "$$dir/$$f-2.csv"; done; \
 	(cd "$$dir" && md5sum -c "$$root/testdata/sweep-rows.md5"); \
 	echo "sweep rows identical at -parallel 1 and 2 and pinned by testdata/sweep-rows.md5"
 

@@ -125,12 +125,14 @@ func gridE17() engine.GridSpec {
 		// merge state, the KT-0 full-information universes, the sketch
 		// replicas' private retirement mirrors are all one-per-run now
 		// (DESIGN.md §6.2) — so the ceilings are set by per-run compute
-		// instead of per-replica memory. The sketch decodes a row of at
-		// most two elements in closed form, but a row of c ≥ 3 (grid and
-		// er-threshold inputs) still scans the whole universe (Θ(n²·k)
-		// per phase). boruvka rides to 16384. The bit-plane flood-b1
-		// and kt0-exchange, whose seeded instance draws only its
-		// input-edge ports, climb the full ladder.
+		// instead of per-replica memory. The sketch's phase decode
+		// peels: a row divides out the rows decoded before it that hold
+		// its vertex, scans the universe only while more than two of its
+		// elements are left, and solves the last two in closed form. Grid
+		// and cycle rows never scan; some er-threshold rows still scan
+		// part of the universe, Θ(n) each. boruvka rides to 16384. The
+		// bit-plane flood-b1 and kt0-exchange, whose seeded instance
+		// draws only its input-edge ports, climb the full ladder.
 		SizeCaps:   map[string]int{"sketch-a2": 2048, "boruvka": 16384},
 		Seeds:      3,
 		QuickSeeds: 2,
@@ -205,12 +207,12 @@ func gridE18() engine.GridSpec {
 		Sizes:      []int{16, 32, 64, 256, 1024, 4096, 8192, 16384, 32768},
 		QuickSizes: []int{12},
 		// The shared-substrate ceilings of E17, restated on this ladder:
-		// the sketch's per-phase universe-scan decode keeps it at 2048
-		// (its top rung here is 1024) and boruvka's shared merge mirror
-		// rides to 16384. flood-b1 reconstructs every edge, so on the
-		// Θ(n²)-edge barbell its union work is Θ(n²) — the scoped cap
-		// keeps that pair honest while the sparse planted families climb
-		// to 32768.
+		// the sketch stops at 2048 (its top rung here is 1024), where a
+		// row that still scans the universe costs Θ(n), and boruvka's
+		// shared merge mirror rides to 16384. flood-b1 reconstructs
+		// every edge, so on the Θ(n²)-edge barbell its union work is
+		// Θ(n²) — the scoped cap keeps that pair honest while the sparse
+		// planted families climb to 32768.
 		SizeCaps: map[string]int{
 			"sketch-a1": 2048, "sketch-a2": 2048, "boruvka": 16384,
 			"flood-b1@barbell": 1024,

@@ -3,7 +3,6 @@ package linalg
 import (
 	"fmt"
 	"math/big"
-	"math/bits"
 )
 
 // Field is arithmetic over GF(p) for a prime p < 2³², exported for the
@@ -52,11 +51,7 @@ func (f Field) Add(a, b uint64) uint64 {
 func (f Field) Sub(a, b uint64) uint64 { return subMod(a, b, f.p) }
 
 // Mul returns a·b mod p (inputs must be reduced).
-func (f Field) Mul(a, b uint64) uint64 {
-	hi, lo := bits.Mul64(a, b)
-	_, rem := bits.Div64(hi, lo, f.p)
-	return rem
-}
+func (f Field) Mul(a, b uint64) uint64 { return mulMod(a, b, f.p) }
 
 // Neg returns −a mod p.
 func (f Field) Neg(a uint64) uint64 {

@@ -135,7 +135,19 @@ func (w *ModMatrix) rankInPlace() int {
 	return rank
 }
 
+// mulMod returns a·b mod p for reduced a and b. Modulo DefaultPrime it
+// folds instead of dividing: 2³¹ ≡ 1, so x ≡ x mod 2³¹ + ⌊x/2³¹⌋. The
+// product of two reduced entries is at most (p−1)², which folds to at
+// most 2p−3, so one conditional subtraction finishes the reduction.
 func mulMod(a, b, p uint64) uint64 {
+	if p == DefaultPrime {
+		x := a * b
+		x = x&DefaultPrime + x>>31
+		if x >= DefaultPrime {
+			x -= DefaultPrime
+		}
+		return x
+	}
 	hi, lo := bits.Mul64(a, b)
 	_, rem := bits.Div64(hi, lo, p)
 	return rem

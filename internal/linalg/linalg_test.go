@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -215,6 +216,33 @@ func TestModularArithmetic(t *testing.T) {
 	}
 	if got := powMod(3, 4, 1000003); got != 81 {
 		t.Errorf("3^4 = %d, want 81", got)
+	}
+}
+
+// TestMulModFoldMatchesDivide holds the Mersenne fold modulo
+// DefaultPrime to the 128-bit divide every other modulus takes, on the
+// extremes of the reduced range and on random reduced pairs.
+func TestMulModFoldMatchesDivide(t *testing.T) {
+	p := DefaultPrime
+	divide := func(a, b uint64) uint64 {
+		hi, lo := bits.Mul64(a, b)
+		_, rem := bits.Div64(hi, lo, p)
+		return rem
+	}
+	edges := []uint64{0, 1, 2, 1 << 30, 1<<31 - 3, p - 2, p - 1}
+	for _, a := range edges {
+		for _, b := range edges {
+			if got, want := mulMod(a, b, p), divide(a, b); got != want {
+				t.Fatalf("mulMod(%d, %d) = %d, want %d", a, b, got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 100000; i++ {
+		a, b := uint64(rng.Int63n(int64(p))), uint64(rng.Int63n(int64(p)))
+		if got, want := mulMod(a, b, p), divide(a, b); got != want {
+			t.Fatalf("mulMod(%d, %d) = %d, want %d", a, b, got, want)
+		}
 	}
 }
 

@@ -88,6 +88,7 @@ func (c *Connectivity) BindRun(in *bcc.Instance, _ int) bcc.BoundRun {
 	r.retiredCount = 0
 	r.labelsDone = false
 	r.nextNode = 0
+	r.pos = 0
 	if cap(r.nodes) < in.N() {
 		r.nodes = make([]sketchNode, in.N())
 	}
@@ -113,11 +114,26 @@ func (c *Connectivity) BindRun(in *bcc.Instance, _ int) bcc.BoundRun {
 		r.rows[v] = nil
 		r.vertexRank[v] = int32(rankIn(ids, in.ID(v)))
 	}
+	r.bindCandidates(n)
 	r.nbrs = r.nbrs[:0]
 	if want := 2 * in.Input().M(); cap(r.nbrs) < want {
-		r.nbrs = make([]int, 0, want)
+		r.nbrs = make([]int32, 0, want)
 	}
 	return r
+}
+
+// bindCandidates sizes the candidate table for a universe of n: k slots
+// per rank, for k of this run's recoverer, since one pooled run serves
+// every arboricity.
+func (r *sketchRun) bindCandidates(n int) {
+	k := r.rec.K()
+	if cap(r.cands) < n*k {
+		r.cands = make([]int32, n*k)
+	}
+	if cap(r.nCands) < n {
+		r.nCands = make([]int32, n)
+	}
+	r.cands, r.nCands = r.cands[:n*k], r.nCands[:n]
 }
 
 // rankIn returns id's index in the sorted universe (-1 if absent).
@@ -137,6 +153,7 @@ type sketchRun struct {
 	*Connectivity
 	universe   []int // nil → run invalid, every node broken
 	vertexRank []int32
+	pos        int // the next round's position in its phase
 	// rows[v] is the sketch row v carries this phase: a replica's own
 	// row is written by the replica at phase start (nil if silent), and
 	// a bare node's port rows collect the words each port heard.
@@ -146,7 +163,13 @@ type sketchRun struct {
 	comp         dsu.DSU
 	nodes        []sketchNode
 	nextNode     int
-	nbrs         []int // live-neighbour arena (IDs, filtered in place per node)
+	nbrs         []int32 // live-neighbour arena (ranks, filtered in place per node)
+	ids          []int   // a transmitting node's live neighbours' IDs, for Encode
+	// The phase decode's candidates: cands[w·k : w·k+nCands[w]] are the
+	// ranks of this phase's decoded rows whose sets hold rank w.
+	cands  []int32
+	nCands []int32
+	found  []int32 // one row's decoded ranks
 	// Label epilogue, computed once: minRank[rank] = smallest rank in
 	// its component.
 	labelsDone bool
@@ -173,7 +196,9 @@ func (r *sketchRun) newNode(i, row int, view bcc.View) *sketchNode {
 	node.selfRank = r.vertexRank[row]
 	start := len(r.nbrs)
 	for _, p := range view.InputPorts {
-		r.nbrs = append(r.nbrs, view.PortID(p))
+		if w := rankIn(r.universe, view.PortID(p)); w >= 0 {
+			r.nbrs = append(r.nbrs, int32(w))
+		}
 	}
 	node.liveNbrs = r.nbrs[start:len(r.nbrs):len(r.nbrs)]
 	return node
@@ -189,31 +214,43 @@ func (r *sketchRun) ReleaseRun() {
 	sketchRunPool.Put(r)
 }
 
-// Hear implements bcc.BoundRun. The broadcast vector is a projection of
-// the row table the replicas already share, so only the phase's last
-// round matters: the run decodes every deposited sketch and applies
-// the phase's retirements to the shared mirror. Retirements and the
-// union set do not depend on the order the rows are decoded in.
+// Hear implements bcc.BoundRun. It records the next round's position
+// in its phase, which the replicas' sends read. The broadcast vector
+// is a projection of the row table the replicas already share, so only
+// the phase's last round matters: the run decodes every deposited
+// sketch and applies the phase's retirements to the shared mirror.
+// Retirements and the union set do not depend on the order the rows
+// are decoded in. A row's candidates are the vertices whose rows,
+// decoded earlier in the phase, hold its vertex; every vertex hears
+// every row, so a vertex of the network could decode the same way. On
+// a grid a row's lower neighbours decode first, so no row scans the
+// universe.
 func (r *sketchRun) Hear(round int, _ []bcc.Message) {
-	if r.universe == nil || round%r.rec.Len() != 0 {
+	r.pos = round % r.rec.Len()
+	if r.universe == nil || r.pos != 0 {
 		return
 	}
+	k := r.rec.K()
+	clear(r.nCands)
 	for v, row := range r.rows {
 		if row == nil {
 			continue
 		}
-		nbrs, ok := r.rec.Decode(row, r.universe)
+		sr := r.vertexRank[v]
+		found, ok := r.rec.decode(r.found[:0], row, r.universe, r.cands[int(sr)*k:][:r.nCands[sr]])
+		r.found = found
 		if !ok {
 			continue
 		}
-		sr := int(r.vertexRank[v])
 		if !r.retired[sr] {
 			r.retired[sr] = true
 			r.retiredCount++
 		}
-		for _, w := range nbrs {
-			if wr := rankIn(r.universe, w); wr >= 0 {
-				r.comp.Union(sr, wr)
+		for _, w := range found {
+			r.comp.Union(int(sr), int(w))
+			if c := r.nCands[w]; int(c) < k {
+				r.cands[int(w)*k+int(c)] = sr
+				r.nCands[w]++
 			}
 		}
 	}
@@ -251,7 +288,8 @@ func (c *Connectivity) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
 			r.vertexRank[p] = int32(rankIn(r.universe, view.PortID(p)))
 		}
 		r.vertexRank[view.NumPorts] = int32(rankIn(r.universe, view.ID))
-		r.nbrs = make([]int, 0, len(view.InputPorts))
+		r.bindCandidates(len(r.universe))
+		r.nbrs = make([]int32, 0, len(view.InputPorts))
 	}
 	return r.newNode(0, view.NumPorts, view)
 }
@@ -260,7 +298,7 @@ func (c *Connectivity) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
 // and the sketch it transmits this phase.
 type sketchNode struct {
 	run         *sketchRun
-	liveNbrs    []int // IDs of not-yet-retired input neighbours
+	liveNbrs    []int32 // ranks of not-yet-retired input neighbours
 	sketch      []uint64
 	vertex      int32 // own row
 	selfRank    int32 // universe rank
@@ -268,18 +306,24 @@ type sketchNode struct {
 	broken      bool
 }
 
-func (n *sketchNode) Send(round int) bcc.Message {
+// Send implements bcc.Node. The round's position in its phase is the
+// one the run recorded when it heard the round before.
+func (n *sketchNode) Send(int) bcc.Message {
 	if n.broken {
 		return bcc.Silence
 	}
 	r := n.run
-	pos := (round - 1) % r.rec.Len()
-	if pos == 0 {
+	if r.pos == 0 {
 		// Phase start: decide whether to transmit this phase.
 		n.syncRetired()
 		n.sketch = nil
 		if !n.selfRetired && len(n.liveNbrs) <= 4*r.Arboricity {
-			s, err := r.rec.Encode(n.liveNbrs)
+			ids := r.ids[:0]
+			for _, w := range n.liveNbrs {
+				ids = append(ids, r.universe[w])
+			}
+			r.ids = ids
+			s, err := r.rec.Encode(ids)
 			if err == nil {
 				n.sketch = s
 			}
@@ -290,7 +334,7 @@ func (n *sketchNode) Send(round int) bcc.Message {
 	if n.sketch == nil {
 		return bcc.Silence
 	}
-	return bcc.Word(n.sketch[pos], 31)
+	return bcc.Word(n.sketch[r.pos], 31)
 }
 
 // syncRetired re-syncs a replica's residue from the mirror the run
@@ -302,7 +346,7 @@ func (n *sketchNode) syncRetired() {
 	n.selfRetired = r.retired[n.selfRank]
 	live := n.liveNbrs[:0]
 	for _, w := range n.liveNbrs {
-		if wr := rankIn(r.universe, w); wr >= 0 && !r.retired[wr] {
+		if !r.retired[w] {
 			live = append(live, w)
 		}
 	}
@@ -312,16 +356,15 @@ func (n *sketchNode) syncRetired() {
 // Receive implements bcc.Node for a bare node: each port's row collects
 // the words its sender broadcast this phase, and the run hears the
 // round, decoding every row at the phase's end. A sender silent in any
-// round of the phase leaves a short row, which Decode rejects. A bound
-// run's nodes hear nothing (the run hears for them).
+// round of the phase leaves a short row, which the decode rejects. A
+// bound run's nodes hear nothing (the run hears for them).
 func (n *sketchNode) Receive(round int, inbox []bcc.Message) {
 	if n.broken {
 		return
 	}
 	r := n.run
-	phaseStart := (round-1)%r.rec.Len() == 0
 	for p, m := range inbox {
-		if phaseStart {
+		if r.pos == 0 {
 			r.rows[p] = r.rows[p][:0]
 		}
 		if !m.IsSilent() {

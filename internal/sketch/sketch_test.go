@@ -116,34 +116,55 @@ func TestRecovererRejectsCorruptCountWord(t *testing.T) {
 	}
 }
 
-// decodeByScan is Decode with the universe scan for every set size:
-// the reference the closed form for c ≤ 2 must match.
+// decodeByScan is the reference decode: it evaluates the polynomial at
+// every universe element, requires exactly c roots and re-encodes them
+// with Encode. decode must agree with it whatever candidates it gets.
 func decodeByScan(r *Recoverer, sums []uint64, universe []int) ([]int, bool) {
-	e, ok := r.elementary(sums)
-	if !ok || e == nil {
-		return nil, ok
+	a, ok := r.monic(nil, sums)
+	if !ok {
+		return nil, false
 	}
-	set := r.scanRoots(e, universe)
-	if set == nil || !r.verify(set, sums) {
+	f := r.field
+	var set []int
+	for _, x := range universe {
+		if x < 0 || uint64(x) >= f.P() {
+			continue
+		}
+		acc := uint64(1)
+		for _, c := range a[1:] {
+			acc = f.Add(f.Mul(acc, uint64(x)), c)
+		}
+		if acc == 0 {
+			set = append(set, x)
+		}
+	}
+	if len(set) != len(a)-1 {
+		return nil, false
+	}
+	check, err := r.Encode(set)
+	if err != nil || !slices.Equal(check, sums) {
 		return nil, false
 	}
 	return set, true
 }
 
-// TestDecodeClosedFormMatchesScan is the differential test of the
-// closed form against the scan: for k = 1..4 and sorted and unsorted
-// universes of distinct elements, Decode must return the scan's set, in
-// the same order, and the same ok. The sketches cover sets drawn from
-// the universe, sets partly outside it, random count-1 and count-2
-// sums (most have no root in GF(p), half of the count-2 ones a
-// discriminant that is not a square), forged {x, x} sums (a zero
-// discriminant), corrupted words and oversize sets.
+// TestDecodeClosedFormMatchesScan is the differential test of decode
+// against the full scan: for k = 1..8 and sorted and unsorted universes
+// of distinct elements, decode with candidates and Decode without must
+// both return the scan's set, in the same order, and the same ok. The
+// sketches cover sets of up to k+1 elements drawn from the universe,
+// sets partly outside it, random count-1 and count-2 sums (most have no
+// root in GF(p), half of the count-2 ones a discriminant that is not a
+// square), forged {x, x} and {x, x, y} sums, corrupted words and oversize
+// sets. The candidates mix the set's own positions, some of them listed
+// twice, with random positions; a forged multiset's repeated element is
+// a candidate root that divides out twice.
 func TestDecodeClosedFormMatchesScan(t *testing.T) {
 	const p = 1<<31 - 1
 	rng := rand.New(rand.NewSource(18))
-	decoded := 0 // ok results with two elements
+	var decoded [3]int // ok results with 1, 2 and more elements
 	for i := 0; i < 40000; i++ {
-		k := 1 + i%4
+		k := 1 + i%8
 		rec, err := NewRecoverer(k)
 		if err != nil {
 			t.Fatal(err)
@@ -158,13 +179,14 @@ func TestDecodeClosedFormMatchesScan(t *testing.T) {
 			slices.Sort(universe)
 		}
 		outside := 3*size + rng.Intn(size+1) // in no universe above
+		var set []int                        // the elements encoded, if any
 		var sums []uint64
 		switch kind := rng.Intn(6); kind {
 		case 0, 1: // a set from the universe, oversize for c > k
-			c := rng.Intn(min(k, 2) + 2)
-			sums, err = rec.Encode(sampleDistinct(rng, universe, c))
+			set = sampleDistinct(rng, universe, rng.Intn(k+2))
+			sums, err = rec.Encode(set)
 		case 2: // partly outside the universe
-			set := append(sampleDistinct(rng, universe, rng.Intn(2)), outside)
+			set = append(sampleDistinct(rng, universe, rng.Intn(k)), outside)
 			sums, err = rec.Encode(set)
 		case 3: // random count-1/2 sums
 			sums = make([]uint64, rec.Len())
@@ -172,30 +194,62 @@ func TestDecodeClosedFormMatchesScan(t *testing.T) {
 			for j := 1; j < len(sums); j++ {
 				sums[j] = uint64(rng.Int63n(p))
 			}
-		case 4: // forged {x, x}
+		case 4: // forged {x, x} or {x, x, y}
 			x := universe[rng.Intn(size)]
-			sums, err = rec.Encode([]int{x, x})
+			set = append([]int{x, x}, sampleDistinct(rng, universe, rng.Intn(2))...)
+			sums, err = rec.Encode(set)
 		case 5: // a valid sketch with one word corrupted
-			sums, err = rec.Encode(sampleDistinct(rng, universe, rng.Intn(min(k, 2)+1)))
+			set = sampleDistinct(rng, universe, rng.Intn(k+1))
+			sums, err = rec.Encode(set)
 			j := rng.Intn(len(sums))
 			sums[j] = (sums[j] + 1 + uint64(rng.Int63n(p-1))) % p
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, gotOK := rec.Decode(sums, universe)
+		cands := candidates(rng, universe, set)
 		want, wantOK := decodeByScan(rec, sums, universe)
+		pos, gotOK := rec.decode(nil, sums, universe, cands)
+		var got []int
+		for _, j := range pos {
+			got = append(got, universe[j])
+		}
 		if gotOK != wantOK || !slices.Equal(got, want) {
+			t.Fatalf("case %d: k=%d universe %v sums %v candidates %v: decode = %v, %v; scan = %v, %v",
+				i, k, universe, sums, cands, got, gotOK, want, wantOK)
+		}
+		if got, gotOK := rec.Decode(sums, universe); gotOK != wantOK || !slices.Equal(got, want) {
 			t.Fatalf("case %d: k=%d universe %v sums %v: Decode = %v, %v; scan = %v, %v",
 				i, k, universe, sums, got, gotOK, want, wantOK)
 		}
-		if gotOK && len(got) == 2 {
-			decoded++
+		if gotOK && len(got) > 0 {
+			decoded[min(len(got), 3)-1]++
 		}
 	}
-	if decoded < 1000 {
-		t.Fatalf("only %d two-element decodes: the cases miss the closed form's main path", decoded)
+	for c, n := range decoded {
+		if n < 1000 {
+			t.Fatalf("only %d decodes of %d elements or more: the cases miss a main path", n, c+1)
+		}
 	}
+}
+
+// candidates returns candidate positions for a sketch of set: each of
+// the set's elements in the universe once, twice or not at all, and up
+// to three random positions, in random order.
+func candidates(rng *rand.Rand, universe []int, set []int) []int32 {
+	var cands []int32
+	for _, x := range set {
+		if i := slices.Index(universe, x); i >= 0 {
+			for n := rng.Intn(3); n > 0; n-- {
+				cands = append(cands, int32(i))
+			}
+		}
+	}
+	for n := rng.Intn(4); n > 0; n-- {
+		cands = append(cands, int32(rng.Intn(len(universe))))
+	}
+	rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+	return cands
 }
 
 // sampleDistinct returns c distinct elements of universe in random order.

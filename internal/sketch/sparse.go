@@ -92,105 +92,142 @@ func (r *Recoverer) Add(a, b []uint64) ([]uint64, error) {
 // when the sketch does not correspond to a ≤ k-subset of the universe
 // (too many elements, elements outside the universe, or corruption).
 // The universe lists distinct elements in any order, and the set comes
-// back in universe order.
-//
-// Newton's identities turn the power sums into the set's elementary
-// symmetric polynomials, which fix the set as the roots of
-// z^c − e1·z^{c−1} + e2·z^{c−2} − … (the [MT16] reconstruction). For
-// c ≤ 2 the roots have a closed form and Decode looks each one up in the
-// universe; for c ≥ 3 it evaluates the polynomial at every universe
-// element. Either way it re-encodes the set and compares every sum.
+// back in universe order. It is decode with no candidates: a row of
+// c ≥ 3 elements scans the universe until two roots are left, Θ(n·c)
+// field work, and a row of at most two costs no scan at all.
 func (r *Recoverer) Decode(sums []uint64, universe []int) (set []int, ok bool) {
-	e, ok := r.elementary(sums)
-	switch {
-	case !ok:
-		return nil, false
-	case e == nil:
-		return nil, true
-	case len(e) <= 3:
-		set = r.closedRoots(e, universe)
-	default:
-		set = r.scanRoots(e, universe)
+	pos, ok := r.decode(nil, sums, universe, nil)
+	if !ok || len(pos) == 0 {
+		return nil, ok
 	}
-	if set == nil || !r.verify(set, sums) {
-		return nil, false
+	set = make([]int, len(pos))
+	for j, i := range pos {
+		set[j] = universe[i]
 	}
 	return set, true
 }
 
-// elementary checks the sketch's length and count word c and returns
-// the elementary symmetric polynomials e_0..e_c of the encoded set, by
-// Newton's identities: m·e_m = Σ_{i=1..m} (−1)^{i−1} e_{m−i} p_i, each
-// divided by m through the table of 1/m NewRecoverer makes. The count
-// word is range-checked before it becomes an int, so a corrupted one
-// cannot turn negative. An empty set (c = 0) must have every power sum
-// zero, and its e is nil.
-func (r *Recoverer) elementary(sums []uint64) (e []uint64, ok bool) {
-	if len(sums) != r.Len() {
-		return nil, false
+// decode appends to dst the ascending positions in universe of the set
+// a sketch encodes and reports whether there is one; on false dst comes
+// back at its old length.
+//
+// Newton's identities turn the power sums into the monic polynomial
+// whose roots are the set (the [MT16] reconstruction). decode first
+// tries the candidate positions, at one Horner evaluation each, and
+// divides z − x out synthetically on a root x. Only while more than two
+// roots are left does it scan the universe, in order, and it solves the
+// last one or two in closed form. It rejects a position found twice (a
+// repeated element: {x, x, y} has power sums too) and re-encodes the
+// set against every sum. A sketch of at most k elements has exactly one
+// decoding, so candidates, roots or not, repeated or not, change what
+// decode costs and never what it returns: a caller that has heard the
+// rows holding this row's vertex gives their positions and skips the
+// scan.
+func (r *Recoverer) decode(dst []int32, sums []uint64, universe []int, cands []int32) ([]int32, bool) {
+	var stack [17]uint64 // rows of up to 16 elements decode without allocating
+	a, ok := r.monic(stack[:0], sums)
+	if !ok {
+		return dst, false
 	}
-	if sums[0] == 0 {
-		for _, s := range sums {
-			if s != 0 {
-				return nil, false
-			}
+	start := len(dst)
+	for _, i := range cands {
+		if len(a) == 1 {
+			break
 		}
-		return nil, true
+		if q, root := r.divideRoot(a, universe[i]); root {
+			a, dst = q, append(dst, i)
+		}
 	}
-	if sums[0] > uint64(r.k) {
-		return nil, false
+	for i := 0; len(a) > 3 && i < len(universe); i++ {
+		if q, root := r.divideRoot(a, universe[i]); root {
+			a, dst = q, append(dst, int32(i))
+		}
+	}
+	if len(a) > 3 {
+		return dst[:start], false // the universe holds too few roots
 	}
 	f := r.field
-	c := int(sums[0])
-	e = make([]uint64, c+1)
-	e[0] = 1
-	for m := 1; m <= c; m++ {
-		var acc uint64
-		for i := 1; i <= m; i++ {
-			term := f.Mul(e[m-i], sums[i])
-			if i%2 == 1 {
-				acc = f.Add(acc, term)
-			} else {
-				acc = f.Sub(acc, term)
-			}
+	switch len(a) {
+	case 2: // z + a1: the root is −a1
+		i := position(universe, f.Neg(a[1]))
+		if i < 0 {
+			return dst[:start], false
 		}
-		e[m] = f.Mul(acc, r.inv[m])
+		dst = append(dst, int32(i))
+	case 3:
+		// z² + a1·z + a2: the discriminant D = a1² − 4a2 must be a
+		// square. p = 2³¹−1 ≡ 3 (mod 4), so its square root, if any, is
+		// D^((p+1)/4), and the roots are (−a1 ± √D)/2. D = 0 is a double
+		// root, whose one position the repeat check below rejects.
+		d := f.Sub(f.Mul(a[1], a[1]), f.Mul(4, a[2]))
+		s := f.Pow(d, (f.P()+1)/4)
+		if f.Mul(s, s) != d {
+			return dst[:start], false // D is not a square: no root in GF(p)
+		}
+		half := (f.P() + 1) / 2 // 2⁻¹
+		i := position(universe, f.Mul(f.Sub(s, a[1]), half))
+		j := position(universe, f.Mul(f.Sub(f.Neg(a[1]), s), half))
+		if i < 0 || j < 0 {
+			return dst[:start], false
+		}
+		dst = append(dst, int32(i), int32(j))
 	}
-	return e, true
+	set := dst[start:]
+	slices.Sort(set)
+	for j := 1; j < len(set); j++ {
+		if set[j] == set[j-1] {
+			return dst[:start], false
+		}
+	}
+	if !r.verify(set, universe, sums, a[:0]) {
+		return dst[:start], false
+	}
+	return dst, true
 }
 
-// closedRoots solves z − e1 or z² − e1·z + e2 in closed form and returns
-// its roots in universe order, or nil unless it has c distinct roots,
-// all in the universe. For c = 2 the discriminant D = e1² − 4e2 must be
-// a non-zero square: p = 2³¹−1 ≡ 3 (mod 4), so its square root, if
-// any, is D^((p+1)/4), and the roots are (e1 ± √D)/2. D = 0 is a double
-// root, which no set of distinct elements has.
-func (r *Recoverer) closedRoots(e []uint64, universe []int) []int {
+// monic checks the sketch's length and count word c and appends to
+// dst[:0] the coefficients 1, a_1, …, a_c of the monic polynomial
+// z^c + a_1·z^{c−1} + … + a_c whose roots are the encoded set. By
+// Newton's identities m·a_m = −Σ_{i=1..m} a_{m−i}·p_i for the power
+// sums p_i, each divided by m through the table of 1/m NewRecoverer
+// makes. The count word is range-checked before it becomes an int, so a
+// corrupted one cannot turn negative. An empty set's polynomial is 1,
+// and verify then requires every power sum to be zero.
+func (r *Recoverer) monic(dst, sums []uint64) ([]uint64, bool) {
+	if len(sums) != r.Len() || sums[0] > uint64(r.k) {
+		return dst, false
+	}
 	f := r.field
-	if len(e) == 2 {
-		if i := position(universe, e[1]); i >= 0 {
-			return []int{universe[i]}
+	a := append(dst[:0], 1)
+	for m := 1; m <= int(sums[0]); m++ {
+		var acc uint64
+		for i := 1; i <= m; i++ {
+			acc = f.Add(acc, f.Mul(a[m-i], sums[i]))
 		}
-		return nil
+		a = append(a, f.Mul(f.Neg(acc), r.inv[m]))
 	}
-	d := f.Sub(f.Mul(e[1], e[1]), f.Mul(4, e[2]))
-	if d == 0 {
-		return nil
+	return a, true
+}
+
+// divideRoot evaluates the monic polynomial a at x by Horner's rule and,
+// if x is a root, divides z − x out in place: Horner's partial sums are
+// the quotient's coefficients. Elements outside [0, p) are no root.
+func (r *Recoverer) divideRoot(a []uint64, x int) (q []uint64, root bool) {
+	if x < 0 || uint64(x) >= r.field.P() {
+		return a, false
 	}
-	s := f.Pow(d, (f.P()+1)/4)
-	if f.Mul(s, s) != d {
-		return nil // D is not a square: no root in GF(p)
+	f, z := r.field, uint64(x)
+	acc := uint64(1)
+	for _, c := range a[1:] {
+		acc = f.Add(f.Mul(acc, z), c)
 	}
-	half := (f.P() + 1) / 2 // 2⁻¹
-	i := position(universe, f.Mul(f.Add(e[1], s), half))
-	j := position(universe, f.Mul(f.Sub(e[1], s), half))
-	if i < 0 || j < 0 {
-		return nil
+	if acc != 0 {
+		return a, false
 	}
-	if i > j {
-		i, j = j, i
+	for m := 1; m < len(a)-1; m++ {
+		a[m] = f.Add(f.Mul(a[m-1], z), a[m])
 	}
-	return []int{universe[i], universe[j]}
+	return a[:len(a)-1], true
 }
 
 // position returns the index of x in universe, or −1: a binary search
@@ -203,50 +240,26 @@ func position(universe []int, x uint64) int {
 	return slices.Index(universe, int(x))
 }
 
-// scanRoots evaluates the polynomial at every universe element and
-// returns the roots in universe order, or nil unless there are exactly
-// c of them. It costs Θ(n·c) a sketch.
-func (r *Recoverer) scanRoots(e []uint64, universe []int) []int {
-	c := len(e) - 1
-	var set []int
-	for _, x := range universe {
-		if x < 0 || uint64(x) >= r.field.P() {
-			continue
-		}
-		if r.evalPoly(e, c, uint64(x)) == 0 {
-			set = append(set, x)
-			if len(set) > c {
-				return nil
-			}
-		}
-	}
-	if len(set) != c {
-		return nil
-	}
-	return set
-}
-
-// verify re-encodes set and compares every power sum (guards against
-// |set| > k aliasing).
-func (r *Recoverer) verify(set []int, sums []uint64) bool {
-	check, err := r.Encode(set)
-	if err != nil {
+// verify re-encodes the elements at the given positions and compares
+// every power sum (guards against |set| > k aliasing); pow is a work
+// buffer with room for one power per element.
+func (r *Recoverer) verify(set []int32, universe []int, sums []uint64, pow []uint64) bool {
+	if uint64(len(set)) != sums[0] {
 		return false
 	}
-	return slices.Equal(check, sums)
-}
-
-// evalPoly evaluates z^c + Σ_{m=1..c} (−1)^m e_m z^{c−m} at z = x.
-func (r *Recoverer) evalPoly(e []uint64, c int, x uint64) uint64 {
 	f := r.field
-	// Horner over coefficients [1, −e1, +e2, −e3, ...].
-	acc := uint64(1)
-	for m := 1; m <= c; m++ {
-		coeff := e[m]
-		if m%2 == 1 {
-			coeff = f.Neg(coeff)
-		}
-		acc = f.Add(f.Mul(acc, x), coeff)
+	for _, i := range set {
+		pow = append(pow, uint64(universe[i]))
 	}
-	return acc
+	for j := 1; j < len(sums); j++ {
+		var sum uint64
+		for e, i := range set {
+			sum = f.Add(sum, pow[e])
+			pow[e] = f.Mul(pow[e], uint64(universe[i]))
+		}
+		if sum != sums[j] {
+			return false
+		}
+	}
+	return true
 }
