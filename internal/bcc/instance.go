@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	randv2 "math/rand/v2"
+	"slices"
 	"sort"
 	"sync"
 
@@ -612,7 +613,7 @@ func (v View) Equal(w View) bool {
 	if v.Knowledge != w.Knowledge || v.N != w.N || v.ID != w.ID || v.NumPorts != w.NumPorts {
 		return false
 	}
-	if !intsEqual(v.InputPorts, w.InputPorts) || !intsEqual(v.AllIDs, w.AllIDs) {
+	if !slices.Equal(v.InputPorts, w.InputPorts) || !slices.Equal(v.AllIDs, w.AllIDs) {
 		return false
 	}
 	if v.HasPortIDs() != w.HasPortIDs() {
@@ -623,18 +624,6 @@ func (v View) Equal(w View) bool {
 			if v.PortID(p) != w.PortID(p) {
 				return false
 			}
-		}
-	}
-	return true
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
 		}
 	}
 	return true

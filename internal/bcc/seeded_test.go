@@ -3,6 +3,7 @@ package bcc
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -244,7 +245,7 @@ func TestRandomKT0MutationsMatchTwin(t *testing.T) {
 				t.Fatal("seeded instance and its twin differ after the same mutation")
 			}
 			for v := 0; v < n; v++ {
-				if got, want := a.InputPorts(v), b.InputPorts(v); !intsEqual(got, want) {
+				if got, want := a.InputPorts(v), b.InputPorts(v); !slices.Equal(got, want) {
 					t.Fatalf("InputPorts(%d) = %v after %s, want %v", v, got, name, want)
 				}
 			}
@@ -265,7 +266,7 @@ func TestRandomKT0MutationsMatchTwin(t *testing.T) {
 		if !seeded.Equal(twin) {
 			t.Fatal("mutating a clone changed its seeded original")
 		}
-		if got, want := seeded.InputPorts(0), twin.InputPorts(0); !intsEqual(got, want) {
+		if got, want := seeded.InputPorts(0), twin.InputPorts(0); !slices.Equal(got, want) {
 			t.Fatalf("original's InputPorts(0) = %v after the clone's mutation, want %v", got, want)
 		}
 	})

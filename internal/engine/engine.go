@@ -3,10 +3,10 @@
 // deterministic worker pool of internal/parallel, consults the
 // content-addressed result cache of internal/results before computing
 // anything, and streams finished sections in registry ID order to any
-// report.Renderer. Frontends — the experiments CLI, the bccd HTTP
-// server, bccsim's Monte Carlo sweeps — all sit on this one engine and
-// therefore share one cache: a result computed once for a
-// (spec, config, build) triple is never recomputed.
+// report.Renderer. Both frontends, the experiments CLI and the bccd
+// HTTP server, sit on this one engine and therefore share one cache: a
+// result computed once for a (spec, config, build) triple is never
+// recomputed.
 package engine
 
 import (

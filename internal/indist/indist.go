@@ -23,6 +23,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"slices"
 
 	"bcclique/internal/bcc"
 	"bcclique/internal/crossing"
@@ -220,7 +221,7 @@ func New(n int, labeler Labeler, x, y string) (*Graph, error) {
 				}
 			}
 		}
-		sortInts(g.adj[i])
+		slices.Sort(g.adj[i])
 		return nil
 	})
 	if err != nil {
@@ -506,12 +507,4 @@ func NewCensus(n int) Census {
 		c.Predicted += term
 	}
 	return c
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

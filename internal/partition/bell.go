@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"slices"
 )
 
 // Bell returns the n-th Bell number B_n, the number of set partitions of an
@@ -211,7 +212,7 @@ func Random(n int, rng *rand.Rand) Partition {
 			labels[e] = block
 		}
 		next := append([]int(nil), rest[k-1:]...)
-		sortInts(next)
+		slices.Sort(next)
 		remaining = next
 		block++
 	}
@@ -230,12 +231,4 @@ func RandomPairing(n int, rng *rand.Rand) (Partition, bool) {
 		labels[perm[i+1]] = i / 2
 	}
 	return FromLabels(labels), true
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

@@ -3,7 +3,7 @@ package sketch
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 
 	"bcclique/internal/bcc"
@@ -85,6 +85,7 @@ var sketchRunPool = sync.Pool{New: func() interface{} { return new(sketchRun) }}
 func (c *Connectivity) BindRun(in *bcc.Instance, _ int) bcc.BoundRun {
 	r := sketchRunPool.Get().(*sketchRun)
 	r.Connectivity = c
+	r.in = in
 	r.retiredCount = 0
 	r.labelsDone = false
 	r.nextNode = 0
@@ -112,7 +113,8 @@ func (c *Connectivity) BindRun(in *bcc.Instance, _ int) bcc.BoundRun {
 	for v := 0; v < n; v++ {
 		r.retired[v] = false
 		r.rows[v] = nil
-		r.vertexRank[v] = int32(rankIn(ids, in.ID(v)))
+		w, _ := slices.BinarySearch(ids, in.ID(v))
+		r.vertexRank[v] = int32(w)
 	}
 	r.bindCandidates(n)
 	r.nbrs = r.nbrs[:0]
@@ -136,22 +138,14 @@ func (r *sketchRun) bindCandidates(n int) {
 	r.cands, r.nCands = r.cands[:n*k], r.nCands[:n]
 }
 
-// rankIn returns id's index in the sorted universe (-1 if absent).
-func rankIn(universe []int, id int) int {
-	i := sort.SearchInts(universe, id)
-	if i < len(universe) && universe[i] == id {
-		return i
-	}
-	return -1
-}
-
 // sketchRun is the run-shared substrate and retirement mirror: the
 // sorted universe, the per-phase row table every transmitting replica
 // deposits its sketch into, and the replicated retired/union-find
 // state computed once per phase.
 type sketchRun struct {
 	*Connectivity
-	universe   []int // nil → run invalid, every node broken
+	in         *bcc.Instance // the bound instance; nil on a bare node
+	universe   []int         // nil → run invalid, every node broken
 	vertexRank []int32
 	pos        int // the next round's position in its phase
 	// rows[v] is the sketch row v carries this phase: a replica's own
@@ -180,12 +174,13 @@ type sketchRun struct {
 func (r *sketchRun) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
 	v := r.nextNode
 	r.nextNode++
-	return r.newNode(v, v, view)
+	return r.newNode(v, v, view, func(p int) int { return r.in.NeighborAt(v, p) })
 }
 
 // newNode builds the i-th node of the arena, the replica whose own row
-// is row, with every input neighbour live.
-func (r *sketchRun) newNode(i, row int, view bcc.View) *sketchNode {
+// is row, with the rows behind its input ports (rowOf) as its live
+// neighbours.
+func (r *sketchRun) newNode(i, row int, view bcc.View, rowOf func(p int) int) *sketchNode {
 	node := &r.nodes[i]
 	*node = sketchNode{run: r}
 	if r.universe == nil || view.Knowledge != bcc.KT1 || view.AllIDs == nil {
@@ -196,9 +191,7 @@ func (r *sketchRun) newNode(i, row int, view bcc.View) *sketchNode {
 	node.selfRank = r.vertexRank[row]
 	start := len(r.nbrs)
 	for _, p := range view.InputPorts {
-		if w := rankIn(r.universe, view.PortID(p)); w >= 0 {
-			r.nbrs = append(r.nbrs, int32(w))
-		}
+		r.nbrs = append(r.nbrs, r.vertexRank[rowOf(p)])
 	}
 	node.liveNbrs = r.nbrs[start:len(r.nbrs):len(r.nbrs)]
 	return node
@@ -207,6 +200,7 @@ func (r *sketchRun) newNode(i, row int, view bcc.View) *sketchNode {
 // ReleaseRun implements bcc.BoundRun.
 func (r *sketchRun) ReleaseRun() {
 	r.Connectivity = nil
+	r.in = nil
 	r.universe = nil
 	for v := range r.rows {
 		r.rows[v] = nil
@@ -285,13 +279,15 @@ func (c *Connectivity) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
 		r.rows = make([][]uint64, n)
 		r.vertexRank = make([]int32, n)
 		for p := 0; p < view.NumPorts; p++ {
-			r.vertexRank[p] = int32(rankIn(r.universe, view.PortID(p)))
+			w, _ := slices.BinarySearch(r.universe, view.PortID(p))
+			r.vertexRank[p] = int32(w)
 		}
-		r.vertexRank[view.NumPorts] = int32(rankIn(r.universe, view.ID))
+		w, _ := slices.BinarySearch(r.universe, view.ID)
+		r.vertexRank[view.NumPorts] = int32(w)
 		r.bindCandidates(len(r.universe))
 		r.nbrs = make([]int32, 0, len(view.InputPorts))
 	}
-	return r.newNode(0, view.NumPorts, view)
+	return r.newNode(0, view.NumPorts, view, func(p int) int { return p })
 }
 
 // sketchNode is one replica: its row and rank, its live-neighbour set,
@@ -302,6 +298,7 @@ type sketchNode struct {
 	sketch      []uint64
 	vertex      int32 // own row
 	selfRank    int32 // universe rank
+	synced      int32 // the run's retiredCount at the last syncRetired
 	selfRetired bool
 	broken      bool
 }
@@ -340,9 +337,14 @@ func (n *sketchNode) Send(int) bcc.Message {
 // syncRetired re-syncs a replica's residue from the mirror the run
 // advanced when it heard the last phase end. A bound run hears rounds
 // on the runner's goroutine after the send barrier, so the reads below
-// are ordered after it.
+// are ordered after it. Retirements only accumulate, so when the count
+// has not moved since the last sync the residue is already current.
 func (n *sketchNode) syncRetired() {
 	r := n.run
+	if int(n.synced) == r.retiredCount {
+		return
+	}
+	n.synced = int32(r.retiredCount)
 	n.selfRetired = r.retired[n.selfRank]
 	live := n.liveNbrs[:0]
 	for _, w := range n.liveNbrs {
