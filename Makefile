@@ -73,18 +73,20 @@ smoke-examples:
 # Full benchmark pass over the E-series suite (plus engine cold/warm
 # cache benchmarks), recorded as the BENCH_engine.json baseline.
 bench-json:
-	$(GO) test -bench 'BenchmarkE' -benchmem -benchtime 20x -run '^$$' . | $(GO) run ./cmd/benchjson -out BENCH_engine.json
+	$(GO) test -bench 'BenchmarkE' -benchmem -benchtime 20x -cpu 1 -run '^$$' . | $(GO) run ./cmd/benchjson -out BENCH_engine.json
 
 # Record the sweep-grid perf baseline (cold vs. warm per-cell cache).
 bench-sweeps:
-	$(GO) test -bench 'BenchmarkSweep' -benchmem -benchtime 20x -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Sweep' -out BENCH_sweeps.json
+	$(GO) test -bench 'BenchmarkSweep' -benchmem -benchtime 20x -cpu 1 -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Sweep' -out BENCH_sweeps.json
 
 # Record the large-n substrate baseline: CSR vs. AddEdge graph
-# construction, the barbell and grid family builds (the grid's allocs
-# gate the exact arboricity check), zero-alloc neighbour iteration, and
-# an end-to-end large-n sweep cell (BENCH_scale.json).
+# construction, the barbell, grid and torus family builds (the grid's
+# allocs gate the arboricity check's peel, which empties it; the
+# torus's gate the exact matroid search, which only a non-empty core
+# reaches), zero-alloc neighbour iteration, and an end-to-end large-n
+# sweep cell (BENCH_scale.json).
 bench-scale:
-	$(GO) test -bench 'BenchmarkScale' -benchmem -benchtime 20x -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Scale' -out BENCH_scale.json
+	$(GO) test -bench 'BenchmarkScale' -benchmem -benchtime 20x -cpu 1 -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Scale' -out BENCH_scale.json
 
 # Record the bit-plane baseline: the flood-b1×two-cycle@1024 cell on
 # the word-packed plane vs. the generic Message oracle, a plane-riding
@@ -102,7 +104,7 @@ bench-bitplane:
 # per-request metrics recording, the /metrics scrape, and the job-table
 # round trip (BENCH_serving.json). These sit on every bccd request.
 bench-serving:
-	$(GO) test -bench 'BenchmarkServing' -benchmem -benchtime 100x -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Serving' -out BENCH_serving.json
+	$(GO) test -bench 'BenchmarkServing' -benchmem -benchtime 100x -cpu 1 -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Serving' -out BENCH_serving.json
 
 # Record the memory-footprint baseline: bytes/op per protocol×size cell
 # through the no-transcript sweep path (BENCH_memory.json). These are
@@ -118,21 +120,23 @@ bench-memory:
 
 # Regression gate: re-measure the E, Sweep, Scale, Bitplane, Serving
 # and Memory groups into fresh baselines and compare against the
-# checked-in ones. Exits non-zero on a >25% ns/op or allocs/op
+# checked-in ones. Every group runs at -cpu 1, the setting its
+# baseline records; benchjson -compare refuses two files recorded at
+# different settings. Exits non-zero on a >25% ns/op or allocs/op
 # regression (and, for Memory, B/op). COMPARE_FLAGS=-allocs-only
 # restricts the gate to the machine-independent allocation counts —
 # what CI uses, since the checked-in ns/op numbers come from a
 # different machine than the runner.
 bench-compare:
-	$(GO) test -bench 'BenchmarkE' -benchmem -benchtime 20x -run '^$$' . | $(GO) run ./cmd/benchjson -out /tmp/bench_engine_fresh.json
+	$(GO) test -bench 'BenchmarkE' -benchmem -benchtime 20x -cpu 1 -run '^$$' . | $(GO) run ./cmd/benchjson -out /tmp/bench_engine_fresh.json
 	$(GO) run ./cmd/benchjson -compare -tolerance 25 $(COMPARE_FLAGS) BENCH_engine.json /tmp/bench_engine_fresh.json
-	$(GO) test -bench 'BenchmarkSweep' -benchmem -benchtime 20x -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Sweep' -out /tmp/bench_sweeps_fresh.json
+	$(GO) test -bench 'BenchmarkSweep' -benchmem -benchtime 20x -cpu 1 -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Sweep' -out /tmp/bench_sweeps_fresh.json
 	$(GO) run ./cmd/benchjson -compare -tolerance 25 $(COMPARE_FLAGS) BENCH_sweeps.json /tmp/bench_sweeps_fresh.json
-	$(GO) test -bench 'BenchmarkScale' -benchmem -benchtime 20x -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Scale' -out /tmp/bench_scale_fresh.json
+	$(GO) test -bench 'BenchmarkScale' -benchmem -benchtime 20x -cpu 1 -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Scale' -out /tmp/bench_scale_fresh.json
 	$(GO) run ./cmd/benchjson -compare -tolerance 25 $(COMPARE_FLAGS) BENCH_scale.json /tmp/bench_scale_fresh.json
 	$(GO) test -bench 'BenchmarkBitplane' -benchmem -benchtime 5x -cpu 1 -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Bitplane' -out /tmp/bench_bitplane_fresh.json
 	$(GO) run ./cmd/benchjson -compare -tolerance 25 $(COMPARE_FLAGS) BENCH_bitplane.json /tmp/bench_bitplane_fresh.json
-	$(GO) test -bench 'BenchmarkServing' -benchmem -benchtime 100x -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Serving' -out /tmp/bench_serving_fresh.json
+	$(GO) test -bench 'BenchmarkServing' -benchmem -benchtime 100x -cpu 1 -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Serving' -out /tmp/bench_serving_fresh.json
 	$(GO) run ./cmd/benchjson -compare -tolerance 25 $(COMPARE_FLAGS) BENCH_serving.json /tmp/bench_serving_fresh.json
 	$(GO) test -bench 'BenchmarkMemory' -benchmem -benchtime 20x -cpu 1 -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Memory' -out /tmp/bench_memory_fresh.json
 	$(GO) run ./cmd/benchjson -compare -tolerance 25 $(COMPARE_FLAGS) -bytes BENCH_memory.json /tmp/bench_memory_fresh.json

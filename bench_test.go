@@ -751,27 +751,36 @@ func BenchmarkScaleBuildERBuilder(b *testing.B) {
 // (n/2-cliques, Θ(n²) edges) end to end through the family registry —
 // the generator the CSR builder speeds up the most.
 func BenchmarkScaleBuildBarbellFamily(b *testing.B) {
-	fam, ok := family.Lookup("barbell")
-	if !ok {
-		b.Fatal("barbell family missing")
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := fam.Build(1024, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchmarkScaleBuild(b, "barbell")
 }
 
 // BenchmarkScaleBuildGridFamily builds the grid family at n = 1024 end
-// to end; nearly all of its cost is Build's exact arboricity ≤ 2 check.
-// Its allocs/op gate the check's place-before-search order: searching
-// a rejecting forest's tree path before offering the edge to the next
-// forest takes ~19× the allocations.
+// to end. Build's arboricity ≤ 2 check peels the grid to an empty
+// 3-core and never reaches the matroid search, so its allocs/op gate
+// that the peel stays a single O(n + m) pass: the whole build is a few
+// dozen allocations, where the search made about 4,000.
 func BenchmarkScaleBuildGridFamily(b *testing.B) {
-	fam, ok := family.Lookup("grid")
+	benchmarkScaleBuild(b, "grid")
+}
+
+// BenchmarkScaleBuildTorusFamily builds the torus family at n = 1024
+// (32×32, 4-regular) end to end. At its declared arboricity ≤ 3 the
+// torus is its own 4-core, so the check runs the exact matroid search
+// on every edge; its allocs/op gate the search's place-before-search
+// order (searching a rejecting forest's tree path before offering the
+// edge to the next forest takes many times the allocations) and that
+// the search walks the graph's adjacency instead of copying the core's
+// edges.
+func BenchmarkScaleBuildTorusFamily(b *testing.B) {
+	benchmarkScaleBuild(b, "torus")
+}
+
+// benchmarkScaleBuild builds the named family at n = 1024, seed 1,
+// through the registry, Check included.
+func benchmarkScaleBuild(b *testing.B, name string) {
+	fam, ok := family.Lookup(name)
 	if !ok {
-		b.Fatal("grid family missing")
+		b.Fatalf("%s family missing", name)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

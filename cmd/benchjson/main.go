@@ -14,8 +14,9 @@
 // read from their names' -N suffix (1 when absent, as under -cpu 1).
 //
 // -compare old.json new.json switches to regression mode: the two
-// baseline files are matched by benchmark name and the command exits
-// non-zero if any shared benchmark regressed in ns/op or allocs/op —
+// baseline files must record one gomaxprocs, their benchmarks are
+// matched by name, and the command exits non-zero if any shared
+// benchmark regressed in ns/op or allocs/op —
 // plus B/op with -bytes, the gate the memory baselines use — by
 // more than -tolerance percent. Benchmarks present in only one file are
 // reported but never fail the comparison (a new benchmark is not a
@@ -186,7 +187,9 @@ func loadReport(path string) (*Report, error) {
 // tolerance drift are reported as OK. ns/op is only comparable between
 // runs of the same machine; cross-machine gates (CI against a
 // checked-in baseline) pass allocsOnly so the machine-independent
-// allocation counts gate and wall time is report-only.
+// allocation counts gate and wall time is report-only. Baselines
+// recorded at different gomaxprocs are an error: pooled allocations,
+// and so allocs/op and B/op, depend on the setting.
 func runCompare(oldPath, newPath string, tolerance float64, allocsOnly, bytesGate bool) error {
 	oldRep, err := loadReport(oldPath)
 	if err != nil {
@@ -195,6 +198,10 @@ func runCompare(oldPath, newPath string, tolerance float64, allocsOnly, bytesGat
 	newRep, err := loadReport(newPath)
 	if err != nil {
 		return err
+	}
+	if oldRep.GOMAXPROCS != newRep.GOMAXPROCS {
+		return fmt.Errorf("%s was recorded at gomaxprocs %d and %s at %d: re-measure at the baseline's setting (-cpu %d)",
+			oldPath, oldRep.GOMAXPROCS, newPath, newRep.GOMAXPROCS, oldRep.GOMAXPROCS)
 	}
 	oldBy := make(map[string]Benchmark, len(oldRep.Benchmarks))
 	for _, b := range oldRep.Benchmarks {

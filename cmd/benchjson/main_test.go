@@ -12,8 +12,13 @@ import (
 
 func writeBaseline(t *testing.T, dir, name string, benches []Benchmark) string {
 	t.Helper()
+	return writeReport(t, dir, name, Report{GoVersion: "gotest", GOMAXPROCS: 1, Benchmarks: benches})
+}
+
+func writeReport(t *testing.T, dir, name string, r Report) string {
+	t.Helper()
 	path := filepath.Join(dir, name)
-	data, err := json.Marshal(Report{GoVersion: "gotest", Benchmarks: benches})
+	data, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,6 +158,25 @@ func TestCompareBytesGate(t *testing.T) {
 	})
 	if err := runCompare(old, fewerBytes, 25, false, true); err != nil {
 		t.Errorf("-bytes mode gated on a B/op improvement: %v", err)
+	}
+}
+
+// TestCompareRejectsMixedSettings pins that two baselines recorded at
+// different gomaxprocs are not compared: pooled allocations move with
+// the setting, so even equal counts would mean nothing.
+func TestCompareRejectsMixedSettings(t *testing.T) {
+	dir := t.TempDir()
+	benches := []Benchmark{{Name: "A", NsPerOp: 1000, BytesPerOp: 100, AllocsPerOp: 10}}
+	one := writeBaseline(t, dir, "one.json", benches)
+	two := writeReport(t, dir, "two.json", Report{GOMAXPROCS: 2, Benchmarks: benches})
+	if err := runCompare(one, two, 25, true, false); err == nil {
+		t.Error("a gomaxprocs 1 baseline was compared with a gomaxprocs 2 run")
+	}
+	if err := runCompare(two, one, 25, true, false); err == nil {
+		t.Error("a gomaxprocs 2 baseline was compared with a gomaxprocs 1 run")
+	}
+	if err := runCompare(two, two, 25, true, false); err != nil {
+		t.Errorf("two gomaxprocs 2 files failed to compare: %v", err)
 	}
 }
 

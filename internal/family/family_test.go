@@ -1,6 +1,7 @@
 package family
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"strings"
@@ -134,20 +135,64 @@ func TestCheckRejectsViolations(t *testing.T) {
 }
 
 // TestCrossedTwoCyclePairsWithTwoCycle pins the crossing relationship:
-// the crossed family at (n, seed) differs from the two-cycle family at
-// the same (n, seed) in exactly four edges, and merges its two cycles
-// into one.
+// the crossed family at (n, seed) is one n-cycle that differs from the
+// two-cycle family at the same (n, seed) by one Definition 3.3 crossing.
+// Two edges are removed, one from each cycle, and two are added, each
+// joining the two cycles.
 func TestCrossedTwoCyclePairsWithTwoCycle(t *testing.T) {
 	crossed, _ := Lookup("crossed-two-cycle")
-	for _, n := range []int{6, 10, 16} {
+	two, _ := Lookup("two-cycle")
+	for _, n := range []int{6, 16, 64, 1024} {
 		for seed := int64(1); seed <= 3; seed++ {
 			g, err := crossed.Build(n, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := two.Build(n, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
 			lengths, ok := g.CycleLengths()
 			if !ok || len(lengths) != 1 || lengths[0] != n {
 				t.Errorf("n=%d seed=%d: crossed graph is not a single %d-cycle (%v)", n, seed, n, lengths)
+			}
+			comp := h.ComponentLabels()
+			removed, added := edgesNotIn(h, g), edgesNotIn(g, h)
+			if len(removed) != 2 || len(added) != 2 {
+				t.Fatalf("n=%d seed=%d: crossing removed %v and added %v, want two edges each", n, seed, removed, added)
+			}
+			if comp[removed[0].U] == comp[removed[1].U] {
+				t.Errorf("n=%d seed=%d: removed edges %v lie in one cycle", n, seed, removed)
+			}
+			for _, e := range added {
+				if comp[e.U] == comp[e.V] {
+					t.Errorf("n=%d seed=%d: added edge %v does not join the two cycles", n, seed, e)
+				}
+			}
+		}
+	}
+}
+
+// edgesNotIn lists the edges of g that h lacks.
+func edgesNotIn(g, h *graph.Graph) []graph.Edge {
+	var out []graph.Edge
+	for _, e := range g.Edges() {
+		if !h.HasEdge(e.U, e.V) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestFourRegularBuildsAtEverySeed pins the pairing model's retry limit:
+// a draw is accepted with probability about e^(−15/4), and 200 attempts
+// failed at a few percent of seeds.
+func TestFourRegularBuildsAtEverySeed(t *testing.T) {
+	f, _ := Lookup("4-regular")
+	for _, n := range []int{16, 64, 256} {
+		for seed := int64(1); seed <= 200; seed++ {
+			if _, err := f.Build(n, seed); err != nil {
+				t.Errorf("n=%d seed=%d: %v", n, seed, err)
 			}
 		}
 	}
@@ -205,6 +250,114 @@ func TestForestPartitionMatchesNashWilliams(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestForestPartitionMatchesSearch holds ForestPartition, which peels
+// before it searches, to the matroid-union search run on every edge of
+// g: on every registry family at n = 16, 64 and 256 and at a from 1 to
+// its declared bound (at least 2), and on random G(n, m) graphs at a on
+// both sides of their arboricity. At a = 1 a cycle is its own 2-core
+// and has no 1-forest partition, so a peel that goes one degree too far,
+// or a non-empty core taken as a yes, fails here.
+func TestForestPartitionMatchesSearch(t *testing.T) {
+	check := func(name string, g *graph.Graph, a int) bool {
+		t.Helper()
+		got, want := ForestPartition(g, a), searchEveryEdge(g, a)
+		if got != want {
+			t.Errorf("%s (m=%d): ForestPartition(g, %d) = %v, whole-graph search %v", name, g.M(), a, got, want)
+		}
+		return want
+	}
+	for _, f := range All() {
+		for _, n := range []int{16, 64, 256} {
+			if n < f.MinN() {
+				continue
+			}
+			for seed := int64(1); seed <= 3; seed++ {
+				g, err := f.Build(n, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for a := 1; a <= max(f.Invariants().MaxArboricity, 2); a++ {
+					check(fmt.Sprintf("%s n=%d seed=%d", f.Name(), n, seed), g, a)
+				}
+			}
+		}
+	}
+	// m edges need at least ⌈m/(n−1)⌉ forests. From one below that
+	// bound, a climbs until the verdict turns yes, so each graph is
+	// checked on both sides of its arboricity.
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{64, 256} {
+		for _, m := range []int{n - 1, 2 * n, 3 * n, 4 * n} {
+			g := randomGNM(n, m, rng)
+			name := fmt.Sprintf("G(%d, %d)", n, m)
+			a := max((m+n-2)/(n-1)-1, 1)
+			if check(name, g, a) {
+				t.Errorf("%s: %d forests suffice, want the search to start below the arboricity", name, a)
+			}
+			for a++; !check(name, g, a); a++ {
+			}
+		}
+	}
+}
+
+// TestForestPartitionPeelsSparseFamilies pins which branch of
+// ForestPartition the families reach at their declared bound: the
+// 2-regular families and the grid peel to an empty core at a = 2, and
+// the star and the path at a = 1, so none of them is searched; the
+// 4-regular torus is its own 4-core at a = 3.
+func TestForestPartitionPeelsSparseFamilies(t *testing.T) {
+	for _, tc := range []struct {
+		family string
+		a      int
+		empty  bool
+	}{
+		{"one-cycle", 2, true},
+		{"two-cycle", 2, true},
+		{"crossed-two-cycle", 2, true},
+		{"grid", 2, true},
+		{"star", 1, true},
+		{"path", 1, true},
+		{"torus", 3, false},
+	} {
+		f, _ := Lookup(tc.family)
+		for _, n := range []int{16, 64, 256} {
+			g, err := f.Build(n, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, core := peel(g, tc.a)
+			if empty := core == 0; empty != tc.empty {
+				t.Errorf("%s n=%d a=%d: (a+1)-core has %d vertices", tc.family, n, tc.a, core)
+			}
+		}
+	}
+}
+
+// searchEveryEdge is ForestPartition without the peel: the matroid-union
+// search over every edge of g.
+func searchEveryEdge(g *graph.Graph, a int) bool {
+	p := newForestPartitioner(g.N(), a)
+	for _, e := range g.Edges() {
+		if !p.insert(e) {
+			return false
+		}
+	}
+	return true
+}
+
+// randomGNM draws a uniform simple graph with n vertices and m edges.
+func randomGNM(n, m int, rng *rand.Rand) *graph.Graph {
+	b := graph.NewBuilder(n)
+	for added := 0; added < m; {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u != v && !b.Has(u, v) {
+			b.MustAdd(u, v)
+			added++
+		}
+	}
+	return b.MustFreeze()
 }
 
 // nashWilliams is the brute-force arboricity oracle: the densest vertex
