@@ -82,9 +82,9 @@ bench-sweeps:
 # Record the large-n substrate baseline: CSR vs. AddEdge graph
 # construction, the barbell, grid and torus family builds (the grid's
 # allocs gate the arboricity check's peel, which empties it; the
-# torus's gate the exact matroid search, which only a non-empty core
-# reaches), zero-alloc neighbour iteration, and an end-to-end large-n
-# sweep cell (BENCH_scale.json).
+# torus's gate the check of the forests its generator returns, since
+# it is its own 4-core), zero-alloc neighbour iteration, and an
+# end-to-end large-n sweep cell (BENCH_scale.json).
 bench-scale:
 	$(GO) test -bench 'BenchmarkScale' -benchmem -benchtime 20x -cpu 1 -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Scale' -out BENCH_scale.json
 

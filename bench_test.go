@@ -756,21 +756,19 @@ func BenchmarkScaleBuildBarbellFamily(b *testing.B) {
 
 // BenchmarkScaleBuildGridFamily builds the grid family at n = 1024 end
 // to end. Build's arboricity ≤ 2 check peels the grid to an empty
-// 3-core and never reaches the matroid search, so its allocs/op gate
-// that the peel stays a single O(n + m) pass: the whole build is a few
-// dozen allocations, where the search made about 4,000.
+// 3-core, so its allocs/op gate that the peel stays a single O(n + m)
+// pass: the whole build is a few dozen allocations.
 func BenchmarkScaleBuildGridFamily(b *testing.B) {
 	benchmarkScaleBuild(b, "grid")
 }
 
 // BenchmarkScaleBuildTorusFamily builds the torus family at n = 1024
 // (32×32, 4-regular) end to end. At its declared arboricity ≤ 3 the
-// torus is its own 4-core, so the check runs the exact matroid search
-// on every edge; its allocs/op gate the search's place-before-search
-// order (searching a rejecting forest's tree path before offering the
-// edge to the next forest takes many times the allocations) and that
-// the search walks the graph's adjacency instead of copying the core's
-// edges.
+// torus is its own 4-core, so the generator returns its three forests
+// and the check verifies them (one union-find, one Freeze); its
+// allocs/op gate that the witness check stays a single pass, about a
+// hundred allocations, where the matroid search it replaced made
+// about 4,300.
 func BenchmarkScaleBuildTorusFamily(b *testing.B) {
 	benchmarkScaleBuild(b, "torus")
 }

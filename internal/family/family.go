@@ -67,10 +67,12 @@ type Invariants struct {
 	// Regular is the declared uniform degree (0 = unspecified).
 	Regular int
 	// MaxArboricity is a declared arboricity upper bound a (0 =
-	// unspecified), verified exactly by ForestPartition: an O(n + m)
-	// peel of the vertices of degree ≤ a certifies it when nothing is
-	// left (degeneracy ≤ a), and otherwise the (a+1)-core that remains
-	// must have its edges partitioned into a forests.
+	// unspecified). Check certifies it in one of two ways: the
+	// generator's forests, verified exactly (at most a of them, each
+	// acyclic, together covering every edge once), or, when the
+	// generator returns none, an O(n + m) peel of the vertices of
+	// degree ≤ a that leaves nothing (degeneracy ≤ a). A bound that
+	// neither certifies is a Build error, never a silent pass.
 	MaxArboricity int
 }
 
@@ -81,8 +83,18 @@ type Family struct {
 	version int    // bumped in the same commit as a generator logic change
 	minN    int
 	inv     Invariants
-	build   func(n int, rng *rand.Rand) (*graph.Graph, error)
+	build   buildFunc
 }
+
+// buildFunc generates a family's size-n graph from rng. A generator
+// whose graphs carry a declared arboricity bound but need not peel to
+// an empty (a+1)-core also returns the forests that partition the
+// graph's edges, which Check verifies; every other generator returns
+// nil forests, usually through plain.
+type buildFunc func(n int, rng *rand.Rand) (*graph.Graph, [][]graph.Edge, error)
+
+// plain adapts a forest-free generator's result to buildFunc.
+func plain(g *graph.Graph, err error) (*graph.Graph, [][]graph.Edge, error) { return g, nil, err }
 
 // Name returns the registry name.
 func (f *Family) Name() string { return f.name }
@@ -111,20 +123,21 @@ func (f *Family) Build(n int, seed int64) (*graph.Graph, error) {
 	if n < f.minN {
 		return nil, fmt.Errorf("family %s: n=%d below minimum %d", f.name, n, f.minN)
 	}
-	g, err := f.build(n, rand.New(rand.NewSource(seed)))
+	g, forests, err := f.build(n, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return nil, fmt.Errorf("family %s: %w", f.name, err)
 	}
-	if err := f.Check(g, n); err != nil {
+	if err := f.Check(g, n, forests); err != nil {
 		return nil, err
 	}
 	return g, nil
 }
 
 // Check verifies that g satisfies the family's declared invariants for
-// size n. Build calls it on every generated graph; tests call it
-// directly.
-func (f *Family) Check(g *graph.Graph, n int) error {
+// size n. forests is the generator's arboricity witness (nil when it
+// has none; see Invariants.MaxArboricity). Build calls it on every
+// generated graph; tests call it directly.
+func (f *Family) Check(g *graph.Graph, n int, forests [][]graph.Edge) error {
 	if g.N() != n {
 		return fmt.Errorf("family %s: generated %d vertices, want %d", f.name, g.N(), n)
 	}
@@ -149,72 +162,72 @@ func (f *Family) Check(g *graph.Graph, n int) error {
 		}
 	}
 	if a := f.inv.MaxArboricity; a > 0 {
-		if !ForestPartition(g, a) {
-			return fmt.Errorf("family %s: declared arboricity ≤ %d, no forest partition found", f.name, a)
+		if err := checkArboricity(g, a, forests); err != nil {
+			return fmt.Errorf("family %s: %w", f.name, err)
 		}
 	}
 	return nil
 }
 
-// ForestPartition reports whether the edge set of g can be partitioned
-// into at most a forests — i.e. whether arboricity(g) ≤ a. The decision
-// is exact, and it is made in two steps.
+// checkArboricity certifies that g's edges split into at most a
+// forests, in one of two ways, and errors when neither applies.
 //
-// First it peels: it removes, again and again, a vertex whose remaining
-// degree is at most a, until none is left. What remains is the
-// (a+1)-core, and g has an a-forest partition iff its core has one.
-// One way is restriction. For the other, put the peeled vertices back
-// in the reverse of their peeling order. When a vertex v comes back, at
-// most a of its edges reach vertices already present (those peeled
-// after v, and the core), so each of them can go into a forest of its
-// own. v is new to each of those forests and enters it as a leaf, so no
-// cycle closes. An empty core therefore answers yes: degeneracy ≤ a
-// certifies arboricity ≤ a.
+// A generator that returns forests hands over the partition itself, and
+// it is verified exactly, with O(m·α(n)) union-find work and one Freeze:
+// there are at most a forests, each is acyclic under one reused
+// union-find, and their edges, frozen through a graph.Builder, equal
+// g's (Freeze rejects an edge that two forests share). The forest
+// unions and the torus return forests.
 //
-// Only a non-empty core is searched. Its edges are inserted, in g's
-// adjacency order, into the a-fold union of graphic matroids with
-// augmenting-path search (an edge that closes a cycle in every forest
-// may displace a cycle edge into another forest, transitively), so by
-// matroid-union theory a failed augmentation certifies that no
-// partition exists.
-//
-// Cost: the peel is O(n + m) over one int32 array and walks g's
-// adjacency in place. Cycles, paths, stars and grids peel to an empty
-// core and never reach the search. In the search, an edge that some
-// forest accepts takes O(a·α(n)) union-find queries; only an edge that
-// closes a cycle in every forest pays for tree-path searches, each a
-// breadth-first scan of one tree. insert offers each edge to every
-// forest before it searches any path: on a torus an edge that forest 0
-// rejects is nearly always accepted by forest 1, and a search of forest
-// 0's tree would be thrown away.
-func ForestPartition(g *graph.Graph, a int) bool {
-	if a < 1 {
-		return g.M() == 0
-	}
-	deg, core := peel(g, a)
-	if core == 0 {
-		return true
-	}
-	p := newForestPartitioner(g.N(), a)
-	for u := range deg {
-		if deg[u] < 0 {
-			continue
+// Without forests, g must peel to an empty (a+1)-core. peel removes,
+// again and again, a vertex whose remaining degree is at most a. Put
+// the peeled vertices back in the reverse of their peeling order: when
+// a vertex v comes back, at most a of its edges reach vertices already
+// present (those peeled after v), so each of them can go into a forest
+// of its own. v is new to each of those forests and enters it as a
+// leaf, so no cycle closes. Degeneracy ≤ a thus certifies arboricity
+// ≤ a. Cycles, paths, stars and grids peel empty.
+func checkArboricity(g *graph.Graph, a int, forests [][]graph.Edge) error {
+	if len(forests) == 0 {
+		if core := peel(g, a); core > 0 {
+			return fmt.Errorf("declared arboricity ≤ %d, but the %d-core keeps %d vertices and no forests were given", a, a+1, core)
 		}
-		for _, v := range g.NeighborSlice(u) {
-			if u < v && deg[v] >= 0 && !p.insert(graph.Edge{U: u, V: v}) {
-				return false
+		return nil
+	}
+	if len(forests) > a {
+		return fmt.Errorf("declared arboricity ≤ %d, given %d forests", a, len(forests))
+	}
+	n := g.N()
+	b := graph.NewBuilder(n)
+	var tree dsu.DSU
+	for i, forest := range forests {
+		tree.Reset(n)
+		for _, e := range forest {
+			if err := b.Add(e.U, e.V); err != nil {
+				return fmt.Errorf("forest %d: %w", i, err)
+			}
+			if !tree.Union(e.U, e.V) {
+				return fmt.Errorf("forest %d: edge {%d,%d} closes a cycle", i, e.U, e.V)
 			}
 		}
 	}
-	return true
+	h, err := b.Freeze()
+	if err != nil { // a repeat within one forest closes a cycle above
+		return fmt.Errorf("two forests share an edge: %w", err)
+	}
+	if !h.Equal(g) {
+		return fmt.Errorf("forests do not cover the graph's edges (%d forest edges, %d graph edges)", h.M(), g.M())
+	}
+	return nil
 }
 
 // peel removes the vertices of g whose remaining degree is at most a,
-// until none is left, and returns each vertex's degree within the
-// (a+1)-core that remains (−1 for a peeled vertex) and the core's size.
-// The degrees and the stack of vertices due to be peeled share one
-// allocation; a vertex is pushed once, when its degree first drops to a.
-func peel(g *graph.Graph, a int) (deg []int32, core int) {
+// until none is left, and returns the size of the (a+1)-core that
+// remains. It is O(n + m) and walks g's adjacency in place. The
+// remaining degrees (−1 for a peeled vertex) and the stack of vertices
+// due to be peeled share one allocation; a vertex is pushed once, when
+// its degree first drops to a.
+func peel(g *graph.Graph, a int) (core int) {
 	n := g.N()
 	buf := make([]int32, 2*n)
 	deg, stack := buf[:n], buf[n:n]
@@ -239,185 +252,27 @@ func peel(g *graph.Graph, a int) (deg []int32, core int) {
 			}
 		}
 	}
-	return deg, core
-}
-
-// forestPartitioner maintains a partition of an incrementally grown edge
-// set into k forests. Each layer carries a union-find connectivity
-// oracle so the common case — "does this layer accept the edge?" — is
-// O(α) instead of a breadth-first scan of the whole tree; the oracle is
-// invalidated (and lazily rebuilt) on the rare displacement unlinks,
-// which union-find cannot replay.
-type forestPartitioner struct {
-	n       int
-	k       int
-	layerOf map[graph.Edge]int
-	adj     [][][]int  // adj[layer][v] = neighbours of v within that forest
-	conn    []*dsu.DSU // conn[layer] = same-tree oracle; nil when stale
-}
-
-func newForestPartitioner(n, k int) *forestPartitioner {
-	p := &forestPartitioner{
-		n: n, k: k,
-		layerOf: make(map[graph.Edge]int),
-		adj:     make([][][]int, k),
-		conn:    make([]*dsu.DSU, k),
-	}
-	for i := range p.adj {
-		p.adj[i] = make([][]int, n)
-		p.conn[i] = dsu.New(n)
-	}
-	return p
-}
-
-// sameTree reports whether u and v lie in one tree of the given layer,
-// rebuilding the layer's union-find oracle if a displacement staled it.
-func (p *forestPartitioner) sameTree(layer, u, v int) bool {
-	d := p.conn[layer]
-	if d == nil {
-		d = dsu.New(p.n)
-		for x := 0; x < p.n; x++ {
-			for _, w := range p.adj[layer][x] {
-				if x < w {
-					d.Union(x, w)
-				}
-			}
-		}
-		p.conn[layer] = d
-	}
-	return d.Same(u, v)
-}
-
-func (p *forestPartitioner) link(layer int, e graph.Edge) {
-	p.layerOf[e] = layer
-	p.adj[layer][e.U] = append(p.adj[layer][e.U], e.V)
-	p.adj[layer][e.V] = append(p.adj[layer][e.V], e.U)
-	if d := p.conn[layer]; d != nil {
-		d.Union(e.U, e.V)
-	}
-}
-
-func (p *forestPartitioner) unlink(layer int, e graph.Edge) {
-	delete(p.layerOf, e)
-	for _, end := range [2]struct{ at, drop int }{{e.U, e.V}, {e.V, e.U}} {
-		a := p.adj[layer][end.at]
-		for i, w := range a {
-			if w == end.drop {
-				p.adj[layer][end.at] = append(a[:i], a[i+1:]...)
-				break
-			}
-		}
-	}
-	p.conn[layer] = nil // union-find cannot split; rebuild on next query
-}
-
-// treePath returns the vertex path from u to v within one forest layer
-// (nil if u and v lie in different trees).
-func (p *forestPartitioner) treePath(layer, u, v int) []int {
-	prev := map[int]int{u: u}
-	queue := []int{u}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		if x == v {
-			var path []int
-			for at := v; ; at = prev[at] {
-				path = append(path, at)
-				if at == u {
-					return path
-				}
-			}
-		}
-		for _, w := range p.adj[layer][x] {
-			if _, seen := prev[w]; !seen {
-				prev[w] = x
-				queue = append(queue, w)
-			}
-		}
-	}
-	return nil
-}
-
-// insert adds e0 to the partition, displacing cycle edges between
-// forests via breadth-first augmenting search when no forest accepts it
-// directly. A false return certifies the grown edge set has no k-forest
-// partition. Each dequeued edge goes to the lowest layer that accepts
-// it; the layers' tree paths, and the search's maps, are built only
-// when none does.
-func (p *forestPartitioner) insert(e0 graph.Edge) bool {
-	type hop struct {
-		via   graph.Edge // the edge that wants to enter…
-		layer int        // …this layer, once the child edge vacates it
-	}
-	var parent map[graph.Edge]hop
-	var visited map[graph.Edge]bool
-	queue := []graph.Edge{e0}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		own, assigned := p.layerOf[x]
-		for i := 0; i < p.k; i++ {
-			if assigned && own == i {
-				continue
-			}
-			if !p.sameTree(i, x.U, x.V) {
-				// Layer i accepts x: place it and cascade the parents
-				// into the layers their children just vacated.
-				cur, dest := x, i
-				for {
-					old, assigned := p.layerOf[cur]
-					if assigned {
-						p.unlink(old, cur)
-					}
-					p.link(dest, cur)
-					pr, ok := parent[cur]
-					if !ok {
-						return true
-					}
-					cur, dest = pr.via, pr.layer
-				}
-			}
-		}
-		if visited == nil {
-			parent = make(map[graph.Edge]hop)
-			visited = map[graph.Edge]bool{e0: true}
-		}
-		for i := 0; i < p.k; i++ {
-			if assigned && own == i {
-				continue
-			}
-			// No layer accepts x: each tree path it closes is the
-			// displacement frontier.
-			path := p.treePath(i, x.U, x.V)
-			for j := 1; j < len(path); j++ {
-				f := graph.NormEdge(path[j-1], path[j])
-				if !visited[f] {
-					visited[f] = true
-					parent[f] = hop{via: x, layer: i}
-					queue = append(queue, f)
-				}
-			}
-		}
-	}
-	return false
+	return core
 }
 
 // registry is the fixed family list, in registry order. Generators must
 // be pure functions of (n, rng); they must not read any other source of
-// randomness or nondeterministic state (map iteration included).
+// randomness or nondeterministic state (map iteration included). A
+// family that declares an arboricity bound a must either peel to an
+// empty (a+1)-core or return its forests (forest-2, forest-3, torus).
 var registry = []*Family{
 	{
 		name: "one-cycle", params: "kind=hamiltonian-cycle", version: 1, minN: 3,
 		inv: Invariants{Connected: Yes, Components: 1, Regular: 2, MaxArboricity: 2},
-		build: func(n int, rng *rand.Rand) (*graph.Graph, error) {
-			return graph.RandomOneCycle(n, rng), nil
+		build: func(n int, rng *rand.Rand) (*graph.Graph, [][]graph.Edge, error) {
+			return plain(graph.RandomOneCycle(n, rng), nil)
 		},
 	},
 	{
 		name: "two-cycle", params: "kind=two-cycle;split=n/2", version: 1, minN: 6,
 		inv: Invariants{Connected: No, Components: 2, Regular: 2, MaxArboricity: 2},
-		build: func(n int, rng *rand.Rand) (*graph.Graph, error) {
-			return graph.RandomTwoCycle(n, n/2, rng)
+		build: func(n int, rng *rand.Rand) (*graph.Graph, [][]graph.Edge, error) {
+			return plain(graph.RandomTwoCycle(n, n/2, rng))
 		},
 	},
 	{
@@ -478,23 +333,23 @@ var registry = []*Family{
 	{
 		name: "star", params: "center=0", version: 1, minN: 2,
 		inv: Invariants{Connected: Yes, Components: 1, MaxArboricity: 1},
-		build: func(n int, _ *rand.Rand) (*graph.Graph, error) {
+		build: func(n int, _ *rand.Rand) (*graph.Graph, [][]graph.Edge, error) {
 			b := graph.NewBuilder(n)
 			for i := 1; i < n; i++ {
 				b.MustAdd(0, i)
 			}
-			return b.Freeze()
+			return plain(b.Freeze())
 		},
 	},
 	{
 		name: "path", params: "order=0..n-1", version: 1, minN: 2,
 		inv: Invariants{Connected: Yes, Components: 1, MaxArboricity: 1},
-		build: func(n int, _ *rand.Rand) (*graph.Graph, error) {
+		build: func(n int, _ *rand.Rand) (*graph.Graph, [][]graph.Edge, error) {
 			b := graph.NewBuilder(n)
 			for i := 1; i < n; i++ {
 				b.MustAdd(i-1, i)
 			}
-			return b.Freeze()
+			return plain(b.Freeze())
 		},
 	},
 	{
@@ -535,8 +390,8 @@ func Names() []string {
 // of each cycle and reconnecting across) leaves the single cycle
 // perm[0..n-1]. That is the cycle RandomOneCycle draws from the same
 // rng, so it is drawn directly, without building the two-cycle first.
-func buildCrossedTwoCycle(n int, rng *rand.Rand) (*graph.Graph, error) {
-	return graph.RandomOneCycle(n, rng), nil
+func buildCrossedTwoCycle(n int, rng *rand.Rand) (*graph.Graph, [][]graph.Edge, error) {
+	return plain(graph.RandomOneCycle(n, rng), nil)
 }
 
 // erBuilder returns the G(n, c·ln(n)/n) generator. c = 1 sits at the
@@ -544,8 +399,8 @@ func buildCrossedTwoCycle(n int, rng *rand.Rand) (*graph.Graph, error) {
 // above it (connected w.h.p.). No connectivity invariant is declared —
 // the threshold behaviour is exactly what sweeps over these families
 // measure.
-func erBuilder(c float64) func(int, *rand.Rand) (*graph.Graph, error) {
-	return func(n int, rng *rand.Rand) (*graph.Graph, error) {
+func erBuilder(c float64) buildFunc {
+	return func(n int, rng *rand.Rand) (*graph.Graph, [][]graph.Edge, error) {
 		p := c * math.Log(float64(n)) / float64(n)
 		if p > 1 {
 			p = 1
@@ -558,7 +413,7 @@ func erBuilder(c float64) func(int, *rand.Rand) (*graph.Graph, error) {
 				}
 			}
 		}
-		return b.Freeze()
+		return plain(b.Freeze())
 	}
 }
 
@@ -566,10 +421,10 @@ func erBuilder(c float64) func(int, *rand.Rand) (*graph.Graph, error) {
 // vertex relabelling split into k balanced groups, each wired as a
 // random recursive tree plus a few extra intra-group edges. Exactly k
 // components by construction — the hard NO instances of E18.
-func plantedBuilder(k int) func(int, *rand.Rand) (*graph.Graph, error) {
-	return func(n int, rng *rand.Rand) (*graph.Graph, error) {
+func plantedBuilder(k int) buildFunc {
+	return func(n int, rng *rand.Rand) (*graph.Graph, [][]graph.Edge, error) {
 		if n < 2*k {
-			return nil, fmt.Errorf("n=%d cannot hold %d components of ≥ 2 vertices", n, k)
+			return nil, nil, fmt.Errorf("n=%d cannot hold %d components of ≥ 2 vertices", n, k)
 		}
 		perm := rng.Perm(n)
 		b := graph.NewBuilder(n)
@@ -586,33 +441,40 @@ func plantedBuilder(k int) func(int, *rand.Rand) (*graph.Graph, error) {
 				}
 			}
 		}
-		return b.Freeze()
+		return plain(b.Freeze())
 	}
 }
 
 // forestUnionBuilder returns the bounded-arboricity generator: a random
 // recursive spanning tree (connectivity) unioned with a−1 random partial
 // forests. Arboricity ≤ a by construction — the promise class of
-// sketch.Connectivity.
-func forestUnionBuilder(a int) func(int, *rand.Rand) (*graph.Graph, error) {
-	return func(n int, rng *rand.Rand) (*graph.Graph, error) {
+// sketch.Connectivity — and the tree and the layers are the forests it
+// returns.
+func forestUnionBuilder(a int) buildFunc {
+	return func(n int, rng *rand.Rand) (*graph.Graph, [][]graph.Edge, error) {
 		perm := rng.Perm(n)
 		b := graph.NewBuilder(n)
-		for i := 1; i < n; i++ {
-			b.MustAdd(perm[i], perm[rng.Intn(i)])
+		forests := make([][]graph.Edge, a)
+		add := func(layer, u, v int) {
+			b.MustAdd(u, v)
+			forests[layer] = append(forests[layer], graph.NormEdge(u, v))
 		}
+		for i := 1; i < n; i++ {
+			add(0, perm[i], perm[rng.Intn(i)])
+		}
+		var forest dsu.DSU
 		for layer := 1; layer < a; layer++ {
-			forest := dsu.New(n)
+			forest.Reset(n)
 			for t := 0; t < 2*n; t++ {
 				u, v := rng.Intn(n), rng.Intn(n)
-				if u == v || b.Has(u, v) || forest.Find(u) == forest.Find(v) {
+				if u == v || b.Has(u, v) || !forest.Union(u, v) {
 					continue
 				}
-				forest.Union(u, v)
-				b.MustAdd(u, v)
+				add(layer, u, v)
 			}
 		}
-		return b.Freeze()
+		g, err := b.Freeze()
+		return g, forests, err
 	}
 }
 
@@ -629,47 +491,59 @@ func gridDims(n int) (r, c int) {
 	return r, n / r
 }
 
-// addGridEdges appends the r×c lattice edges shared by the grid and
-// torus families.
-func addGridEdges(b *graph.Builder, r, c int) {
+// addGridEdges passes the r×c lattice edges shared by the grid and
+// torus families to add, each with the torus forest it belongs to: 0
+// for the rows' paths and column 0's path (a spanning tree), 1 for the
+// other columns' paths.
+func addGridEdges(r, c int, add func(forest, u, v int)) {
 	at := func(i, j int) int { return i*c + j }
 	for i := 0; i < r; i++ {
 		for j := 0; j < c; j++ {
 			if j+1 < c {
-				b.MustAdd(at(i, j), at(i, j+1))
+				add(0, at(i, j), at(i, j+1))
 			}
 			if i+1 < r {
-				b.MustAdd(at(i, j), at(i+1, j))
+				add(min(j, 1), at(i, j), at(i+1, j))
 			}
 		}
 	}
 }
 
-func buildGrid(n int, _ *rand.Rand) (*graph.Graph, error) {
+func buildGrid(n int, _ *rand.Rand) (*graph.Graph, [][]graph.Edge, error) {
 	r, c := gridDims(n)
 	b := graph.NewBuilder(n)
-	addGridEdges(b, r, c)
-	return b.Freeze()
+	addGridEdges(r, c, func(_, u, v int) { b.MustAdd(u, v) })
+	return plain(b.Freeze())
 }
 
-func buildTorus(n int, _ *rand.Rand) (*graph.Graph, error) {
+// buildTorus is the grid plus wraparound edges, and returns it as three
+// forests: the grid's two, with each row wrap in forest 1 as a leaf
+// (i, 0) on column c−1's path, and the column wraps, a matching, as
+// forest 2.
+func buildTorus(n int, _ *rand.Rand) (*graph.Graph, [][]graph.Edge, error) {
 	r, c := gridDims(n)
 	b := graph.NewBuilder(n)
-	addGridEdges(b, r, c)
+	forests := make([][]graph.Edge, 3)
+	add := func(forest, u, v int) {
+		b.MustAdd(u, v)
+		forests[forest] = append(forests[forest], graph.NormEdge(u, v))
+	}
+	addGridEdges(r, c, add)
 	at := func(i, j int) int { return i*c + j }
 	// Wraparound edges only along dimensions of length ≥ 3: shorter
 	// dimensions would duplicate an existing edge or form a self loop.
 	if c >= 3 {
 		for i := 0; i < r; i++ {
-			b.MustAdd(at(i, c-1), at(i, 0))
+			add(1, at(i, c-1), at(i, 0))
 		}
 	}
 	if r >= 3 {
 		for j := 0; j < c; j++ {
-			b.MustAdd(at(r-1, j), at(0, j))
+			add(2, at(r-1, j), at(0, j))
 		}
 	}
-	return b.Freeze()
+	g, err := b.Freeze()
+	return g, forests, err
 }
 
 // buildFourRegular samples a random simple 4-regular graph by the
@@ -683,7 +557,7 @@ func buildTorus(n int, _ *rand.Rand) (*graph.Graph, error) {
 // with probability about e^(−66) at n = 16, and less above. Each retry
 // continues the same rng stream, so the limit changes no graph that an
 // earlier limit built.
-func buildFourRegular(n int, rng *rand.Rand) (*graph.Graph, error) {
+func buildFourRegular(n int, rng *rand.Rand) (*graph.Graph, [][]graph.Edge, error) {
 	const d, attempts = 4, 4096
 	for try := 0; try < attempts; try++ {
 		points := make([]int, n*d)
@@ -702,17 +576,17 @@ func buildFourRegular(n int, rng *rand.Rand) (*graph.Graph, error) {
 			b.MustAdd(u, v)
 		}
 		if ok {
-			return b.Freeze()
+			return plain(b.Freeze())
 		}
 	}
-	return nil, fmt.Errorf("pairing model rejected %d attempts at n=%d", attempts, n)
+	return nil, nil, fmt.Errorf("pairing model rejected %d attempts at n=%d", attempts, n)
 }
 
 // buildBarbell joins two cliques of ⌊n/2⌋ and ⌈n/2⌉ vertices by a single
 // bridge edge — a dense connected instance whose minimum degree exceeds
 // every constant peeling threshold, so promise algorithms must refuse it
 // detectably rather than answer.
-func buildBarbell(n int, _ *rand.Rand) (*graph.Graph, error) {
+func buildBarbell(n int, _ *rand.Rand) (*graph.Graph, [][]graph.Edge, error) {
 	k := n / 2
 	b := graph.NewBuilder(n)
 	for u := 0; u < k; u++ {
@@ -726,7 +600,7 @@ func buildBarbell(n int, _ *rand.Rand) (*graph.Graph, error) {
 		}
 	}
 	b.MustAdd(k-1, k)
-	return b.Freeze()
+	return plain(b.Freeze())
 }
 
 // Describe renders a one-line human summary of every registered family,
